@@ -77,11 +77,7 @@ class Adapter:
             shape = h.shape[:-1] + (self.d_out,)
             return tz.zeros(shape)
         if self.cfg.variant in ("lora", "lorafa"):
-            x = h
-            if drop_rng is not None and self.cfg.dropout > 0.0:
-                x = tz.dropout(x, self.cfg.dropout, drop_rng)
-            delta = tz.matmul(tz.matmul(x, tz.transpose(self.a)), tz.transpose(self.b))
-            delta = tz.mul(delta, self.cfg.alpha / self.cfg.r)
+            delta = tz.lora_delta(h, self.a, self.b, self.cfg.alpha / self.cfg.r, self.cfg.dropout, drop_rng)
         else:
             if base is None:
                 raise ValueError("propulsion needs the frozen projection output")
@@ -168,7 +164,7 @@ class AdapterBank:
     def load_weights(self, directory) -> None:
         directory = Path(directory)
         for name, t in self.named_tensors().items():
-            t.data = tz.load_tensor(directory / f"{name}.bin")
+            t.data = tz.load_tensor(directory / f"{name}.bin", shape=t.shape)
 
 
 def count_trainable(bank) -> int:

@@ -135,8 +135,8 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
         states = load_router(run_dir / "router")
         hooks = MonkeyJumpHooks(bank, states, record=False)
     head = ClassifierHead(cfg.model.d_model, val_ds.n_global_classes)
-    head.w.data = tz.load_tensor(run_dir / "head_w.bin")
-    head.b.data = tz.load_tensor(run_dir / "head_b.bin")
+    head.w.data = tz.load_tensor(run_dir / "head_w.bin", shape=head.w.shape)
+    head.b.data = tz.load_tensor(run_dir / "head_b.bin", shape=head.b.shape)
     result = evaluate(cfg, model, hooks, head, val_ds)
     _emit(args, {"per_task_accuracy": {str(k): v for k, v in result["per_task_accuracy"].items()},
                  "overall_accuracy": result["overall_accuracy"]})

@@ -135,6 +135,10 @@ class DataSection:
             spec = dict(raw)
             spec["markers"] = tuple(spec["markers"])
             specs.append(TaskSpec(**spec))
+        ids = [spec.task_id for spec in specs]
+        duplicates = sorted({t for t in ids if ids.count(t) > 1})
+        if duplicates:
+            raise ConfigError(f"data.tasks has duplicate task_id {duplicates}")
         return specs
 
 
@@ -156,7 +160,24 @@ class ExperimentConfig:
             raise ConfigError(f"method must be one of {METHODS}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
-        self.data.task_specs()  # validates task definitions
+        task_ids = [spec.task_id for spec in self.data.task_specs()]  # validates task definitions
+        n_layers = self.model.n_layers
+        routed_layers = self.router.routed_layers
+        if routed_layers is not None:
+            outside = [layer for layer in routed_layers if not 0 <= layer < n_layers]
+            if outside:
+                raise ConfigError(f"router.routed_layers {outside} outside [0, {n_layers})")
+            if self.method == "mj" and not routed_layers:
+                raise ConfigError("router.routed_layers is empty: method mj must route at least one layer")
+        experts = self.router.task_experts
+        if experts is not None:
+            missing = [t for t in task_ids if not 0 <= t < len(experts)]
+            if missing:
+                raise ConfigError(f"router.task_experts has no entry for task ids {missing}")
+            n_routed = len(self.router.routed)
+            outside = [e for e in experts if not 0 <= e < n_routed]
+            if outside:
+                raise ConfigError(f"router.task_experts entries {outside} outside [0, {n_routed})")
 
     def to_dict(self) -> dict:
         return {

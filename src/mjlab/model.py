@@ -236,7 +236,7 @@ class Backbone:
         manifest = json.loads((directory / "manifest.json").read_text())
         model = cls(ModelConfig(**manifest["config"]))
         for name, t in model.named_parameters().items():
-            t.data = tz.load_tensor(directory / f"{name}.bin")
+            t.data = tz.load_tensor(directory / f"{name}.bin", shape=t.shape)
         if manifest["frozen"]:
             model.freeze()
         return model

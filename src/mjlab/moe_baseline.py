@@ -127,7 +127,7 @@ class MoEAdapterBank:
     def load_weights(self, directory) -> None:
         directory = Path(directory)
         for name, t in self.named_tensors().items():
-            t.data = tz.load_tensor(directory / f"{name}.bin")
+            t.data = tz.load_tensor(directory / f"{name}.bin", shape=t.shape)
 
 
 def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
@@ -154,10 +154,7 @@ def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gat
     drop_rng = bank.drop_rng
     out = None
     for n, (a, b) in enumerate(bank.experts[(layer, proj)]):
-        xin = x
-        if drop_rng is not None and cfg.dropout > 0.0:
-            xin = tz.dropout(xin, cfg.dropout, drop_rng)
-        delta = tz.mul(tz.matmul(tz.matmul(xin, tz.transpose(a)), tz.transpose(b)), scale)
+        delta = tz.lora_delta(x, a, b, scale, cfg.dropout, drop_rng)
         gn = tz.select_index(gates, gates.ndim - 1, n)
         term = tz.mul(delta, gn)
         out = term if out is None else tz.add(out, term)

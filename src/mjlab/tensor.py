@@ -2,8 +2,16 @@
 
 Everything is stored row-major contiguous at float64. Reductions delegate to
 numpy, whose summation order is fixed for a given shape, so repeated runs on
-identical inputs are bitwise identical. Every public operation validates that
-its output is finite and raises FloatingPointError otherwise.
+identical inputs are bitwise identical.
+
+Finite-check contract: every operation that computes new values validates that
+its output is finite and raises FloatingPointError naming the op otherwise.
+The pure rearrangements (`transpose`, `swapaxes`, `reshape`, `broadcast_to`,
+`select_index`) only move values that an earlier check already saw, so they
+skip it.
+
+Backward functions compute no gradient for an input with
+requires_grad=False; they return None in its place.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ __all__ = [
     "embedding",
     "cross_entropy",
     "dropout",
+    "lora_delta",
     "l2_normalize_rows",
     "neg_l2_distance",
     "neg_l1_distance",
@@ -57,7 +66,7 @@ def _as_array(values) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values produced by '{op}'")
 
 
@@ -169,9 +178,11 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _make(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _make(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn,
+          check: bool = True) -> Tensor:
     out_data = _as_array(out_data)
-    _check_finite(out_data, op)
+    if check:
+        _check_finite(out_data, op)
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -241,7 +252,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _make("add", out, (a, b), back)
 
@@ -261,8 +275,8 @@ def mul(a, b) -> Tensor:
 
     def back(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _make("mul", out, (a, b), back)
@@ -274,8 +288,8 @@ def div(a, b) -> Tensor:
 
     def back(g):
         return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None,
         )
 
     return _make("div", out, (a, b), back)
@@ -293,9 +307,9 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def back(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make("matmul", out, (a, b), back)
 
@@ -304,7 +318,7 @@ def transpose(a) -> Tensor:
     a = _wrap(a)
     if a.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-    return _make("transpose", a.data.T, (a,), lambda g: (np.ascontiguousarray(g.T),))
+    return _make("transpose", a.data.T, (a,), lambda g: (np.ascontiguousarray(g.T),), check=False)
 
 
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
@@ -314,7 +328,7 @@ def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     def back(g):
         return (np.ascontiguousarray(np.swapaxes(g, axis1, axis2)),)
 
-    return _make("swapaxes", out, (a,), back)
+    return _make("swapaxes", out, (a,), back, check=False)
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
@@ -325,7 +339,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     def back(g):
         return (g.reshape(a.data.shape),)
 
-    return _make("reshape", out, (a,), back)
+    return _make("reshape", out, (a,), back, check=False)
 
 
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
@@ -336,7 +350,7 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     def back(g):
         return (_unbroadcast(g, a.data.shape),)
 
-    return _make("broadcast_to", out, (a,), back)
+    return _make("broadcast_to", out, (a,), back, check=False)
 
 
 def select_index(a, axis: int, index: int) -> Tensor:
@@ -354,7 +368,7 @@ def select_index(a, axis: int, index: int) -> Tensor:
         full[sl] = g
         return (full,)
 
-    return _make("select_index", out, (a,), back)
+    return _make("select_index", out, (a,), back, check=False)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -430,15 +444,19 @@ def layer_norm(a, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     out = xhat * gamma.data + beta.data
 
     def back(g):
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = dgamma = dbeta = None
+        if a.requires_grad:
+            dxhat = g * gamma.data
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
         lead = tuple(range(a.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
+        if gamma.requires_grad:
+            dgamma = (g * xhat).sum(axis=lead)
+        if beta.requires_grad:
+            dbeta = g.sum(axis=lead)
         return dx, dgamma, dbeta
 
     return _make("layer_norm", out, (a, gamma, beta), back)
@@ -504,6 +522,52 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
         return (g * mask,)
 
     return _make("dropout", a.data * mask, (a,), back)
+
+
+def lora_delta(x, a: Tensor, b: Tensor, scale: float, p: float,
+               rng: np.random.Generator | None) -> Tensor:
+    """scale * dropout(x) @ a^T @ b^T as one tape node.
+
+    `x` is (..., d_in), `a` is (r, d_in) and `b` is (d_out, r). Dropout runs
+    only when `rng` is given and p > 0, drawing its mask from `rng` exactly as
+    `dropout` does. Forward and backward replay the numpy calls of the chain
+    dropout, transpose, matmul, transpose, matmul, mul in the same order, so
+    values and gradients are bitwise equal to it.
+    """
+    x = _wrap(x)
+    if not 0.0 <= p < 1.0:
+        raise ValueError("dropout rate must be in [0, 1)")
+    mask = None
+    xd = x.data
+    if rng is not None and p > 0.0:
+        mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+        xd = _as_array(x.data * mask)
+    at = _as_array(a.data.T)
+    xa = _as_array(xd @ at)
+    bt = _as_array(b.data.T)
+    xab = _as_array(xa @ bt)
+    s = _as_array(scale)
+
+    def back(g):
+        g_xab = g * s
+        gb = None
+        if b.requires_grad:
+            g_bt = _unbroadcast(np.swapaxes(xa, -1, -2) @ g_xab, bt.shape)
+            gb = np.ascontiguousarray(g_bt.T)
+        if not (x.requires_grad or a.requires_grad):
+            return None, None, gb
+        g_xa = g_xab @ np.swapaxes(bt, -1, -2)
+        gx = ga = None
+        if x.requires_grad:
+            gx = g_xa @ np.swapaxes(at, -1, -2)
+            if mask is not None:
+                gx = gx * mask
+        if a.requires_grad:
+            g_at = _unbroadcast(np.swapaxes(xd, -1, -2) @ g_xa, at.shape)
+            ga = np.ascontiguousarray(g_at.T)
+        return gx, ga, gb
+
+    return _make("lora_delta", xab * s, (x, a, b), back)
 
 
 def l2_normalize_rows(a, floor: float = NORM_FLOOR) -> Tensor:
@@ -626,11 +690,24 @@ def save_tensor(path, arr) -> None:
         fh.write(arr.astype("<f8").tobytes(order="C"))
 
 
-def load_tensor(path) -> np.ndarray:
+def load_tensor(path, shape: Sequence[int] | None = None) -> np.ndarray:
+    """Read a `save_tensor` file; raises ValueError naming `path` on a
+    truncated file, trailing bytes, or a shape other than `shape` (if given)."""
     with open(path, "rb") as fh:
-        (rank,) = struct.unpack("<Q", fh.read(8))
-        shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        payload = fh.read(count * 8)
-    arr = np.frombuffer(payload, dtype="<f8", count=count).astype(np.float64)
-    return _as_array(arr.reshape(shape))
+        raw = fh.read()
+    if len(raw) < 8:
+        raise ValueError(f"{path}: truncated header")
+    (rank,) = struct.unpack_from("<Q", raw)
+    header = 8 * (1 + rank)
+    if len(raw) < header:
+        raise ValueError(f"{path}: truncated header")
+    dims = struct.unpack_from(f"<{rank}Q", raw, 8)
+    count = int(np.prod(dims)) if dims else 1
+    if len(raw) != header + count * 8:
+        raise ValueError(
+            f"{path}: payload is {len(raw) - header} bytes, shape {dims} needs {count * 8}"
+        )
+    if shape is not None and tuple(dims) != tuple(shape):
+        raise ValueError(f"{path}: shape {dims} does not match expected {tuple(shape)}")
+    arr = np.frombuffer(raw, dtype="<f8", count=count, offset=header).astype(np.float64)
+    return _as_array(arr.reshape(dims))

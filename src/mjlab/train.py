@@ -477,10 +477,23 @@ def _parse_projection_list(value) -> list[str]:
     return [str(v) for v in value]
 
 
+def _backbone_key(cfg: ExperimentConfig, seed: int) -> str:
+    """Everything `prepare_backbone` and `make_datasets` read: the model,
+    pretrain and data sections plus the seed."""
+    raw = cfg.to_dict()
+    return json.dumps([raw["model"], raw["pretrain"], raw["data"], seed], sort_keys=True)
+
+
+def _prepare_world(job: tuple) -> tuple:
+    """(backbone, train_ds, val_ds) exactly as `run_pipeline` would build them."""
+    cfg, seed = job
+    train_ds, val_ds = make_datasets(cfg)
+    return prepare_backbone(cfg, seed, corpus=pretraining_corpus(train_ds)), train_ds, val_ds
+
+
 def _ablate_one(payload: tuple) -> dict:
-    raw, axis, value, seed = payload
-    cfg = apply_axis(ExperimentConfig.from_dict(raw), axis, value)
-    run = run_pipeline(cfg, seed)
+    cfg, axis, value, seed, (backbone, train_ds, val_ds) = payload
+    run = run_pipeline(cfg, seed, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
     rho = run.get("usage_rho")
     return {
         "axis": axis,
@@ -493,16 +506,27 @@ def _ablate_one(payload: tuple) -> dict:
 
 
 def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | None = None) -> list[dict]:
-    """Sweep one knob over `values` x `seeds`; MJLAB_THREADS>1 parallelizes."""
+    """Sweep one knob over `values` x `seeds`; MJLAB_THREADS>1 parallelizes.
+
+    Runs with the same seed and the same model, pretrain and data sections
+    share one pretrained backbone and one pair of datasets. No axis touches
+    those sections, so a sweep pretrains once per seed, not once per value.
+    """
     if axis not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {axis!r}; known: {ABLATION_AXES}")
     seeds = seeds if seeds is not None else cfg.seeds
-    payloads = [(cfg.to_dict(), axis, value, seed) for value in values for seed in seeds]
+    runs = [(apply_axis(cfg, axis, value), value, seed) for value in values for seed in seeds]
+    jobs: dict[str, tuple] = {}
+    for run_cfg, _, seed in runs:
+        jobs.setdefault(_backbone_key(run_cfg, seed), (run_cfg, seed))
     workers = worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            worlds = dict(zip(jobs, pool.map(_prepare_world, jobs.values())))
+            payloads = [(c, axis, v, s, worlds[_backbone_key(c, s)]) for c, v, s in runs]
             return list(pool.map(_ablate_one, payloads))
-    return [_ablate_one(p) for p in payloads]
+    worlds = {key: _prepare_world(job) for key, job in jobs.items()}
+    return [_ablate_one((c, axis, v, s, worlds[_backbone_key(c, s)])) for c, v, s in runs]
 
 
 def write_ablation_csv(rows: list[dict], path) -> None:

@@ -184,6 +184,17 @@ class TestCheckpoint:
         for name, t in bank.named_tensors().items():
             assert np.array_equal(t.data, clone.named_tensors()[name].data)
 
+    def test_truncated_or_wrong_shape_rejected(self, tiny_cfg, tmp_path):
+        bank = AdapterBank(tiny_cfg, AdapterConfig(variant="lora"), QKVOG, seed=3)
+        bank.save(tmp_path / "adapters")
+        target = tmp_path / "adapters" / "layer0.q.b.bin"
+        target.write_bytes(target.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="layer0.q.b.bin"):
+            bank.load_weights(tmp_path / "adapters")
+        tz.save_tensor(target, np.zeros((2, tiny_cfg.d_model)))  # b is (d_model, r)
+        with pytest.raises(ValueError, match="layer0.q.b.bin"):
+            bank.load_weights(tmp_path / "adapters")
+
 
 class TestConfigValidation:
     def test_bad_variant(self):

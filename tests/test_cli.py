@@ -74,6 +74,44 @@ class TestExitCodes:
         assert main(["oracle", "params", "--quiet"]) == 0
 
 
+class TestRoutingConfigFailsFast:
+    """Bad routing configs exit 1 at parse time, before any compute."""
+
+    @staticmethod
+    def _train_exit(tmp_path, raw, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(path), "--out", str(out), "--quiet"])
+        assert not out.exists()  # nothing ran
+        return code, capsys.readouterr().err
+
+    def test_routed_layer_out_of_range(self, tmp_path, capsys):
+        code, err = self._train_exit(tmp_path, small_raw(router={"routed_layers": [0, 9]}), capsys)
+        assert code == 1 and "routed_layers" in err and "[9]" in err
+
+    def test_mj_routing_no_layer(self, tmp_path, capsys):
+        code, err = self._train_exit(tmp_path, small_raw(router={"routed_layers": []}), capsys)
+        assert code == 1 and "routed_layers" in err
+        # an empty routed set is fine for a method that does not route
+        ExperimentConfig.from_dict(small_raw(method="peft", router={"routed_layers": []}))
+
+    def test_task_experts_missing_task(self, tmp_path, capsys):
+        code, err = self._train_exit(tmp_path, small_raw(router={"task_experts": [0]}), capsys)
+        assert code == 1 and "task_experts" in err and "[1]" in err
+
+    def test_task_experts_entry_out_of_range(self, tmp_path, capsys):
+        code, err = self._train_exit(tmp_path, small_raw(router={"task_experts": [0, 3]}), capsys)
+        assert code == 1 and "task_experts" in err and "[3]" in err
+        ExperimentConfig.from_dict(small_raw(router={"task_experts": [0, 2]}))
+
+    def test_duplicate_task_ids(self, tmp_path, capsys):
+        raw = small_raw()
+        raw["data"]["tasks"] = [dict(t, task_id=0) for t in raw["data"]["tasks"]]
+        code, err = self._train_exit(tmp_path, raw, capsys)
+        assert code == 1 and "duplicate task_id" in err
+
+
 class TestDumpConfig:
     def test_dump_is_fully_defaulted_and_reproduces(self, tmp_path, capsys):
         assert main(["train", "--dump-config"]) == 0

@@ -170,3 +170,14 @@ class TestCheckpoint:
         assert all(np.array_equal(orig[k], back[k]) for k in orig)
         toks = np.array([[3, 1, 4]])
         assert np.array_equal(model.forward(toks).logits.data, loaded.forward(toks).logits.data)
+
+    def test_truncated_or_wrong_shape_rejected(self, tiny_cfg, tmp_path):
+        model = Backbone(tiny_cfg, seed=13)
+        model.save(tmp_path / "ckpt")
+        target = tmp_path / "ckpt" / "block1.up.bin"
+        target.write_bytes(target.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="block1.up.bin"):
+            Backbone.load(tmp_path / "ckpt")
+        tz.save_tensor(target, np.zeros((tiny_cfg.d_model, tiny_cfg.d_ff)))  # up is (d_ff, d_model)
+        with pytest.raises(ValueError, match="block1.up.bin"):
+            Backbone.load(tmp_path / "ckpt")

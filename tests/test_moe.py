@@ -137,3 +137,14 @@ class TestCheckpoint:
         clone.load_weights(tmp_path / "moe")
         for name, t in bank.named_tensors().items():
             assert np.array_equal(t.data, clone.named_tensors()[name].data)
+
+    def test_truncated_or_wrong_shape_rejected(self, tmp_path):
+        bank = MoEAdapterBank(square_cfg(d=8), MoEConfig(n_experts=2, top_k=1), QV, seed=12)
+        bank.save(tmp_path / "moe")
+        target = tmp_path / "moe" / "layer0.router.bin"
+        target.write_bytes(target.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="layer0.router.bin"):
+            bank.load_weights(tmp_path / "moe")
+        tz.save_tensor(target, np.zeros((3, 8)))  # router is (n_experts, d)
+        with pytest.raises(ValueError, match="layer0.router.bin"):
+            bank.load_weights(tmp_path / "moe")

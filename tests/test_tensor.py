@@ -248,6 +248,108 @@ class TestFiniteDifference:
         finite_difference_check(build, [w])
 
 
+def unfused_lora_delta(x, a, b, scale, p, rng):
+    """The six-node chain `lora_delta` fuses; the bitwise reference."""
+    if rng is not None and p > 0.0:
+        x = tz.dropout(x, p, rng)
+    return tz.mul(tz.matmul(tz.matmul(x, tz.transpose(a)), tz.transpose(b)), scale)
+
+
+class TestLoraDelta:
+    @pytest.mark.parametrize("x_shape", [(5, 6), (2, 4, 6)])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_finite_difference(self, x_shape, p):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        w = rng.normal(size=x_shape[:-1] + (7,))
+
+        def build():
+            drop = np.random.default_rng(5)  # identical mask on every eval
+            return tz.tsum(tz.mul(tz.lora_delta(x, a, b, 2.5, p, drop), w))
+
+        finite_difference_check(build, [x, a, b])
+
+    @pytest.mark.parametrize("x_shape", [(5, 6), (2, 4, 6)])
+    @pytest.mark.parametrize("trainable", ["xab", "ab", "b", "xb"])
+    def test_bitwise_equal_to_unfused_chain(self, x_shape, trainable):
+        rng = np.random.default_rng(22)
+        values = {"x": rng.normal(size=x_shape), "a": rng.normal(size=(3, 6)), "b": rng.normal(size=(7, 3))}
+        w = rng.normal(size=x_shape[:-1] + (7,))
+
+        def run(fn):
+            ts = {k: Tensor(v.copy(), requires_grad=k in trainable) for k, v in values.items()}
+            with tz.Tape() as tape:
+                out = fn(ts["x"], ts["a"], ts["b"], 2.5, 0.3, np.random.default_rng(9))
+                n_nodes = len(tape.nodes)
+                tz.backward(tz.tsum(tz.mul(out, w)))
+            return out.data, {k: t.grad for k, t in ts.items()}, n_nodes
+
+        fused, fused_grads, fused_nodes = run(tz.lora_delta)
+        ref, ref_grads, ref_nodes = run(unfused_lora_delta)
+        assert fused_nodes == 1 and ref_nodes > 1
+        assert np.array_equal(fused, ref)
+        for k in values:
+            if k in trainable:
+                assert np.array_equal(fused_grads[k], ref_grads[k]), k
+            else:
+                assert fused_grads[k] is None and ref_grads[k] is None, k
+
+    def test_no_dropout_without_rng(self):
+        rng = np.random.default_rng(23)
+        x, a, b = (Tensor(rng.normal(size=s)) for s in [(4, 6), (2, 6), (5, 2)])
+        out = tz.lora_delta(x, a, b, 1.0, 0.5, None)
+        assert np.array_equal(out.data, unfused_lora_delta(x, a, b, 1.0, 0.0, None).data)
+
+
+class TestFrozenOperands:
+    """Backward computes no gradient for a frozen operand and leaves the
+    trainable ones bitwise as they were with every operand trainable."""
+
+    CASES = {
+        "matmul": (lambda a, b: tz.matmul(a, b), [(2, 3, 4), (4, 5)]),
+        "mul": (lambda a, b: tz.mul(a, b), [(3, 4), (4,)]),
+        "add": (lambda a, b: tz.add(a, b), [(3, 4), (1, 4)]),
+        "div": (lambda a, b: tz.div(a, b), [(3, 4), (3, 1)]),
+    }
+
+    @staticmethod
+    def _grads(build, values, frozen):
+        ts = [Tensor(v.copy(), requires_grad=i != frozen) for i, v in enumerate(values)]
+        with tz.Tape() as tape:
+            out = build(*ts)
+            (node,) = tape.nodes
+            if frozen is not None:  # the op itself computes nothing for the frozen input
+                assert node.backward_fn(np.ones(out.shape))[frozen] is None
+            w = np.random.default_rng(31).normal(size=out.shape)
+            tz.backward(tz.tsum(tz.mul(out, w)))
+        return [t.grad for t in ts]
+
+    @pytest.mark.parametrize("op", sorted(CASES))
+    @pytest.mark.parametrize("frozen", [0, 1])
+    def test_binary_ops(self, op, frozen):
+        build, shapes = self.CASES[op]
+        rng = np.random.default_rng(32)
+        values = [rng.uniform(0.5, 2.0, size=s) for s in shapes]
+        full = self._grads(build, values, frozen=None)
+        part = self._grads(build, values, frozen=frozen)
+        assert part[frozen] is None
+        assert np.array_equal(part[1 - frozen], full[1 - frozen])
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2])
+    def test_layer_norm(self, frozen):
+        rng = np.random.default_rng(33)
+        values = [rng.normal(size=(2, 3, 4)), rng.normal(size=4), rng.normal(size=4)]
+        full = self._grads(tz.layer_norm, values, frozen=None)
+        part = self._grads(tz.layer_norm, values, frozen=frozen)
+        for i in range(3):
+            if i == frozen:
+                assert part[i] is None
+            else:
+                assert np.array_equal(part[i], full[i]), i
+
+
 class TestInvariants:
     def test_zero_norm_row_normalizes_to_zero(self):
         x = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]))
@@ -316,3 +418,19 @@ class TestSnapshots:
         assert int.from_bytes(raw[8:16], "little") == 2
         assert int.from_bytes(raw[16:24], "little") == 2
         assert np.frombuffer(raw[24:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_truncated_or_padded_file_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        tz.save_tensor(path, np.arange(6.0).reshape(2, 3))
+        raw = path.read_bytes()
+        for bad in (raw[:-8], raw[:12], raw[:4], raw + b"\0" * 8):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="t.bin"):
+                tz.load_tensor(path)
+
+    def test_expected_shape_checked(self, tmp_path):
+        path = tmp_path / "t.bin"
+        tz.save_tensor(path, np.arange(6.0).reshape(2, 3))
+        assert tz.load_tensor(path, shape=(2, 3)).shape == (2, 3)
+        with pytest.raises(ValueError, match="t.bin"):
+            tz.load_tensor(path, shape=(3, 2))

@@ -243,6 +243,41 @@ class TestAblate:
         assert len(rows) == 10
         assert {row["value"] for row in rows} == {0.2, 0.5, 0.7, 0.9, 0.99}
 
+    @staticmethod
+    def _sweep_cfg():
+        return small_config(data={"n_per_task": 24, "n_val_per_task": 12},
+                            pretrain={"steps": 10}, router={"kmeans_samples": 200})
+
+    def test_one_backbone_per_seed_and_rows_match_separate_runs(self, monkeypatch):
+        import mjlab.train as train
+
+        calls = []
+        real = train.prepare_backbone
+
+        def counting(cfg, seed, **kwargs):
+            calls.append(seed)
+            return real(cfg, seed, **kwargs)
+
+        monkeypatch.setattr(train, "prepare_backbone", counting)
+        monkeypatch.delenv("MJLAB_THREADS", raising=False)
+        cfg = self._sweep_cfg()
+        rows = ablate(cfg, "beta", [0.2, 0.9], seeds=[0, 1])
+        assert sorted(calls) == [0, 1]
+        monkeypatch.setattr(train, "prepare_backbone", real)
+        for row in rows:
+            run = run_pipeline(apply_axis(cfg, "beta", row["value"]), row["seed"])
+            assert row["per_task_accuracy"] == run["per_task_accuracy"]
+            assert row["overall_accuracy"] == run["overall_accuracy"]
+            assert row["usage_rho_mean"] == float(np.mean(run["usage_rho"]))
+
+    def test_workers_give_sequential_rows(self, monkeypatch):
+        cfg = self._sweep_cfg()
+        monkeypatch.delenv("MJLAB_THREADS", raising=False)
+        sequential = ablate(cfg, "beta", [0.2, 0.9], seeds=[0, 1])
+        monkeypatch.setenv("MJLAB_THREADS", "2")
+        parallel = ablate(cfg, "beta", [0.2, 0.9], seeds=[0, 1])
+        assert json.dumps(parallel) == json.dumps(sequential)
+
     def test_axis_setters(self, small_cfg):
         assert apply_axis(small_cfg, "similarity", "l1").router.similarity == "l1"
         assert apply_axis(small_cfg, "tau", 0.5).router.tau == 0.5
