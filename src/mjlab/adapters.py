@@ -8,9 +8,7 @@ LoRA 2dr, LoRA-FA dr, Propulsion d.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -55,20 +53,10 @@ class Adapter:
         else:  # propulsion: per-output-dimension scale, zero so fresh delta is 0
             self.s = Tensor(np.zeros(d_out), requires_grad=True)
 
-    def trainable_tensors(self) -> list[Tensor]:
-        if self.cfg.variant == "lora":
-            return [self.a, self.b]
-        if self.cfg.variant == "lorafa":
-            return [self.b]
-        return [self.s]
-
     def named_tensors(self) -> dict[str, Tensor]:
         if self.cfg.variant in ("lora", "lorafa"):
             return {"a": self.a, "b": self.b}
         return {"s": self.s}
-
-    def trainable_count(self) -> int:
-        return sum(t.data.size for t in self.trainable_tensors())
 
     def apply(self, h: Tensor, m, base: Tensor | None = None,
               drop_rng: np.random.Generator | None = None) -> Tensor:
@@ -90,34 +78,26 @@ class Adapter:
         return tz.mul(delta, m)
 
 
-class AdapterBank:
-    """One adapter per targeted (layer, projection) site."""
+class BankCore:
+    """What every adapter bank shares: its targets, train/eval mode, the
+    per-step dropout stream and a checkpoint of `named_tensors()`.
 
-    def __init__(
-        self,
-        model_cfg: ModelConfig,
-        adapter_cfg: AdapterConfig,
-        projections: tuple[ProjectionId, ...],
-        layers: list[int] | None = None,
-        seed: int = 0,
-    ):
+    A subclass builds its tensors, implements `named_tensors` and names the
+    manifest entry that holds its config in `manifest_key`.
+    """
+
+    manifest_key = ""
+
+    def __init__(self, model_cfg: ModelConfig, cfg, projections: tuple[ProjectionId, ...]):
         self.model_cfg = model_cfg
-        self.cfg = adapter_cfg
+        self.cfg = cfg
         self.projections = tuple(projections)
-        self.layers = list(range(model_cfg.n_layers)) if layers is None else sorted(layers)
-        if len(set(self.projections)) != len(self.projections):
-            raise ValueError("duplicate projection in target set")
-        rng = np.random.default_rng(seed)
-        self.adapters: dict[tuple[int, ProjectionId], Adapter] = {}
-        for layer in self.layers:
-            for proj in self.projections:
-                d_out, d_in = model_cfg.proj_dims(proj)
-                self.adapters[(layer, proj)] = Adapter(adapter_cfg, d_out, d_in, rng)
+        self.layers = list(range(model_cfg.n_layers))
         self.training = True
         self._drop_rng: np.random.Generator | None = None
 
-    def get(self, layer: int, proj: ProjectionId) -> Adapter | None:
-        return self.adapters.get((layer, proj))
+    def trainable_tensors(self) -> list[Tensor]:
+        return [t for t in self.named_tensors().values() if t.requires_grad]
 
     def begin_step(self, seed: int) -> None:
         """Re-seed the dropout stream; one seed per optimizer step."""
@@ -134,11 +114,46 @@ class AdapterBank:
     def drop_rng(self) -> np.random.Generator | None:
         return self._drop_rng if self.training else None
 
-    def trainable_tensors(self) -> list[Tensor]:
-        out = []
-        for key in sorted(self.adapters):
-            out.extend(self.adapters[key].trainable_tensors())
-        return out
+    def save(self, directory) -> None:
+        named = self.named_tensors()
+        tz.save_named(directory, {name: t.data for name, t in named.items()}, {
+            self.manifest_key: asdict(self.cfg),
+            "projections": [p.name for p in self.projections],
+            "layers": self.layers,
+            "tensors": sorted(named),
+        })
+
+    def load_weights(self, directory) -> None:
+        named = self.named_tensors()
+        _, arrays = tz.load_named(directory, lambda _manifest: {name: t.shape for name, t in named.items()})
+        for name, t in named.items():
+            t.data = arrays[name]
+
+
+class AdapterBank(BankCore):
+    """One adapter per targeted (layer, projection) site."""
+
+    manifest_key = "adapter"
+
+    def __init__(
+        self,
+        model_cfg: ModelConfig,
+        adapter_cfg: AdapterConfig,
+        projections: tuple[ProjectionId, ...],
+        seed: int = 0,
+    ):
+        super().__init__(model_cfg, adapter_cfg, projections)
+        if len(set(self.projections)) != len(self.projections):
+            raise ValueError("duplicate projection in target set")
+        rng = np.random.default_rng(seed)
+        self.adapters: dict[tuple[int, ProjectionId], Adapter] = {}
+        for layer in self.layers:
+            for proj in self.projections:
+                d_out, d_in = model_cfg.proj_dims(proj)
+                self.adapters[(layer, proj)] = Adapter(adapter_cfg, d_out, d_in, rng)
+
+    def get(self, layer: int, proj: ProjectionId) -> Adapter | None:
+        return self.adapters.get((layer, proj))
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {}
@@ -147,45 +162,7 @@ class AdapterBank:
                 out[f"layer{layer}.{proj.name}.{name}"] = t
         return out
 
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        named = self.named_tensors()
-        for name, t in named.items():
-            tz.save_tensor(directory / f"{name}.bin", t.data)
-        manifest = {
-            "adapter": asdict(self.cfg),
-            "projections": [p.name for p in self.projections],
-            "layers": self.layers,
-            "tensors": sorted(named),
-        }
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-    def load_weights(self, directory) -> None:
-        directory = Path(directory)
-        for name, t in self.named_tensors().items():
-            t.data = tz.load_tensor(directory / f"{name}.bin", shape=t.shape)
-
 
 def count_trainable(bank) -> int:
     """Exact number of trainable scalars in a bank (adapter or MoE)."""
     return sum(t.data.size for t in bank.trainable_tensors())
-
-
-class UniformAdapterHooks:
-    """Standard PEFT: every targeted adapter applies to every token (m = 1)."""
-
-    def __init__(self, bank: AdapterBank):
-        self.bank = bank
-
-    def set_batch(self, task_experts=None) -> None:
-        pass
-
-    def begin_block(self, layer: int, h: Tensor) -> None:
-        pass
-
-    def contribution(self, layer: int, proj: ProjectionId, x: Tensor, base: Tensor):
-        adapter = self.bank.get(layer, proj)
-        if adapter is None:
-            return None
-        return adapter.apply(x, 1.0, base=base, drop_rng=self.bank.drop_rng)

@@ -18,7 +18,7 @@ from . import oracle, probe, tensor as tz
 from .config import ConfigError, ExperimentConfig, config_hash
 from .data import generate, length_buckets, pretraining_corpus
 from .model import Backbone
-from .router import MonkeyJumpHooks, load_router, save_router
+from .router import load_router, save_router
 from .train import (
     ABLATION_AXES,
     ClassifierHead,
@@ -127,13 +127,11 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
         else prepare_backbone(cfg, seed)
     )
     _, val_ds = make_datasets(cfg)
-    bank, hooks, _ = build_method(cfg, seed)
+    states = load_router(run_dir / "router", cfg.model.d_model) if cfg.method == "mj" else {}
+    bank, hooks = build_method(cfg, seed, states)
     if bank is not None:
         bank.load_weights(run_dir / "adapters")
         bank.eval()
-    if cfg.method == "mj":
-        states = load_router(run_dir / "router")
-        hooks = MonkeyJumpHooks(bank, states, record=False)
     head = ClassifierHead(cfg.model.d_model, val_ds.n_global_classes)
     head.w.data = tz.load_tensor(run_dir / "head_w.bin", shape=head.w.shape)
     head.b.data = tz.load_tensor(run_dir / "head_b.bin", shape=head.b.shape)

@@ -12,11 +12,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .model import ModelConfig, ProjectionId
 from .adapters import AdapterConfig
 from .moe_baseline import MoEConfig
 from .data import TaskSpec, default_task_specs
-from .router import SIMILARITIES, GRANULARITIES
+from .router import RouterState
 
 METHODS = ("mj", "peft", "moe", "frozen")
 
@@ -43,33 +45,37 @@ class RouterSection:
     task_experts: list[int] | None = None
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError("router.tau must be positive")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError("router.beta must be in [0, 1]")
         if not 0.0 <= self.stop_frac <= 1.0:
             raise ConfigError("router.stop_frac must be in [0, 1]")
-        if self.similarity not in SIMILARITIES:
-            raise ConfigError(f"router.similarity must be one of {SIMILARITIES}")
-        if self.granularity not in GRANULARITIES:
-            raise ConfigError(f"router.granularity must be one of {GRANULARITIES}")
         names = {p.name for p in ProjectionId}
         for group in (self.routed, self.shared):
             for p in group:
                 if p not in names:
                     raise ConfigError(f"unknown projection {p!r}")
-        if set(self.routed) & set(self.shared):
-            raise ConfigError("router.routed and router.shared overlap")
         if not self.routed:
             raise ConfigError("router.routed must not be empty")
-        if not 1 <= self.top_k <= len(self.routed):
-            raise ConfigError("router.top_k must satisfy 1 <= top_k <= len(routed)")
-        if self.permutation is not None and sorted(self.permutation) != list(range(len(self.routed))):
-            raise ConfigError("router.permutation must be a bijection over routed slots")
         if self.kmeans_samples < 1 or self.kmeans_iters < 1:
             raise ConfigError("router.kmeans_* must be >= 1")
-        if self.update_every < 1:
-            raise ConfigError("router.update_every must be >= 1")
+        try:  # RouterState holds the routing rules (tau, top_k, beta, ...)
+            self.router_state(np.ones((len(self.routed_projections()), 1)), stop_step=0)
+        except ValueError as err:
+            raise ConfigError(f"router: {err}") from err
+
+    def router_state(self, centers: np.ndarray, stop_step: int) -> RouterState:
+        """The RouterState these settings describe, on the given centers."""
+        return RouterState(
+            centers=centers,
+            tau=self.tau,
+            top_k=self.top_k,
+            beta=self.beta,
+            update_every=self.update_every,
+            stop_step=stop_step,
+            similarity=self.similarity,
+            granularity=self.granularity,
+            routed=self.routed_projections(),
+            shared=self.shared_projections(),
+            permutation=self.permutation,
+        )
 
     def routed_projections(self) -> tuple[ProjectionId, ...]:
         return tuple(sorted((ProjectionId[n] for n in self.routed)))

@@ -208,9 +208,15 @@ def generate(specs: list[TaskSpec], n_per_task: int, seed: int, vocab: int = 64)
 
 def length_buckets(dataset: Dataset, batch_size: int) -> list[np.ndarray]:
     """Example-index batches grouped by sequence length (no padding needed)."""
+    return bucket_by_length(range(len(dataset)), [len(ex.tokens) for ex in dataset.examples], batch_size)
+
+
+def bucket_by_length(indices, lengths, batch_size: int) -> list[np.ndarray]:
+    """Batches of `indices` with equal `lengths[i]`, shortest first; each
+    length keeps the order of `indices`."""
     by_len: dict[int, list[int]] = {}
-    for i, ex in enumerate(dataset.examples):
-        by_len.setdefault(len(ex.tokens), []).append(i)
+    for i in indices:
+        by_len.setdefault(lengths[i], []).append(int(i))
     batches = []
     for length in sorted(by_len):
         group = by_len[length]
@@ -256,22 +262,17 @@ def sample_init_tokens(dataset: Dataset, budget: int, seed: int, model) -> dict:
     feats = {layer: np.empty((budget, model.cfg.d_model)) for layer in range(n_layers)}
     meta = np.empty((budget, 3), dtype=np.int64)
 
-    by_len: dict[int, list[int]] = {}
-    for si in needed:
-        by_len.setdefault(len(dataset.examples[si].tokens), []).append(si)
     row_of = {pair: i for i, pair in enumerate(chosen_pairs)}
-    for length in sorted(by_len):
-        seqs = sorted(by_len[length])
-        for j in range(0, len(seqs), 32):
-            chunk = seqs[j : j + 32]
-            tokens = np.stack([dataset.examples[si].tokens for si in chunk])
-            hidden = model.forward(tokens).hidden
-            for bi, si in enumerate(chunk):
-                for pos in needed[si]:
-                    row = row_of[(si, pos)]
-                    for layer in range(n_layers):
-                        feats[layer][row] = hidden[layer].data[bi, pos]
-                    meta[row] = (si, pos, dataset.examples[si].task)
+    lengths = [len(ex.tokens) for ex in dataset.examples]
+    for chunk in bucket_by_length(sorted(needed), lengths, 32):
+        tokens = np.stack([dataset.examples[si].tokens for si in chunk])
+        hidden = model.forward(tokens).hidden
+        for bi, si in enumerate(chunk.tolist()):
+            for pos in needed[si]:
+                row = row_of[(si, pos)]
+                for layer in range(n_layers):
+                    feats[layer][row] = hidden[layer].data[bi, pos]
+                meta[row] = (si, pos, dataset.examples[si].task)
     return {"features": feats, "meta": meta}
 
 

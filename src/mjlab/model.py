@@ -9,14 +9,13 @@ participates in forward passes only; no gradient buffers remain.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, asdict
-from pathlib import Path
 from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from . import tensor as tz
+from .data import bucket_by_length
 from .tensor import Tensor
 
 
@@ -217,26 +216,26 @@ class Backbone:
     # -- checkpointing ------------------------------------------------------------
 
     def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         named = self.named_parameters()
-        for name, t in named.items():
-            tz.save_tensor(directory / f"{name}.bin", t.data)
-        manifest = {
+        tz.save_named(directory, {name: t.data for name, t in named.items()}, {
             "config": asdict(self.cfg),
             "projections": [p.name for p in PROJECTIONS],
             "frozen": self.frozen,
             "tensors": sorted(named),
-        }
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        })
 
     @classmethod
     def load(cls, directory) -> "Backbone":
-        directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        model = cls(ModelConfig(**manifest["config"]))
+        model = None
+
+        def shapes(manifest):
+            nonlocal model
+            model = cls(ModelConfig(**manifest["config"]))
+            return {name: t.shape for name, t in model.named_parameters().items()}
+
+        manifest, arrays = tz.load_named(directory, shapes)
         for name, t in model.named_parameters().items():
-            t.data = tz.load_tensor(directory / f"{name}.bin", shape=t.shape)
+            t.data = arrays[name]
         if manifest["frozen"]:
             model.freeze()
         return model
@@ -278,16 +277,10 @@ def pretrain_backbone(
     hold_idx = order[:n_hold]
     train_idx = order[n_hold:] if n_hold else order
 
+    lengths = [len(seq) for seq in corpus]
+
     def batches(idx_pool):
-        by_len: dict[int, list[int]] = {}
-        for i in idx_pool:
-            by_len.setdefault(len(corpus[i]), []).append(int(i))
-        chunks = []
-        for length in sorted(by_len):
-            group = by_len[length]
-            for j in range(0, len(group), batch_size):
-                chunks.append(np.stack([corpus[i] for i in group[j : j + batch_size]]))
-        return chunks
+        return [np.stack([corpus[i] for i in chunk]) for chunk in bucket_by_length(idx_pool, lengths, batch_size)]
 
     def holdout_ce() -> float:
         if not len(hold_idx):

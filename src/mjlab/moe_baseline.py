@@ -8,15 +8,15 @@ receive gradients. Trainable count per block: 2*E*N*d*r adapters + N*d router.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
 from .tensor import Tensor
 from .model import ModelConfig, ProjectionId
+from .adapters import BankCore
+from .router import topk_mask
 
 
 @dataclass
@@ -40,21 +40,19 @@ class MoEConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-class MoEAdapterBank:
+class MoEAdapterBank(BankCore):
     """N expert LoRA pairs per targeted projection plus one router per block."""
+
+    manifest_key = "moe"
 
     def __init__(
         self,
         model_cfg: ModelConfig,
         cfg: MoEConfig,
         projections: tuple[ProjectionId, ...],
-        layers: list[int] | None = None,
         seed: int = 0,
     ):
-        self.model_cfg = model_cfg
-        self.cfg = cfg
-        self.projections = tuple(projections)
-        self.layers = list(range(model_cfg.n_layers)) if layers is None else sorted(layers)
+        super().__init__(model_cfg, cfg, projections)
         rng = np.random.default_rng(seed)
         self.experts: dict[tuple[int, ProjectionId], list[tuple[Tensor, Tensor]]] = {}
         self.routers: dict[int, Tensor] = {}
@@ -71,31 +69,6 @@ class MoEAdapterBank:
                     b = Tensor(np.zeros((d_out, cfg.r)), requires_grad=True)
                     pairs.append((a, b))
                 self.experts[(layer, proj)] = pairs
-        self.training = True
-        self._drop_rng: np.random.Generator | None = None
-
-    def begin_step(self, seed: int) -> None:
-        self._drop_rng = np.random.default_rng(seed)
-
-    def train(self) -> None:
-        self.training = True
-
-    def eval(self) -> None:
-        self.training = False
-        self._drop_rng = None
-
-    @property
-    def drop_rng(self):
-        return self._drop_rng if self.training else None
-
-    def trainable_tensors(self) -> list[Tensor]:
-        out = []
-        for layer in self.layers:
-            out.append(self.routers[layer])
-            for proj in self.projections:
-                for a, b in self.experts[(layer, proj)]:
-                    out.extend([a, b])
-        return out
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {}
@@ -110,25 +83,6 @@ class MoEAdapterBank:
     def router_param_count(self) -> int:
         return sum(self.routers[layer].data.size for layer in self.layers)
 
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        named = self.named_tensors()
-        for name, t in named.items():
-            tz.save_tensor(directory / f"{name}.bin", t.data)
-        manifest = {
-            "moe": asdict(self.cfg),
-            "projections": [p.name for p in self.projections],
-            "layers": self.layers,
-            "tensors": sorted(named),
-        }
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-    def load_weights(self, directory) -> None:
-        directory = Path(directory)
-        for name, t in self.named_tensors().items():
-            t.data = tz.load_tensor(directory / f"{name}.bin", shape=t.shape)
-
 
 def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
     """softmax(R h) with top-k masking, kept weights renormalized to sum 1.
@@ -138,10 +92,7 @@ def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
     """
     r = bank.routers[layer]
     g = tz.softmax(tz.matmul(h, tz.transpose(r)), axis=-1)
-    flat = g.data.reshape(-1, bank.cfg.n_experts)
-    order = np.argsort(-flat, axis=1, kind="stable")
-    mask = np.zeros_like(flat)
-    np.put_along_axis(mask, order[:, : bank.cfg.top_k], 1.0, axis=1)
+    mask, _ = topk_mask(g.data.reshape(-1, bank.cfg.n_experts), bank.cfg.top_k)
     kept = tz.mul(g, Tensor(mask.reshape(g.shape)))
     denom = tz.tsum(kept, axis=-1, keepdims=True)
     return tz.div(kept, denom)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import numeric_rank
+from .tensor import numeric_rank, softmax
 from .model import ModelConfig, PROJECTIONS
 from .adapters import AdapterBank, AdapterConfig, count_trainable
 from .moe_baseline import MoEAdapterBank, MoEConfig
+from .router import topk_mask
 
 
 @dataclass
@@ -146,12 +147,8 @@ def random_soft_instance(seed: int, max_experts: int = 4, max_rank: int = 2, d: 
     t = int(rng.integers(n_exp, 3 * n_exp + 1))
     h = rng.normal(size=(d, t))
     k = int(rng.integers(1, n_exp + 1))
-    logits = rng.normal(size=(t, n_exp))
-    ex = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = ex / ex.sum(axis=1, keepdims=True)
-    order = np.argsort(-p, axis=1, kind="stable")
-    mask = np.zeros_like(p)
-    np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
+    p = softmax(rng.normal(size=(t, n_exp))).data
+    mask, _ = topk_mask(p, k)
     return RankInstance(deltas=deltas, H=h, m=p * mask)
 
 

@@ -5,19 +5,25 @@ similarity; softmax over experts plus top-k masking yields the sparse
 coefficients that gate each routed adapter. Centers are k-means-initialized
 and tracked by EMA entirely outside the gradient tape: they never own a
 gradient buffer and backward passes leave them bitwise untouched.
+
+`route` is the one implementation of that mechanism, for training and for
+inspection alike. Membership rule: a token is routed to expert e exactly when
+e is in its row of `selected`, the top-k mask. Usage fractions and EMA
+updates count membership by this rule, never by m > 0: at small tau the
+softmax can underflow so that a selected expert gets m == 0, and it is still
+a member. Each token therefore counts for exactly k experts (1 for task
+granularity), and usage fractions sum to k.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import tensor as tz
-from .tensor import NORM_FLOOR, Tensor, _softmax_rows
+from .tensor import NORM_FLOOR, Tensor
 from .model import ProjectionId
 from .adapters import AdapterBank
 
@@ -46,14 +52,14 @@ class RouterState:
     granularity: str = "token"
     routed: tuple[ProjectionId, ...] = DEFAULT_ROUTED
     shared: tuple[ProjectionId, ...] = DEFAULT_SHARED
-    permutation: tuple[int, ...] = ()
+    permutation: tuple[int, ...] | None = None  # None: the identity
 
     def __post_init__(self):
         self.centers = np.ascontiguousarray(self.centers, dtype=np.float64)
         self.routed = tuple(self.routed)
         self.shared = tuple(self.shared)
         n = len(self.routed)
-        if not self.permutation:
+        if self.permutation is None:
             self.permutation = tuple(range(n))
         self.permutation = tuple(int(i) for i in self.permutation)
         if self.centers.ndim != 2 or self.centers.shape[0] != n:
@@ -92,35 +98,19 @@ class RouterState:
 
 @dataclass
 class RoutingDecision:
-    z: np.ndarray  # (T, E) similarity logits
-    p: np.ndarray  # (T, E) softmax probabilities
-    m: np.ndarray  # (T, E) sparse coefficients
-    selected: np.ndarray  # (T, k) expert indices, ascending per row
-
-
-def similarity_logits(state: RouterState, rows: np.ndarray) -> np.ndarray:
-    """(T, E) logits; identical arithmetic to the tape-side similarity ops."""
-    c = state.permuted_centers()
-    scale = 1.0 / state.tau
-    if state.similarity == "cosine":
-        hn = _normalize_rows(rows)
-        cn = _normalize_rows(c)
-        return (hn @ cn.T) * scale
-    if state.similarity == "dot":
-        return (rows @ c.T) * scale
-    diff = rows[:, None, :] - c[None, :, :]
-    if state.similarity == "euclidean":
-        return -np.sqrt((diff * diff).sum(axis=2)) * scale
-    return -np.abs(diff).sum(axis=2) * scale
-
-
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    return x / np.maximum(norms, NORM_FLOOR)
+    z: np.ndarray  # (N, E) similarity logits
+    p: np.ndarray  # (N, E) softmax probabilities
+    m: np.ndarray  # (N, E) sparse coefficients
+    selected: np.ndarray  # (N, k) expert indices, ascending per row
+    # m as a (B, T, E) Tensor, tracked when the routed hidden states are
+    coefficients: Tensor | None = field(default=None, repr=False, compare=False)
 
 
 def topk_mask(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k columns per row; ties break toward the lowest expert index."""
+    """Top-k columns per row; ties break toward the lowest expert index.
+
+    Returns the 0/1 mask and the (rows, k) selected columns, ascending per row.
+    """
     order = np.argsort(-p, axis=1, kind="stable")
     selected = np.sort(order[:, :k], axis=1)
     mask = np.zeros_like(p)
@@ -128,47 +118,74 @@ def topk_mask(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return mask, selected
 
 
-def route(state: RouterState, H: np.ndarray, task_expert: int | None = None) -> RoutingDecision:
-    """Routing coefficients for the T tokens (rows) of one sequence.
+def route(state: RouterState, h, task_expert=None) -> RoutingDecision:
+    """Routing decision for the tokens of `h`: one (T, d) sequence or a (B, T, d) batch.
 
-    Sequence granularity scores only the last row and broadcasts the decision
-    over all rows; task granularity pins the caller-supplied expert with
-    coefficient 1 (supervised oracle mode), keeping z and p informational.
-    Pure and read-only: safe to call concurrently against one state.
+    Similarity, softmax and top-k run as tape ops. Given a tracked Tensor
+    under an active Tape, `decision.coefficients` is therefore differentiable
+    with respect to the hidden states while the centers enter as constants;
+    given an array, or outside a Tape, the same ops run untracked. The array
+    fields hold one row per token (B * T rows).
+
+    Sequence granularity scores only the last token of each sequence and
+    broadcasts its decision over the sequence; task granularity pins
+    `task_expert` (one index, or one per sequence) with coefficient 1,
+    keeping z and p informational. Pure and read-only: safe to call
+    concurrently against one state.
     """
-    H = np.ascontiguousarray(H, dtype=np.float64)
-    if H.ndim != 2:
-        raise ValueError("H must be (tokens, d)")
-    if H.shape[1] != state.centers.shape[1]:
+    if not isinstance(h, Tensor):
+        h = np.asarray(h, dtype=np.float64)
+        if not np.all(np.isfinite(h)):
+            raise FloatingPointError("non-finite hidden states")
+        h = Tensor(h)
+    if h.ndim == 2:
+        h = tz.reshape(h, (1,) + h.shape)
+    if h.ndim != 3:
+        raise ValueError("h must be (tokens, d) or (batch, tokens, d)")
+    b, t, d = h.shape
+    if d != state.centers.shape[1]:
         raise ValueError("token width does not match center width")
-    if not np.all(np.isfinite(H)):
-        raise FloatingPointError("non-finite hidden states")
-    t = H.shape[0]
     e = state.n_experts
 
     if state.granularity == "task":
         if task_expert is None:
             raise ValueError("task granularity requires a task expert index")
-        if not 0 <= task_expert < e:
+        experts = np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (b,))
+        if experts.min() < 0 or experts.max() >= e:
             raise ValueError("task expert index out of range")
-        z = similarity_logits(state, H)
-        p = _softmax_rows(z, 1)
-        m = np.zeros((t, e))
-        m[:, task_expert] = 1.0
-        selected = np.full((t, 1), task_expert, dtype=np.int64)
-        return RoutingDecision(z=z, p=p, m=m, selected=selected)
+        rows = Tensor(h.data.reshape(b * t, d))  # informational only: off the tape
+    elif state.granularity == "sequence":
+        rows = tz.reshape(tz.select_index(h, 1, t - 1), (b, d))
+    else:
+        rows = tz.reshape(h, (b * t, d))
 
-    rows = H[-1:, :] if state.granularity == "sequence" else H
-    z = similarity_logits(state, rows)
-    p = _softmax_rows(z, 1)
-    mask, selected = topk_mask(p, state.top_k)
-    m = p * mask
+    c = state.permuted_centers()
+    if state.similarity == "cosine":
+        z = tz.matmul(tz.l2_normalize_rows(rows), tz.transpose(tz.l2_normalize_rows(c)))
+    elif state.similarity == "dot":
+        z = tz.matmul(rows, Tensor(c.T))
+    elif state.similarity == "euclidean":
+        z = tz.neg_l2_distance(rows, c)
+    else:
+        z = tz.neg_l1_distance(rows, c)
+    z = tz.mul(z, 1.0 / state.tau)
+    p = tz.softmax(z, axis=-1)
+
+    if state.granularity == "task":
+        selected = np.repeat(experts, t)[:, None]
+        pinned = np.zeros((b * t, e))
+        pinned[np.arange(b * t), selected[:, 0]] = 1.0
+        m = Tensor(pinned)
+    else:
+        mask, selected = topk_mask(p.data, state.top_k)
+        m = tz.mul(p, Tensor(mask))
     if state.granularity == "sequence":
-        z = np.repeat(z, t, axis=0)
-        p = np.repeat(p, t, axis=0)
-        m = np.repeat(m, t, axis=0)
-        selected = np.repeat(selected, t, axis=0)
-    return RoutingDecision(z=z, p=p, m=m, selected=selected)
+        coefficients = tz.broadcast_to(tz.reshape(m, (b, 1, e)), (b, t, e))
+        return RoutingDecision(z=np.repeat(z.data, t, axis=0), p=np.repeat(p.data, t, axis=0),
+                               m=np.repeat(m.data, t, axis=0), selected=np.repeat(selected, t, axis=0),
+                               coefficients=coefficients)
+    return RoutingDecision(z=z.data, p=p.data, m=m.data, selected=selected,
+                           coefficients=tz.reshape(m, (b, t, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +216,7 @@ def kmeans_init(samples: np.ndarray, n_centers: int, iters: int = 50, seed: int 
     if not np.all(np.isfinite(samples)):
         raise FloatingPointError("non-finite samples")
     rng = np.random.default_rng(seed)
-    x = _normalize_rows(samples)
+    x = tz.l2_normalize_rows(samples).data
 
     centers = _plus_plus_seeds(x, n_centers, rng)
     trace: list[float] = []
@@ -236,7 +253,7 @@ def _plus_plus_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
         if total <= 1e-24:
             # all remaining points coincide with chosen centers: jitter
             jitter = rng.normal(0.0, 1e-6, size=x.shape[1])
-            centers[e] = _normalize_rows((centers[0] + jitter)[None, :])[0]
+            centers[e] = tz.l2_normalize_rows((centers[0] + jitter)[None, :]).data[0]
             continue
         idx = int(rng.choice(n, p=weights / total))
         centers[e] = x[idx]
@@ -252,11 +269,12 @@ def _plus_plus_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 def ema_update(state: RouterState, decision: RoutingDecision, H: np.ndarray, step: int) -> bool:
     """c_e <- beta * c_e + (1 - beta) * mean(tokens routed to e).
 
-    Fires only when step % update_every == 0 and step < stop_step. Experts
-    with no routed tokens keep a bitwise-identical center; beta = 1 is an
-    exact no-op. Means use the raw (unnormalized) hidden states. Returns
-    whether an update fired. Single writer per state: order after the step's
-    route() reads.
+    Fires only when step % update_every == 0 and step < stop_step. A token
+    is routed to e when e is in its row of `decision.selected` (the membership
+    rule of this module). Experts with no routed tokens keep a
+    bitwise-identical center; beta = 1 is an exact no-op. Means use the raw
+    (unnormalized) hidden states. Returns whether an update fired. Single
+    writer per state: order after the step's route() reads.
     """
     if step % state.update_every != 0 or step >= state.stop_step:
         return False
@@ -265,7 +283,7 @@ def ema_update(state: RouterState, decision: RoutingDecision, H: np.ndarray, ste
     H = np.asarray(H, dtype=np.float64)
     perm = np.asarray(state.permutation)
     for e in range(state.n_experts):
-        members = decision.m[:, e] > 0.0
+        members = (decision.selected == e).any(axis=1)
         if not members.any():
             continue
         mean = H[members].mean(axis=0)
@@ -280,19 +298,20 @@ def ema_update(state: RouterState, decision: RoutingDecision, H: np.ndarray, ste
 
 
 class UsageRecorder:
-    """Accumulates routed-token fractions per (layer, expert)."""
+    """Accumulates routed-token fractions per (layer, expert), counting a
+    token for the experts in its row of `selected`."""
 
     def __init__(self):
         self.counts: dict[int, np.ndarray] = {}
         self.tokens: dict[int, int] = {}
 
     def add(self, layer: int, decision: RoutingDecision) -> None:
-        sel = (decision.m > 0.0).sum(axis=0).astype(np.float64)
+        sel = np.bincount(decision.selected.ravel(), minlength=decision.m.shape[1]).astype(np.float64)
         if layer not in self.counts:
             self.counts[layer] = np.zeros_like(sel)
             self.tokens[layer] = 0
         self.counts[layer] += sel
-        self.tokens[layer] += decision.m.shape[0]
+        self.tokens[layer] += decision.selected.shape[0]
 
     @property
     def empty(self) -> bool:
@@ -356,7 +375,7 @@ def export_embeddings(path, per_layer: dict[int, tuple[np.ndarray, RoutingDecisi
         writer = csv.writer(fh)
         for layer in sorted(per_layer):
             H, decision = per_layer[layer]
-            top1 = decision.selected[:, 0] if decision.selected.size else np.argmax(decision.p, axis=1)
+            top1 = decision.selected[:, 0]
             for t in range(min(H.shape[0], limit)):
                 writer.writerow([layer, t, int(top1[t])] + [repr(float(v)) for v in H[t]])
 
@@ -367,45 +386,27 @@ def export_embeddings(path, per_layer: dict[int, tuple[np.ndarray, RoutingDecisi
 
 
 def save_router(directory, states: dict[int, RouterState]) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Centers as `centers_layer<l>.bin`; every other RouterState field in the manifest."""
     manifest = {}
     for layer, state in states.items():
-        tz.save_tensor(directory / f"centers_layer{layer}.bin", state.centers)
-        manifest[str(layer)] = {
-            "tau": state.tau,
-            "top_k": state.top_k,
-            "beta": state.beta,
-            "update_every": state.update_every,
-            "stop_step": state.stop_step,
-            "similarity": state.similarity,
-            "granularity": state.granularity,
-            "routed": [p.name for p in state.routed],
-            "shared": [p.name for p in state.shared],
-            "permutation": list(state.permutation),
-        }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        meta = {f.name: getattr(state, f.name) for f in fields(RouterState) if f.name != "centers"}
+        meta.update(routed=[p.name for p in state.routed], shared=[p.name for p in state.shared],
+                    permutation=list(state.permutation))
+        manifest[str(layer)] = meta
+    tz.save_named(directory, {f"centers_layer{layer}": state.centers for layer, state in states.items()}, manifest)
 
 
-def load_router(directory) -> dict[int, RouterState]:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+def load_router(directory, d_model: int) -> dict[int, RouterState]:
+    """Router states of a `save_router` directory; each layer's centers must
+    be (n_routed, d_model)."""
+    manifest, arrays = tz.load_named(directory, lambda manifest: {
+        f"centers_layer{key}": (len(meta["routed"]), d_model) for key, meta in manifest.items()
+    })
     states = {}
     for key, meta in manifest.items():
-        layer = int(key)
-        states[layer] = RouterState(
-            centers=tz.load_tensor(directory / f"centers_layer{layer}.bin"),
-            tau=meta["tau"],
-            top_k=meta["top_k"],
-            beta=meta["beta"],
-            update_every=meta["update_every"],
-            stop_step=meta["stop_step"],
-            similarity=meta["similarity"],
-            granularity=meta["granularity"],
-            routed=tuple(ProjectionId[n] for n in meta["routed"]),
-            shared=tuple(ProjectionId[n] for n in meta["shared"]),
-            permutation=tuple(meta["permutation"]),
-        )
+        meta = dict(meta, routed=tuple(ProjectionId[n] for n in meta["routed"]),
+                    shared=tuple(ProjectionId[n] for n in meta["shared"]))
+        states[int(key)] = RouterState(centers=arrays[f"centers_layer{key}"], **meta)
     return states
 
 
@@ -420,13 +421,13 @@ class MonkeyJumpHooks:
     Coefficients are differentiable with respect to the hidden states (the
     similarity and softmax run on the tape), while the centers enter as
     constants, so backward passes can never touch them. Blocks without a
-    RouterState fall back to uniform application (standard PEFT).
+    RouterState fall back to uniform application, so `MonkeyJumpHooks(bank,
+    {})` is standard PEFT.
     """
 
-    def __init__(self, bank: AdapterBank, states: dict[int, RouterState], record: bool = True):
+    def __init__(self, bank: AdapterBank, states: dict[int, RouterState]):
         self.bank = bank
         self.states = states
-        self.record = record
         self.collected: list[tuple[int, RoutingDecision, np.ndarray]] = []
         self._coeff: dict[int, Tensor] = {}
         self._task_experts: np.ndarray | None = None
@@ -437,71 +438,13 @@ class MonkeyJumpHooks:
         self.collected = []
         self._coeff = {}
 
-    def _tape_logits(self, state: RouterState, rows: Tensor) -> Tensor:
-        c = state.permuted_centers()
-        scale = 1.0 / state.tau
-        if state.similarity == "cosine":
-            hn = tz.l2_normalize_rows(rows)
-            z = tz.matmul(hn, Tensor(_normalize_rows(c).T))
-        elif state.similarity == "dot":
-            z = tz.matmul(rows, Tensor(c.T))
-        elif state.similarity == "euclidean":
-            z = tz.neg_l2_distance(rows, c)
-        else:
-            z = tz.neg_l1_distance(rows, c)
-        return tz.mul(z, scale)
-
     def begin_block(self, layer: int, h: Tensor) -> None:
         state = self.states.get(layer)
         if state is None:
             return
-        b, t, d = h.shape
-        n_exp = state.n_experts
-        flat = h.data.reshape(b * t, d)
-
-        if state.granularity == "task":
-            if self._task_experts is None:
-                raise ValueError("task granularity requires set_batch(task_experts)")
-            m = np.zeros((b, t, n_exp))
-            z_rows, p_rows = [], []
-            for i in range(b):
-                dec = route(state, h.data[i], task_expert=int(self._task_experts[i]))
-                m[i] = dec.m
-                z_rows.append(dec.z)
-                p_rows.append(dec.p)
-            decision = RoutingDecision(
-                z=np.concatenate(z_rows),
-                p=np.concatenate(p_rows),
-                m=m.reshape(b * t, n_exp),
-                selected=np.argmax(m.reshape(b * t, n_exp), axis=1)[:, None],
-            )
-            self._coeff[layer] = Tensor(m)
-        elif state.granularity == "sequence":
-            last = tz.select_index(h, 1, t - 1)  # (B, 1, d)
-            rows = tz.reshape(last, (b, d))
-            z = self._tape_logits(state, rows)
-            p = tz.softmax(z, axis=-1)
-            mask, selected = topk_mask(p.data, state.top_k)
-            m_seq = tz.mul(p, Tensor(mask))  # (B, E)
-            m_tape = tz.broadcast_to(tz.reshape(m_seq, (b, 1, n_exp)), (b, t, n_exp))
-            decision = RoutingDecision(
-                z=np.repeat(z.data, t, axis=0),
-                p=np.repeat(p.data, t, axis=0),
-                m=np.repeat(m_seq.data, t, axis=0).reshape(b * t, n_exp),
-                selected=np.repeat(selected, t, axis=0),
-            )
-            self._coeff[layer] = m_tape
-        else:
-            rows = tz.reshape(h, (b * t, d))
-            z = self._tape_logits(state, rows)
-            p = tz.softmax(z, axis=-1)
-            mask, selected = topk_mask(p.data, state.top_k)
-            m_flat = tz.mul(p, Tensor(mask))
-            decision = RoutingDecision(z=z.data, p=p.data, m=m_flat.data, selected=selected)
-            self._coeff[layer] = tz.reshape(m_flat, (b, t, n_exp))
-
-        if self.record:
-            self.collected.append((layer, decision, flat.copy()))
+        decision = route(state, h, self._task_experts)
+        self._coeff[layer] = decision.coefficients
+        self.collected.append((layer, decision, h.data.reshape(-1, h.shape[-1]).copy()))
 
     def contribution(self, layer: int, proj: ProjectionId, x: Tensor, base: Tensor):
         adapter = self.bank.get(layer, proj)

@@ -16,15 +16,16 @@ requires_grad=False; they return None in its place.
 
 from __future__ import annotations
 
+import json
 import struct
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "Tape",
-    "tensor",
     "zeros",
     "backward",
     "add",
@@ -54,6 +55,8 @@ __all__ = [
     "numeric_rank",
     "save_tensor",
     "load_tensor",
+    "save_named",
+    "load_named",
 ]
 
 NORM_FLOOR = 1e-12
@@ -125,10 +128,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def tensor(values, requires_grad: bool = False) -> Tensor:
-    return Tensor(values, requires_grad=requires_grad)
 
 
 def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
@@ -626,43 +625,11 @@ def neg_l1_distance(a, centers: np.ndarray) -> Tensor:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values by one-sided Jacobi, descending.
-
-    Cyclic sweeps orthogonalize column pairs until all normalized inner
-    products fall below 1e-14; plenty accurate at desk-scale sizes.
-    """
+    """Singular values, descending (LAPACK via `np.linalg.svd`)."""
     arr = _as_array(a.data if isinstance(a, Tensor) else a)
     if arr.ndim != 2:
         raise ValueError("singular_values expects a matrix")
-    m, n = arr.shape
-    u = arr.T.copy() if m < n else arr.copy()
-    n = u.shape[1]
-    for _ in range(60):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ai = u[:, i].copy()
-                aj = u[:, j].copy()
-                alpha = float(ai @ ai)
-                beta = float(aj @ aj)
-                gamma = float(ai @ aj)
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                rel = abs(gamma) / np.sqrt(alpha * beta)
-                off = max(off, rel)
-                if rel <= 1e-15:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                sign = 1.0 if zeta >= 0.0 else -1.0
-                t = sign / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = cth * t
-                u[:, i] = cth * ai - sth * aj
-                u[:, j] = sth * ai + cth * aj
-        if off < 1e-14:
-            break
-    sv = np.sqrt((u * u).sum(axis=0))
-    return np.sort(sv)[::-1]
+    return np.linalg.svd(arr, compute_uv=False)
 
 
 def numeric_rank(a) -> int:
@@ -711,3 +678,31 @@ def load_tensor(path, shape: Sequence[int] | None = None) -> np.ndarray:
         raise ValueError(f"{path}: shape {dims} does not match expected {tuple(shape)}")
     arr = np.frombuffer(raw, dtype="<f8", count=count, offset=header).astype(np.float64)
     return _as_array(arr.reshape(dims))
+
+
+def save_named(directory, arrays: Mapping[str, np.ndarray], manifest: dict) -> None:
+    """Write every array as `<name>.bin` and `manifest` as `manifest.json`.
+
+    The manifest is JSON with two-space indent and sorted keys; this is the one
+    checkpoint format that backbones, adapter banks and router states share.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, arr in arrays.items():
+        save_tensor(directory / f"{name}.bin", arr)
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def load_named(
+    directory, shapes: Callable[[dict], Mapping[str, Sequence[int]]]
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a `save_named` directory: (manifest, {name: array}).
+
+    `shapes(manifest)` names the files to read and the shape each must have;
+    a missing, truncated or wrong-shape file raises naming the file.
+    """
+    directory = Path(directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    arrays = {name: load_tensor(directory / f"{name}.bin", shape=shape)
+              for name, shape in shapes(manifest).items()}
+    return manifest, arrays

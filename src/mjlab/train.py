@@ -12,7 +12,6 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import tensor as tz
 from .tensor import Tensor
 from .model import Backbone, pretrain_backbone
-from .adapters import AdapterBank, UniformAdapterHooks, count_trainable
+from .adapters import AdapterBank, count_trainable
 from .moe_baseline import MoEAdapterBank, MoEHooks
 from .router import (
     MonkeyJumpHooks,
@@ -107,18 +106,24 @@ class ClassifierHead:
         return [self.w, self.b]
 
 
-def build_method(cfg: ExperimentConfig, seed: int, adapter_layers: list[int] | None = None):
-    """(bank, hooks, router_states) for the configured method."""
+def build_method(
+    cfg: ExperimentConfig,
+    seed: int,
+    states: dict[int, RouterState] | None = None,
+):
+    """(bank, hooks) for the configured method.
+
+    `states` are the router states of an mj run; without them the adapters
+    apply uniformly (m = 1), which is standard PEFT.
+    """
     targeted = cfg.router.targeted_projections()
     if cfg.method == "frozen":
-        return None, None, {}
+        return None, None
     if cfg.method == "moe":
-        bank = MoEAdapterBank(cfg.model, cfg.moe, targeted, layers=adapter_layers, seed=_derive(seed, 3))
-        return bank, MoEHooks(bank), {}
-    bank = AdapterBank(cfg.model, cfg.adapter, targeted, layers=adapter_layers, seed=_derive(seed, 3))
-    if cfg.method == "peft":
-        return bank, UniformAdapterHooks(bank), {}
-    return bank, None, {}  # mj: hooks built after center initialization
+        bank = MoEAdapterBank(cfg.model, cfg.moe, targeted, seed=_derive(seed, 3))
+        return bank, MoEHooks(bank)
+    bank = AdapterBank(cfg.model, cfg.adapter, targeted, seed=_derive(seed, 3))
+    return bank, MonkeyJumpHooks(bank, states or {})
 
 
 def init_router_states(
@@ -127,12 +132,10 @@ def init_router_states(
     train_ds: Dataset,
     seed: int,
     total_steps: int,
-    adapter_layers: list[int] | None = None,
 ) -> dict[int, RouterState]:
     routed = cfg.router.routed_projections()
-    layer_pool = list(range(cfg.model.n_layers)) if adapter_layers is None else sorted(adapter_layers)
-    if cfg.router.routed_layers is not None:
-        layer_pool = [l for l in layer_pool if l in cfg.router.routed_layers]
+    routed_layers = cfg.router.routed_layers
+    layer_pool = range(cfg.model.n_layers) if routed_layers is None else sorted(set(routed_layers))
     budget = min(cfg.router.kmeans_samples, train_ds.total_tokens())
     sample = sample_init_tokens(train_ds, budget, _derive(seed, 4), model)
     stop_step = int(round(cfg.router.stop_frac * total_steps))
@@ -141,19 +144,7 @@ def init_router_states(
         result = kmeans_init(
             sample["features"][layer], len(routed), iters=cfg.router.kmeans_iters, seed=_derive(seed, 5, layer)
         )
-        states[layer] = RouterState(
-            centers=result.centers,
-            tau=cfg.router.tau,
-            top_k=cfg.router.top_k,
-            beta=cfg.router.beta,
-            update_every=cfg.router.update_every,
-            stop_step=stop_step,
-            similarity=cfg.router.similarity,
-            granularity=cfg.router.granularity,
-            routed=routed,
-            shared=cfg.router.shared_projections(),
-            permutation=tuple(cfg.router.permutation) if cfg.router.permutation else (),
-        )
+        states[layer] = cfg.router.router_state(result.centers, stop_step)
     return states
 
 
@@ -187,7 +178,7 @@ def evaluate(
         for task, y, yhat in zip(tasks, labels, pred):
             totals[int(task)] = totals.get(int(task), 0) + 1
             correct[int(task)] = correct.get(int(task), 0) + int(yhat == y)
-        if usage is not None and isinstance(hooks, MonkeyJumpHooks):
+        if usage is not None:
             for layer, decision, flat in hooks.collected:
                 usage.add(layer, decision)
                 if capture_embeddings and layer not in captured:
@@ -207,7 +198,6 @@ def run_pipeline(
     backbone: Backbone | None = None,
     train_ds: Dataset | None = None,
     val_ds: Dataset | None = None,
-    adapter_layers: list[int] | None = None,
 ) -> dict:
     """Full fine-tuning run; deterministic given (cfg, seed)."""
     if train_ds is None or val_ds is None:
@@ -223,19 +213,18 @@ def run_pipeline(
     steps_per_epoch = math.ceil(len(batches) / cfg.train.grad_accum)
     total_steps = cfg.train.epochs * steps_per_epoch
 
-    bank, hooks, states = build_method(cfg, seed, adapter_layers)
+    states = {}
     if cfg.method == "mj":
-        states = init_router_states(cfg, backbone, train_ds, seed, total_steps, adapter_layers)
-        hooks = MonkeyJumpHooks(bank, states, record=True)
+        states = init_router_states(cfg, backbone, train_ds, seed, total_steps)
+    bank, hooks = build_method(cfg, seed, states)
 
     head = ClassifierHead(cfg.model.d_model, train_ds.n_global_classes)
     params = head.trainable_tensors() + (bank.trainable_tensors() if bank is not None else [])
     opt = AdamW(params, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
 
     history = RoutingHistory()
-    if isinstance(hooks, MonkeyJumpHooks):
-        if bank is not None:
-            bank.eval()
+    if states:
+        bank.eval()
         evaluate(cfg, backbone, hooks, head, val_ds, usage=history.init)
 
     if bank is not None:
@@ -263,7 +252,7 @@ def run_pipeline(
                 except FloatingPointError as err:
                     raise RuntimeError(f"training diverged at step {step}: {err}") from err
             step_loss += float(scaled.data)
-            if isinstance(hooks, MonkeyJumpHooks):
+            if states:
                 step_decisions.extend(hooks.collected)
             micro += 1
             if micro == cfg.train.grad_accum or bi == epoch_order[-1]:
@@ -282,13 +271,12 @@ def run_pipeline(
 
     if bank is not None:
         bank.eval()
-    final_usage = UsageRecorder()
+    history.final = UsageRecorder()
     result = evaluate(
         cfg, backbone, hooks, head, val_ds,
-        usage=final_usage if isinstance(hooks, MonkeyJumpHooks) else None,
-        capture_embeddings=isinstance(hooks, MonkeyJumpHooks),
+        usage=history.final if states else None,
+        capture_embeddings=bool(states),
     )
-    history.final = final_usage
 
     report = {
         "config_hash": config_hash(cfg),
@@ -301,7 +289,7 @@ def run_pipeline(
         "trainable_params": int(sum(p.data.size for p in params)),
     }
     stats = None
-    if isinstance(hooks, MonkeyJumpHooks) and not history.init.empty and not history.final.empty:
+    if states and not history.init.empty and not history.final.empty:
         stats = usage_report(history)
         report["usage_rho"] = [float(r) for r in stats.rho]
 
@@ -343,16 +331,17 @@ def _step_usage(decisions) -> dict:
 def _apply_ema(states: dict[int, RouterState], decisions, step: int) -> bool:
     if not states or not decisions:
         return False
-    merged: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    merged: dict[int, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]] = {}
     for layer, decision, flat in decisions:
-        ms, hs = merged.setdefault(layer, ([], []))
+        ms, sels, hs = merged.setdefault(layer, ([], [], []))
         ms.append(decision.m)
+        sels.append(decision.selected)
         hs.append(flat)
     fired = False
-    for layer, (ms, hs) in merged.items():
+    for layer, (ms, sels, hs) in merged.items():
         m = np.vstack(ms)
         pooled = RoutingDecision(z=np.empty((0, m.shape[1])), p=np.empty((0, m.shape[1])), m=m,
-                                 selected=np.empty((0, 1), dtype=np.int64))
+                                 selected=np.vstack(sels))
         fired = ema_update(states[layer], pooled, np.vstack(hs), step) or fired
     return fired
 
@@ -388,8 +377,7 @@ def shared_vs_specific(cfg: ExperimentConfig, seeds: list[int] | None = None) ->
     specific_cfg = ExperimentConfig.from_dict(raw)
     rows = []
     for seed in seeds:
-        train_ds, val_ds = make_datasets(cfg)
-        backbone = prepare_backbone(cfg, seed, corpus=pretraining_corpus(train_ds))
+        backbone, train_ds, val_ds = _prepare_world((cfg, seed))
         shared_run = run_pipeline(shared_cfg, seed, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
         shared_count = count_trainable(shared_run["bank"])
         specific_accs = {}

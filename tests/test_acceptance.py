@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mjlab.tensor as tz
-from mjlab.adapters import AdapterBank, AdapterConfig, UniformAdapterHooks, count_trainable
+from mjlab.adapters import AdapterBank, AdapterConfig, count_trainable
 from mjlab.config import ExperimentConfig
 from mjlab.data import default_task_specs, generate, pretraining_corpus
 from mjlab.model import Backbone, ModelConfig, ProjectionId, PROJECTIONS
@@ -244,7 +244,7 @@ def test_criterion_05_ema_contract():
         def decision(m):
             m = np.asarray(m, dtype=np.float64)
             return RoutingDecision(z=np.zeros_like(m), p=np.zeros_like(m), m=m,
-                                   selected=np.zeros((m.shape[0], 1), dtype=np.int64))
+                                   selected=np.argwhere(m > 0)[:, 1].reshape(m.shape[0], -1))
 
         c0 = rng.normal(size=(2, 4))
         h = rng.normal(size=(3, 4))

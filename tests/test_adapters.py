@@ -3,8 +3,9 @@ import pytest
 
 import mjlab.tensor as tz
 from mjlab.tensor import Tensor
-from mjlab.adapters import Adapter, AdapterBank, AdapterConfig, UniformAdapterHooks, count_trainable
+from mjlab.adapters import Adapter, AdapterBank, AdapterConfig, count_trainable
 from mjlab.model import Backbone, ModelConfig, ProjectionId
+from mjlab.router import MonkeyJumpHooks
 
 from conftest import finite_difference_check
 
@@ -108,7 +109,7 @@ class TestZeroInit:
         bank.eval()
         toks = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
         plain = tiny_frozen.forward(toks)
-        adapted = tiny_frozen.forward(toks, UniformAdapterHooks(bank))
+        adapted = tiny_frozen.forward(toks, MonkeyJumpHooks(bank, {}))
         assert np.array_equal(plain.logits.data, adapted.logits.data)
         for a, b in zip(plain.hidden, adapted.hidden):
             assert np.array_equal(a.data, b.data)
@@ -125,7 +126,7 @@ class TestGradients:
         for t in bank.trainable_tensors():
             t.data = rng.normal(size=t.data.shape) * 0.2
         toks = np.array([[1, 5, 3]])
-        hooks = UniformAdapterHooks(bank)
+        hooks = MonkeyJumpHooks(bank, {})
         head = Tensor(rng.normal(size=(3, tiny_cfg.d_model)), requires_grad=True)
         labels = np.array([1])
 
@@ -140,7 +141,7 @@ class TestGradients:
     def test_backbone_stays_gradient_free(self, tiny_cfg, tiny_frozen):
         bank = AdapterBank(tiny_cfg, AdapterConfig(dropout=0.0), QKVOG, seed=12)
         bank.eval()
-        hooks = UniformAdapterHooks(bank)
+        hooks = MonkeyJumpHooks(bank, {})
         toks = np.array([[1, 2, 3]])
         with tz.Tape():
             final = tiny_frozen.final_states(toks, hooks)
@@ -156,7 +157,7 @@ class TestDropout:
         for t in bank.trainable_tensors():
             t.data = rng.normal(size=t.data.shape) * 0.3
         toks = np.array([[1, 2, 3, 4]])
-        hooks = UniformAdapterHooks(bank)
+        hooks = MonkeyJumpHooks(bank, {})
         bank.train()
         bank.begin_step(77)
         out1 = tiny_frozen.forward(toks, hooks).logits.data

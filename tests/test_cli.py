@@ -151,6 +151,21 @@ class TestEndToEnd:
         eval_out = json.loads(capsys.readouterr().out)
         assert eval_out["per_task_accuracy"] == raw_report["per_task_accuracy"]
 
+    def test_eval_rejects_wrong_shape_centers_before_any_forward(self, tmp_path, fast_config_path, capsys,
+                                                                 monkeypatch):
+        from mjlab.model import Backbone
+        from mjlab.tensor import save_tensor
+
+        out = tmp_path / "runs"
+        assert main(["train", "--config", str(fast_config_path), "--seed", "0", "--out", str(out), "--quiet"]) == 0
+        run_dir = next(out.glob("run-*-s0"))
+        save_tensor(run_dir / "router" / "centers_layer1.bin", np.zeros((3, 5)))
+        forwards = []
+        monkeypatch.setattr(Backbone, "forward", lambda *args, **kwargs: forwards.append(args))
+        assert main(["eval", "--run-dir", str(run_dir), "--quiet"]) == 2
+        assert "centers_layer1.bin" in capsys.readouterr().err
+        assert forwards == []
+
     def test_pretrain_then_init_centers_reuses_backbone(self, tmp_path, fast_config_path, capsys):
         out = tmp_path / "stages"
         assert main(["pretrain", "--config", str(fast_config_path), "--out", str(out), "--quiet"]) == 0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mjlab.tensor as tz
 from mjlab.adapters import AdapterBank, AdapterConfig
 from mjlab.model import ProjectionId
 from mjlab.router import (
+    SIMILARITIES,
     MonkeyJumpHooks,
     RouterState,
     RoutingDecision,
@@ -27,6 +30,12 @@ def make_state(centers, **kw):
     defaults = dict(routed=R5[: centers.shape[0]], shared=(), top_k=min(2, centers.shape[0]), stop_step=10)
     defaults.update(kw)
     return RouterState(centers=centers, **defaults)
+
+
+def support(m):
+    """`selected` for hand-written coefficients: the experts with m > 0, per row."""
+    m = np.asarray(m)
+    return np.argwhere(m > 0)[:, 1].reshape(m.shape[0], -1)
 
 
 class TestRoute:
@@ -187,8 +196,7 @@ def unit_rows(x):
 class TestEMA:
     def _decision(self, m):
         m = np.asarray(m, dtype=np.float64)
-        return RoutingDecision(z=np.zeros_like(m), p=np.zeros_like(m), m=m,
-                               selected=np.zeros((m.shape[0], 1), dtype=np.int64))
+        return RoutingDecision(z=np.zeros_like(m), p=np.zeros_like(m), m=m, selected=support(m))
 
     def test_beta_one_is_noop(self):
         rng = np.random.default_rng(0)
@@ -255,13 +263,13 @@ class TestUsage:
         rec = UsageRecorder()
         m = np.zeros((10, 2))
         m[:, 0] = 0.9
-        rec.add(0, RoutingDecision(z=m, p=m, m=m, selected=np.zeros((10, 1), dtype=np.int64)))
+        rec.add(0, RoutingDecision(z=m, p=m, m=m, selected=support(m)))
         assert np.array_equal(rec.fractions()[0], [1.0, 0.0])
 
     def test_identical_phases_give_rho_one(self):
         history = RoutingHistory()
         m = np.array([[0.6, 0.0], [0.0, 0.7], [0.8, 0.0]])
-        dec = RoutingDecision(z=m, p=m, m=m, selected=np.zeros((3, 1), dtype=np.int64))
+        dec = RoutingDecision(z=m, p=m, m=m, selected=support(m))
         for layer in range(3):
             history.init.add(layer, dec)
             history.final.add(layer, dec)
@@ -294,7 +302,7 @@ class TestUsage:
     def test_csv_export(self, tmp_path):
         history = RoutingHistory()
         m = np.array([[0.6, 0.0], [0.0, 0.7]])
-        dec = RoutingDecision(z=m, p=m, m=m, selected=np.zeros((2, 1), dtype=np.int64))
+        dec = RoutingDecision(z=m, p=m, m=m, selected=support(m))
         history.init.add(0, dec)
         history.final.add(0, dec)
         stats = usage_report(history)
@@ -399,7 +407,7 @@ class TestCheckpoint:
             2: make_state(rng.normal(size=(3, 6)), granularity="sequence", beta=0.7),
         }
         save_router(tmp_path / "router", states)
-        back = load_router(tmp_path / "router")
+        back = load_router(tmp_path / "router", 6)
         assert sorted(back) == [0, 2]
         for layer, state in states.items():
             got = back[layer]
@@ -408,3 +416,66 @@ class TestCheckpoint:
             assert got.permutation == state.permutation
             assert got.routed == state.routed
             assert got.beta == state.beta
+
+    def test_wrong_shape_centers_rejected(self, tmp_path):
+        rng = np.random.default_rng(14)
+        save_router(tmp_path / "router", {1: make_state(rng.normal(size=(3, 8)))})
+        tz.save_tensor(tmp_path / "router" / "centers_layer1.bin", rng.normal(size=(3, 5)))
+        with pytest.raises(ValueError, match="centers_layer1.bin"):
+            load_router(tmp_path / "router", 8)
+
+
+class TestMembershipRule:
+    """`selected` alone decides membership: p, usage and EMA agree with it."""
+
+    def test_underflowed_selection_still_counts(self):
+        rng = np.random.default_rng(15)
+        state = make_state(rng.normal(size=(3, 8)), top_k=2, tau=1e-3)
+        dec = route(state, rng.normal(size=(50, 8)))
+        mask = np.zeros_like(dec.m)
+        np.put_along_axis(mask, dec.selected, 1.0, axis=1)
+        assert ((mask == 1.0) & (dec.m == 0.0)).any()  # the softmax underflowed
+        rec = UsageRecorder()
+        rec.add(0, dec)
+        assert rec.fractions()[0].sum() == 2.0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n_experts=st.integers(2, 5),
+        d=st.integers(2, 6),
+        n_tokens=st.integers(1, 30),
+        log_tau=st.floats(-4.0, 2.0),  # tau in [1e-4, 1e2], log-uniform so underflow is common
+        similarity=st.sampled_from(SIMILARITIES),
+        granularity=st.sampled_from(("token", "sequence")),
+    )
+    def test_random_routing_is_consistent(self, data, n_experts, d, n_tokens, log_tau, similarity, granularity):
+        values = st.floats(-3.0, 3.0, allow_subnormal=False)
+        centers = data.draw(arrays(np.float64, (n_experts, d), elements=values).filter(
+            lambda c: ((c * c).sum(axis=1) > 0).all()))  # RouterState rejects zero-norm centers
+        h = data.draw(arrays(np.float64, (n_tokens, d), elements=values))
+        k = data.draw(st.integers(1, n_experts))
+        state = make_state(centers, top_k=k, tau=10.0 ** log_tau, similarity=similarity, granularity=granularity,
+                           beta=0.5, update_every=1, stop_step=1)
+        dec = route(state, h)
+
+        assert np.abs(dec.p.sum(axis=1) - 1.0).max() < 1e-9
+        assert dec.selected.shape == (n_tokens, k)
+        assert all(len(set(row)) == k for row in dec.selected.tolist())
+        mask = np.zeros_like(dec.m)
+        np.put_along_axis(mask, dec.selected, 1.0, axis=1)
+        assert (dec.m[mask == 0.0] == 0.0).all()
+
+        rec = UsageRecorder()
+        rec.add(0, dec)
+        assert rec.fractions()[0].sum() == pytest.approx(k, abs=1e-12)
+
+        before = state.centers.copy()
+        assert ema_update(state, dec, h, step=0)
+        for e in range(n_experts):
+            members = (dec.selected == e).any(axis=1)
+            if members.any():
+                expected = 0.5 * before[e] + 0.5 * h[members].mean(axis=0)
+                assert np.allclose(state.centers[e], expected, rtol=0.0, atol=1e-12)
+            else:
+                assert np.array_equal(state.centers[e], before[e])
