@@ -10,24 +10,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import oracle, probe, tensor as tz
 from .config import ConfigError, ExperimentConfig, config_hash
-from .data import generate, length_buckets, pretraining_corpus
+from .data import generate, pretraining_corpus
 from .model import Backbone
 from .router import load_router, save_router
 from .train import (
-    ABLATION_AXES,
     ClassifierHead,
     ablate,
     build_method,
     evaluate,
     init_router_states,
     make_datasets,
+    optimizer_steps,
     prepare_backbone,
+    prepare_world,
+    replace_config,
     run_pipeline,
     shared_vs_specific,
     write_ablation_csv,
@@ -43,9 +44,9 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         cfg = ExperimentConfig.from_json(path.read_text())
     if args.seed is not None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seeds": [args.seed]})
+        cfg = replace_config(cfg, seeds=[args.seed])
     if args.out is not None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "out": str(args.out)})
+        cfg = replace_config(cfg, out=str(args.out))
     return cfg
 
 
@@ -55,14 +56,14 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
-def _out_dir(cfg: ExperimentConfig, args) -> Path:
-    out = Path(args.out) if args.out is not None else Path(cfg.out)
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    out = Path(cfg.out)  # --out is already folded into cfg.out
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     train_ds, val_ds = make_datasets(cfg)
     train_ds.save_jsonl(out / "train.jsonl")
     val_ds.save_jsonl(out / "val.jsonl")
@@ -72,33 +73,32 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     seed = cfg.seeds[0]
-    model = prepare_backbone(cfg, seed)
+    model = prepare_world(cfg, seed)[0]
     model.save(out / "backbone")
     _emit(args, {"backbone": str(out / "backbone"), "frozen": model.frozen, "seed": seed})
     return 0
 
 
 def cmd_init_centers(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     seed = cfg.seeds[0]
-    train_ds, _ = make_datasets(cfg)
     backbone_dir = out / "backbone"
     if backbone_dir.exists():
         model = Backbone.load(backbone_dir)
+        train_ds, _ = make_datasets(cfg)
     else:
-        model = prepare_backbone(cfg, seed, corpus=pretraining_corpus(train_ds))
+        model, train_ds, _ = prepare_world(cfg, seed)
         model.save(backbone_dir)
-    steps_per_epoch = math.ceil(len(length_buckets(train_ds, cfg.train.batch_size)) / cfg.train.grad_accum)
-    states = init_router_states(cfg, model, train_ds, seed, cfg.train.epochs * steps_per_epoch)
+    states = init_router_states(cfg, model, train_ds, seed, optimizer_steps(cfg, train_ds))
     save_router(out / "router", states)
     _emit(args, {"router": str(out / "router"), "layers": sorted(states)})
     return 0
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     results = {}
     for seed in cfg.seeds:
         run_dir = out / f"run-{config_hash(cfg)}-s{seed}"
@@ -121,11 +121,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
     cfg = ExperimentConfig.from_json((run_dir / "config.json").read_text())
     report = json.loads((run_dir / "report.json").read_text())
     seed = report["seed"]
-    model = (
-        Backbone.load(run_dir / "backbone")
-        if (run_dir / "backbone").exists()
-        else prepare_backbone(cfg, seed)
-    )
+    model = Backbone.load(run_dir / "backbone")  # a missing backbone/ exits 1 naming it
     _, val_ds = make_datasets(cfg)
     states = load_router(run_dir / "router", cfg.model.d_model) if cfg.method == "mj" else {}
     bank, hooks = build_method(cfg, seed, states)
@@ -142,36 +138,37 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_ablate(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
     values = _parse_values(args.values)
     if not values:
         raise ConfigError("ablate requires --values")
-    if args.axis not in ABLATION_AXES:
-        raise ConfigError(f"unknown ablation axis {args.axis!r}; known: {ABLATION_AXES}")
     rows = ablate(cfg, args.axis, values, cfg.seeds)
-    path = out / f"ablation_{args.axis}.csv"
+    path = _out_dir(cfg) / f"ablation_{args.axis}.csv"
     write_ablation_csv(rows, path)
     _emit(args, {"axis": args.axis, "values": values, "rows": len(rows), "csv": str(path)})
     return 0
 
 
 def _parse_values(raw: str | None) -> list:
+    """Scalars separated by ',', or, if `raw` holds a ';', lists separated
+    by ';' whose items are separated by ','."""
     if raw is None:
         return []
-    values = []
-    for chunk in raw.split(";"):
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                values.append(int(item))
-            except ValueError:
-                try:
-                    values.append(float(item))
-                except ValueError:
-                    values.append(item)
-    return values
+    if ";" in raw:
+        return [_parse_items(chunk) for chunk in raw.split(";") if chunk.strip()]
+    return _parse_items(raw)
+
+
+def _parse_items(raw: str) -> list:
+    return [_parse_scalar(item.strip()) for item in raw.split(",") if item.strip()]
+
+
+def _parse_scalar(item: str):
+    for kind in (int, float):
+        try:
+            return kind(item)
+        except ValueError:
+            pass
+    return item
 
 
 def cmd_oracle(cfg: ExperimentConfig, args) -> int:
@@ -186,15 +183,13 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
     else:
         raise ConfigError(f"unknown oracle check {args.check!r}")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"oracle_{args.check}.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+        (_out_dir(cfg) / f"oracle_{args.check}.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     _emit(args, report)
     return 0 if report["ok"] else 2
 
 
 def cmd_probe(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     specs = cfg.data.task_specs()[:1]  # single-task probe dataset
     dataset = generate(specs, cfg.data.n_per_task, cfg.data.seed, vocab=cfg.model.vocab_size)
     model = prepare_backbone(cfg, cfg.seeds[0], corpus=pretraining_corpus(dataset))
@@ -234,17 +229,14 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
         "loss_last": metrics[-1]["loss"] if metrics else None,
     }
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+        (_out_dir(cfg) / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     _emit(args, summary)
     return 0
 
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
     table = shared_vs_specific(cfg)
-    (out / "shared_vs_specific.json").write_text(json.dumps(table, indent=2, sort_keys=True))
+    (_out_dir(cfg) / "shared_vs_specific.json").write_text(json.dumps(table, indent=2, sort_keys=True))
     _emit(args, table)
     return 0
 
@@ -266,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--run-dir", type=str, default=None)
     p_ablate = sub.add_parser("ablate", parents=[common])
     p_ablate.add_argument("axis", type=str)
-    p_ablate.add_argument("--values", type=str, default=None, help="comma-separated values")
+    p_ablate.add_argument("--values", type=str, default=None, help="comma-separated values; ';' separates list values")
     p_oracle = sub.add_parser("oracle", parents=[common])
     p_oracle.add_argument("check", type=str, choices=["rank", "soft", "params"])
     p_probe = sub.add_parser("probe", parents=[common])

@@ -186,18 +186,7 @@ class ExperimentConfig:
                 raise ConfigError(f"router.task_experts entries {outside} outside [0, {n_routed})")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "model": dataclasses.asdict(self.model),
-            "adapter": dataclasses.asdict(self.adapter),
-            "moe": dataclasses.asdict(self.moe),
-            "router": dataclasses.asdict(self.router),
-            "train": dataclasses.asdict(self.train),
-            "pretrain": dataclasses.asdict(self.pretrain),
-            "data": dataclasses.asdict(self.data),
-            "seeds": list(self.seeds),
-            "out": self.out,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

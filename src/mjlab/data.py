@@ -247,32 +247,23 @@ def sample_init_tokens(dataset: Dataset, budget: int, seed: int, model) -> dict:
     if budget > total:
         raise ValueError(f"budget {budget} exceeds corpus tokens {total}")
     rng = np.random.default_rng(seed)
-    pairs = []
-    for si, ex in enumerate(dataset.examples):
-        for pos in range(len(ex.tokens)):
-            pairs.append((si, pos))
-    chosen = rng.choice(len(pairs), size=budget, replace=False)
-    chosen_pairs = [pairs[int(c)] for c in chosen]
-
-    needed: dict[int, list[int]] = {}
-    for si, pos in chosen_pairs:
-        needed.setdefault(si, []).append(pos)
-
-    n_layers = model.cfg.n_layers
-    feats = {layer: np.empty((budget, model.cfg.d_model)) for layer in range(n_layers)}
-    meta = np.empty((budget, 3), dtype=np.int64)
-
-    row_of = {pair: i for i, pair in enumerate(chosen_pairs)}
+    # token i of the concatenated corpus is position i - starts[s] of sequence s
     lengths = [len(ex.tokens) for ex in dataset.examples]
-    for chunk in bucket_by_length(sorted(needed), lengths, 32):
+    starts = np.cumsum(lengths) - lengths
+    chosen = rng.choice(total, size=budget, replace=False)
+    seqs = np.searchsorted(starts, chosen, side="right") - 1
+    positions = chosen - starts[seqs]
+    tasks = np.asarray([ex.task for ex in dataset.examples], dtype=np.int64)
+    meta = np.stack([seqs, positions, tasks[seqs]], axis=1).astype(np.int64)
+
+    feats = {layer: np.empty((budget, model.cfg.d_model)) for layer in range(model.cfg.n_layers)}
+    for chunk in bucket_by_length(np.unique(seqs), lengths, 32):
         tokens = np.stack([dataset.examples[si].tokens for si in chunk])
         hidden = model.forward(tokens).hidden
-        for bi, si in enumerate(chunk.tolist()):
-            for pos in needed[si]:
-                row = row_of[(si, pos)]
-                for layer in range(n_layers):
-                    feats[layer][row] = hidden[layer].data[bi, pos]
-                meta[row] = (si, pos, dataset.examples[si].task)
+        rows = np.flatnonzero(np.isin(seqs, chunk))
+        batch_rows = np.searchsorted(chunk, seqs[rows])  # chunk is ascending
+        for layer in feats:
+            feats[layer][rows] = hidden[layer].data[batch_rows, positions[rows]]
     return {"features": feats, "meta": meta}
 
 

@@ -1,6 +1,6 @@
 """Minimal learned-router MoE-LoRA baseline.
 
-Per targeted projection each block holds N expert LoRA pairs; one trainable
+Per targeted projection each block holds N expert LoRA adapters; one trainable
 router matrix per block gates them from the block input. Unlike the
 clustering router, the gate lives on the gradient tape, so router weights
 receive gradients. Trainable count per block: 2*E*N*d*r adapters + N*d router.
@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as tz
 from .tensor import Tensor
 from .model import ModelConfig, ProjectionId
-from .adapters import BankCore
+from .adapters import Adapter, AdapterConfig, BankCore
 from .router import topk_mask
 
 
@@ -32,12 +32,11 @@ class MoEConfig:
             raise ValueError("n_experts must be >= 1")
         if not 1 <= self.top_k <= self.n_experts:
             raise ValueError("top_k must satisfy 1 <= top_k <= n_experts")
-        if self.r < 1:
-            raise ValueError("rank must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        self.expert_config()  # checks r, alpha and dropout
+
+    def expert_config(self) -> AdapterConfig:
+        """The LoRA adapter every expert is."""
+        return AdapterConfig("lora", r=self.r, alpha=self.alpha, dropout=self.dropout)
 
 
 class MoEAdapterBank(BankCore):
@@ -54,7 +53,8 @@ class MoEAdapterBank(BankCore):
     ):
         super().__init__(model_cfg, cfg, projections)
         rng = np.random.default_rng(seed)
-        self.experts: dict[tuple[int, ProjectionId], list[tuple[Tensor, Tensor]]] = {}
+        expert_cfg = cfg.expert_config()
+        self.experts: dict[tuple[int, ProjectionId], list[Adapter]] = {}
         self.routers: dict[int, Tensor] = {}
         for layer in self.layers:
             self.routers[layer] = Tensor(
@@ -63,21 +63,16 @@ class MoEAdapterBank(BankCore):
             )
             for proj in self.projections:
                 d_out, d_in = model_cfg.proj_dims(proj)
-                pairs = []
-                for _ in range(cfg.n_experts):
-                    a = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(cfg.r, d_in)), requires_grad=True)
-                    b = Tensor(np.zeros((d_out, cfg.r)), requires_grad=True)
-                    pairs.append((a, b))
-                self.experts[(layer, proj)] = pairs
+                self.experts[(layer, proj)] = [Adapter(expert_cfg, d_out, d_in, rng) for _ in range(cfg.n_experts)]
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {}
         for layer in self.layers:
             out[f"layer{layer}.router"] = self.routers[layer]
             for proj in self.projections:
-                for n, (a, b) in enumerate(self.experts[(layer, proj)]):
-                    out[f"layer{layer}.{proj.name}.e{n}.a"] = a
-                    out[f"layer{layer}.{proj.name}.e{n}.b"] = b
+                for n, expert in enumerate(self.experts[(layer, proj)]):
+                    for name, t in expert.named_tensors().items():
+                        out[f"layer{layer}.{proj.name}.e{n}.{name}"] = t
         return out
 
     def router_param_count(self) -> int:
@@ -100,14 +95,10 @@ def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
 
 def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
     """Gate-weighted sum of expert LoRA outputs on input x."""
-    cfg = bank.cfg
-    scale = cfg.alpha / cfg.r
     drop_rng = bank.drop_rng
     out = None
-    for n, (a, b) in enumerate(bank.experts[(layer, proj)]):
-        delta = tz.lora_delta(x, a, b, scale, cfg.dropout, drop_rng)
-        gn = tz.select_index(gates, gates.ndim - 1, n)
-        term = tz.mul(delta, gn)
+    for n, expert in enumerate(bank.experts[(layer, proj)]):
+        term = expert.apply(x, tz.select_index(gates, gates.ndim - 1, n), drop_rng=drop_rng)
         out = term if out is None else tz.add(out, term)
     return out
 

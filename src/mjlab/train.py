@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,23 +37,21 @@ from .router import (
     write_usage_csv,
 )
 from .optim import AdamW, lr_at_step
-from .config import ExperimentConfig, config_hash
+from .config import ConfigError, ExperimentConfig, config_hash
 from .data import Dataset, generate, length_buckets, batch_arrays, pretraining_corpus, sample_init_tokens
 
-ABLATION_AXES = (
-    "similarity",
-    "tau",
-    "beta",
-    "topk",
-    "update_every",
-    "stop_frac",
-    "shared",
-    "routed",
-    "rank",
-    "permutation",
-    "routed_layers",
-    "kmeans_samples",
-)
+# ablation axes that set one scalar: axis -> (config section, key, type)
+SCALAR_AXES = {
+    "similarity": ("router", "similarity", str),
+    "tau": ("router", "tau", float),
+    "beta": ("router", "beta", float),
+    "topk": ("router", "top_k", int),
+    "update_every": ("router", "update_every", int),
+    "stop_frac": ("router", "stop_frac", float),
+    "kmeans_samples": ("router", "kmeans_samples", int),
+    "rank": ("adapter", "r", int),
+}
+ABLATION_AXES = (*SCALAR_AXES, "shared", "routed", "permutation", "routed_layers")
 
 
 def worker_count() -> int:
@@ -68,11 +68,9 @@ def make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train_ds, val_ds
 
 
-def prepare_backbone(cfg: ExperimentConfig, seed: int, corpus: list[np.ndarray] | None = None) -> Backbone:
-    """Init + brief next-token pretraining + freeze, fully seeded."""
+def prepare_backbone(cfg: ExperimentConfig, seed: int, corpus: list[np.ndarray]) -> Backbone:
+    """Init + brief next-token pretraining on `corpus` + freeze, fully seeded."""
     model = Backbone(cfg.model, seed=_derive(seed, 1))
-    if corpus is None:
-        corpus = pretraining_corpus(make_datasets(cfg)[0])
     usable = [c for c in corpus if len(c) <= cfg.model.max_seq_len]
     pretrain_backbone(
         model,
@@ -84,6 +82,20 @@ def prepare_backbone(cfg: ExperimentConfig, seed: int, corpus: list[np.ndarray] 
         seed=_derive(seed, 2),
     )
     return model
+
+
+def prepare_world(cfg: ExperimentConfig, seed: int) -> tuple[Backbone, Dataset, Dataset]:
+    """(frozen backbone, train set, val set) of a run: the configured datasets
+    and a backbone pretrained on the train set's sequences."""
+    train_ds, val_ds = make_datasets(cfg)
+    return prepare_backbone(cfg, seed, corpus=pretraining_corpus(train_ds)), train_ds, val_ds
+
+
+def optimizer_steps(cfg: ExperimentConfig, train_ds: Dataset) -> int:
+    """Optimizer steps of a run on `train_ds`: every `grad_accum` length
+    buckets make one step, and an epoch's last step may take fewer."""
+    n_batches = len(length_buckets(train_ds, cfg.train.batch_size))
+    return cfg.train.epochs * math.ceil(n_batches / cfg.train.grad_accum)
 
 
 def _derive(seed: int, stream: int, extra: int = 0) -> int:
@@ -199,19 +211,22 @@ def run_pipeline(
     train_ds: Dataset | None = None,
     val_ds: Dataset | None = None,
 ) -> dict:
-    """Full fine-tuning run; deterministic given (cfg, seed)."""
-    if train_ds is None or val_ds is None:
-        gen_train, gen_val = make_datasets(cfg)
-        train_ds = train_ds if train_ds is not None else gen_train
-        val_ds = val_ds if val_ds is not None else gen_val
-    if backbone is None:
-        backbone = prepare_backbone(cfg, seed, corpus=pretraining_corpus(train_ds))
+    """Full fine-tuning run; deterministic given (cfg, seed).
+
+    Pass the backbone and both datasets, or none of them to build them with
+    `prepare_world`. With `out_dir` the artifacts are written to a hidden
+    sibling directory that is renamed to `out_dir` once complete.
+    """
+    world = (backbone, train_ds, val_ds)
+    if all(part is None for part in world):
+        backbone, train_ds, val_ds = prepare_world(cfg, seed)
+    elif any(part is None for part in world):
+        raise ValueError("run_pipeline takes backbone, train_ds and val_ds together or none of them")
     if not backbone.frozen:
         raise ValueError("run_pipeline requires a frozen backbone")
 
     batches = length_buckets(train_ds, cfg.train.batch_size)
-    steps_per_epoch = math.ceil(len(batches) / cfg.train.grad_accum)
-    total_steps = cfg.train.epochs * steps_per_epoch
+    total_steps = optimizer_steps(cfg, train_ds)
 
     states = {}
     if cfg.method == "mj":
@@ -294,30 +309,47 @@ def run_pipeline(
         report["usage_rho"] = [float(r) for r in stats.rho]
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.json").write_text(cfg.to_json())
-        with open(out_dir / "metrics.jsonl", "w") as fh:
-            for row in metrics:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-        backbone.save(out_dir / "backbone")
-        if bank is not None:
-            bank.save(out_dir / "adapters")
-        tz.save_tensor(out_dir / "head_w.bin", head.w.data)
-        tz.save_tensor(out_dir / "head_b.bin", head.b.data)
-        if states:
-            save_router(out_dir / "router", states)
-        if stats is not None:
-            write_usage_csv(stats, out_dir / "usage.csv")
-        if "embeddings" in result and result["embeddings"]:
-            export_embeddings(out_dir / "embeddings.csv", result["embeddings"])
+        with _staged_dir(Path(out_dir)) as staged:
+            (staged / "config.json").write_text(cfg.to_json())
+            with open(staged / "metrics.jsonl", "w") as fh:
+                for row in metrics:
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+            (staged / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+            backbone.save(staged / "backbone")
+            if bank is not None:
+                bank.save(staged / "adapters")
+            tz.save_tensor(staged / "head_w.bin", head.w.data)
+            tz.save_tensor(staged / "head_b.bin", head.b.data)
+            if states:
+                save_router(staged / "router", states)
+            if stats is not None:
+                write_usage_csv(stats, staged / "usage.csv")
+            if "embeddings" in result and result["embeddings"]:
+                export_embeddings(staged / "embeddings.csv", result["embeddings"])
 
     report["metrics"] = metrics
     report["router_states"] = states
     report["bank"] = bank
     report["head"] = head
     return report
+
+
+@contextmanager
+def _staged_dir(out_dir: Path):
+    """A hidden sibling of `out_dir` to write into, renamed to `out_dir`
+    (replacing it) on success and removed on failure; its leading '.' keeps
+    `run-*` globs from seeing a half-written run."""
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staged = out_dir.with_name(f".{out_dir.name}.{os.getpid()}.tmp")
+    shutil.rmtree(staged, ignore_errors=True)
+    staged.mkdir()
+    try:
+        yield staged
+    except BaseException:
+        shutil.rmtree(staged, ignore_errors=True)
+        raise
+    shutil.rmtree(out_dir, ignore_errors=True)
+    staged.rename(out_dir)
 
 
 def _step_usage(decisions) -> dict:
@@ -329,20 +361,16 @@ def _step_usage(decisions) -> dict:
 
 
 def _apply_ema(states: dict[int, RouterState], decisions, step: int) -> bool:
-    if not states or not decisions:
-        return False
-    merged: dict[int, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]] = {}
-    for layer, decision, flat in decisions:
-        ms, sels, hs = merged.setdefault(layer, ([], [], []))
-        ms.append(decision.m)
-        sels.append(decision.selected)
-        hs.append(flat)
+    """One EMA update per routed layer from all of the step's decisions,
+    stacked to one row per token."""
     fired = False
-    for layer, (ms, sels, hs) in merged.items():
-        m = np.vstack(ms)
-        pooled = RoutingDecision(z=np.empty((0, m.shape[1])), p=np.empty((0, m.shape[1])), m=m,
-                                 selected=np.vstack(sels))
-        fired = ema_update(states[layer], pooled, np.vstack(hs), step) or fired
+    for layer, state in states.items():
+        rows = [(decision, flat) for seen, decision, flat in decisions if seen == layer]
+        if not rows:
+            continue
+        pooled = RoutingDecision(*(np.vstack([getattr(d, name) for d, _ in rows])
+                                   for name in ("z", "p", "m", "selected")))
+        fired = ema_update(state, pooled, np.vstack([flat for _, flat in rows]), step) or fired
     return fired
 
 
@@ -365,9 +393,9 @@ def shared_vs_specific(cfg: ExperimentConfig, seeds: list[int] | None = None) ->
     specs = cfg.data.task_specs()
     n_tasks = len(specs)
     if cfg.adapter.variant not in ("lora", "lorafa"):
-        raise ValueError("shared_vs_specific partitions rank; use a LoRA-family adapter")
+        raise ConfigError("shared_vs_specific partitions rank; use a LoRA-family adapter")
     if cfg.adapter.r % n_tasks != 0:
-        raise ValueError(
+        raise ConfigError(
             f"adapter budget not divisible across tasks: rank {cfg.adapter.r}, {n_tasks} tasks"
         )
     shared_cfg = replace_config(cfg, method="peft")
@@ -377,7 +405,7 @@ def shared_vs_specific(cfg: ExperimentConfig, seeds: list[int] | None = None) ->
     specific_cfg = ExperimentConfig.from_dict(raw)
     rows = []
     for seed in seeds:
-        backbone, train_ds, val_ds = _prepare_world((cfg, seed))
+        backbone, train_ds, val_ds = prepare_world(cfg, seed)
         shared_run = run_pipeline(shared_cfg, seed, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
         shared_count = count_trainable(shared_run["bank"])
         specific_accs = {}
@@ -417,32 +445,23 @@ def replace_config(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
 def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     """New config with one ablation knob set."""
     if axis not in ABLATION_AXES:
-        raise ValueError(f"unknown ablation axis {axis!r}; known: {ABLATION_AXES}")
+        raise ConfigError(f"unknown ablation axis {axis!r}; known: {ABLATION_AXES}")
     raw = cfg.to_dict()
     router = raw["router"]
-    if axis == "similarity":
-        router["similarity"] = str(value)
-    elif axis == "tau":
-        router["tau"] = float(value)
-    elif axis == "beta":
-        router["beta"] = float(value)
-    elif axis == "topk":
-        router["top_k"] = int(value)
-    elif axis == "update_every":
-        router["update_every"] = int(value)
-    elif axis == "stop_frac":
-        router["stop_frac"] = float(value)
-    elif axis == "kmeans_samples":
-        router["kmeans_samples"] = int(value)
-    elif axis == "rank":
-        raw["adapter"]["r"] = int(value)
-    elif axis == "permutation":
-        router["permutation"] = [int(v) for v in value]
-    elif axis == "routed_layers":
-        if isinstance(value, int):
-            router["routed_layers"] = list(range(value))
-        else:
-            router["routed_layers"] = [int(v) for v in value]
+    if axis in SCALAR_AXES:
+        section, key, kind = SCALAR_AXES[axis]
+        try:
+            raw[section][key] = kind(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"ablation axis {axis!r} takes one {kind.__name__} per value, not {value!r}") from err
+    elif axis == "routed_layers" and isinstance(value, int):
+        router["routed_layers"] = list(range(value))
+    elif axis in ("permutation", "routed_layers"):
+        try:
+            router[axis] = [int(v) for v in value]
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"ablation axis {axis!r} takes a list of integers per value "
+                              f"(separate values with ';'), not {value!r}") from err
     elif axis == "shared":
         shared = _parse_projection_list(value)
         targeted = set(router["routed"]) | set(router["shared"])
@@ -466,17 +485,10 @@ def _parse_projection_list(value) -> list[str]:
 
 
 def _backbone_key(cfg: ExperimentConfig, seed: int) -> str:
-    """Everything `prepare_backbone` and `make_datasets` read: the model,
-    pretrain and data sections plus the seed."""
+    """Everything `prepare_world` reads: the model, pretrain and data
+    sections plus the seed."""
     raw = cfg.to_dict()
     return json.dumps([raw["model"], raw["pretrain"], raw["data"], seed], sort_keys=True)
-
-
-def _prepare_world(job: tuple) -> tuple:
-    """(backbone, train_ds, val_ds) exactly as `run_pipeline` would build them."""
-    cfg, seed = job
-    train_ds, val_ds = make_datasets(cfg)
-    return prepare_backbone(cfg, seed, corpus=pretraining_corpus(train_ds)), train_ds, val_ds
 
 
 def _ablate_one(payload: tuple) -> dict:
@@ -500,8 +512,6 @@ def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | No
     share one pretrained backbone and one pair of datasets. No axis touches
     those sections, so a sweep pretrains once per seed, not once per value.
     """
-    if axis not in ABLATION_AXES:
-        raise ValueError(f"unknown ablation axis {axis!r}; known: {ABLATION_AXES}")
     seeds = seeds if seeds is not None else cfg.seeds
     runs = [(apply_axis(cfg, axis, value), value, seed) for value in values for seed in seeds]
     jobs: dict[str, tuple] = {}
@@ -510,10 +520,10 @@ def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | No
     workers = worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            worlds = dict(zip(jobs, pool.map(_prepare_world, jobs.values())))
+            worlds = dict(zip(jobs, pool.map(prepare_world, *zip(*jobs.values()))))
             payloads = [(c, axis, v, s, worlds[_backbone_key(c, s)]) for c, v, s in runs]
             return list(pool.map(_ablate_one, payloads))
-    worlds = {key: _prepare_world(job) for key, job in jobs.items()}
+    worlds = {key: prepare_world(*job) for key, job in jobs.items()}
     return [_ablate_one((c, axis, v, s, worlds[_backbone_key(c, s)])) for c, v, s in runs]
 
 

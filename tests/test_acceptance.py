@@ -221,7 +221,7 @@ def test_criterion_04_gradient_isolation_and_correctness():
         moe = MoEAdapterBank(cfg, MoEConfig(n_experts=2, top_k=1, r=1, dropout=0.0),
                              (ProjectionId.q, ProjectionId.v), seed=43)
         for pairs in moe.experts.values():
-            for a, b in pairs:
+            for b in (e.b for e in pairs):
                 b.data = rng.normal(size=b.data.shape) * 0.2
         moe_hooks = MoEHooks(moe)
         moe_head = ClassifierHead(8, 3)

@@ -1,11 +1,13 @@
+import csv
 import json
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mjlab.cli import main
+from mjlab.cli import _parse_values, main
 from mjlab.config import ConfigError, ExperimentConfig, config_hash
 
 from conftest import SMALL_RAW, small_config
@@ -201,6 +203,100 @@ class TestEndToEnd:
     def test_ablate_unknown_axis_is_validation_error(self, fast_config_path):
         assert main(["ablate", "momentum", "--values", "1", "--config", str(fast_config_path),
                      "--quiet"]) == 1
+
+
+def _no_pretraining(monkeypatch):
+    """Make any pretraining fail the test: the command must stop before compute."""
+    import mjlab.train as train
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pretrained a backbone")
+
+    monkeypatch.setattr(train, "prepare_backbone", refuse)
+
+
+def _csv_values(path) -> list[str]:
+    with open(path, newline="") as fh:
+        return [row["value"] for row in csv.DictReader(fh)]
+
+
+class TestRunDirectories:
+    def test_eval_without_backbone_exits_1_naming_it(self, tmp_path, fast_config_path, capsys, monkeypatch):
+        out = tmp_path / "runs"
+        assert main(["train", "--config", str(fast_config_path), "--seed", "0", "--out", str(out), "--quiet"]) == 0
+        run_dir = next(out.glob("run-*-s0"))
+        shutil.rmtree(run_dir / "backbone")
+        _no_pretraining(monkeypatch)
+        assert main(["eval", "--run-dir", str(run_dir), "--quiet"]) == 1
+        assert str(run_dir / "backbone") in capsys.readouterr().err
+
+    def test_init_centers_stop_step_matches_train(self, tmp_path, capsys):
+        # 2 epochs of grad_accum 3 over an odd number of buckets: the last step is short
+        raw = small_raw(data={"n_per_task": 24, "n_val_per_task": 12}, pretrain={"steps": 5},
+                        router={"kmeans_samples": 200}, train={"epochs": 2, "batch_size": 8, "grad_accum": 3})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        runs, stages = tmp_path / "runs", tmp_path / "stages"
+        assert main(["train", "--config", str(path), "--seed", "0", "--out", str(runs), "--quiet"]) == 0
+        assert main(["init-centers", "--config", str(path), "--seed", "0", "--out", str(stages), "--quiet"]) == 0
+        trained = json.loads(next(runs.glob("run-*-s0/router/manifest.json")).read_text())
+        initial = json.loads((stages / "router" / "manifest.json").read_text())
+        report = json.loads(next(runs.glob("run-*-s0/report.json")).read_text())
+        assert {layer: meta["stop_step"] for layer, meta in initial.items()} == \
+            {layer: meta["stop_step"] for layer, meta in trained.items()}
+        assert initial["0"]["stop_step"] == int(round(0.6 * report["steps"]))
+        assert initial == trained
+
+
+class TestAblateValues:
+    def test_parse_values(self):
+        assert _parse_values("0.2,0.9") == [0.2, 0.9]  # scalars, as the benchmark passes them
+        assert _parse_values("0,1,2;2,1,0") == [[0, 1, 2], [2, 1, 0]]
+        assert _parse_values("o;o,gate") == [["o"], ["o", "gate"]]
+        assert _parse_values("0,1;") == [[0, 1]]
+
+    def test_permutation_takes_list_values(self, tmp_path, fast_config_path, capsys):
+        out = tmp_path / "ablate"
+        assert main(["ablate", "permutation", "--values", "0,1,2;2,1,0", "--config", str(fast_config_path),
+                     "--out", str(out), "--quiet"]) == 0
+        assert _csv_values(out / "ablation_permutation.csv") == ["[0, 1, 2]"] * 2 + ["[2, 1, 0]"] * 2
+
+    def test_shared_runs_one_value_per_semicolon(self, tmp_path, fast_config_path, capsys):
+        out = tmp_path / "ablate"
+        assert main(["ablate", "shared", "--values", "o;o,gate", "--config", str(fast_config_path),
+                     "--out", str(out), "--quiet"]) == 0
+        assert _csv_values(out / "ablation_shared.csv") == ['["o"]'] * 2 + ['["o", "gate"]'] * 2
+
+    @pytest.mark.parametrize("axis, values", [
+        ("permutation", "0,1,2"),  # three scalars, not one list
+        ("permutation", "a,b;c"),
+        ("routed_layers", "0;x"),
+        ("beta", "0.2;0.9"),  # two lists
+        ("rank", "x"),
+        ("tau", "0,1;2"),
+    ])
+    def test_malformed_values_exit_1_before_compute(self, axis, values, tmp_path, fast_config_path, capsys,
+                                                    monkeypatch):
+        _no_pretraining(monkeypatch)
+        out = tmp_path / "ablate"
+        assert main(["ablate", axis, "--values", values, "--config", str(fast_config_path),
+                     "--out", str(out), "--quiet"]) == 1
+        assert repr(axis) in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCompare:
+    def test_indivisible_or_rankless_exits_1_before_compute(self, tmp_path, capsys, monkeypatch):
+        _no_pretraining(monkeypatch)
+        out = tmp_path / "compare"
+        assert main(["compare", "--out", str(out), "--quiet"]) == 1  # default: rank 2 over 3 tasks
+        assert "divisible" in capsys.readouterr().err
+        for adapter, message in (({"r": 3}, "divisible"), ({"variant": "propulsion"}, "LoRA-family")):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(small_raw(adapter=adapter)))
+            assert main(["compare", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConsoleScript:

@@ -173,6 +173,22 @@ class TestSampleInitTokens:
             for layer in range(tiny_frozen.cfg.n_layers):
                 assert np.array_equal(out["features"][layer][row], hidden[layer].data[0, pos])
 
+    def test_rows_match_per_token_reference(self, tiny_frozen):
+        # the same draw indexes a per-token (sequence, position) list, with mixed lengths
+        specs = [TaskSpec(task_id=0, rule="majority", markers=(8, 9, 10), n_classes=3, min_len=6, max_len=10,
+                          filler_hi=7),
+                 TaskSpec(task_id=1, rule="last_marker", markers=(12, 13), n_classes=2, min_len=5, max_len=9,
+                          filler_hi=7)]
+        ds = generate(specs, 40, seed=18, vocab=16)
+        out = sample_init_tokens(ds, 150, seed=3, model=tiny_frozen)
+        pairs = [(si, pos) for si, ex in enumerate(ds.examples) for pos in range(len(ex.tokens))]
+        chosen = [pairs[int(c)] for c in np.random.default_rng(3).choice(len(pairs), size=150, replace=False)]
+        assert out["meta"].tolist() == [[si, pos, ds.examples[si].task] for si, pos in chosen]
+        for row, (si, pos) in enumerate(chosen):
+            hidden = tiny_frozen.forward(ds.examples[si].tokens[None, :]).hidden
+            for layer in range(tiny_frozen.cfg.n_layers):
+                assert np.array_equal(out["features"][layer][row], hidden[layer].data[0, pos])
+
     def test_task_shares_within_three_percent(self, tiny_frozen):
         specs = [
             TaskSpec(task_id=0, rule="majority", markers=(8, 9, 10), n_classes=3, min_len=6, max_len=10, filler_hi=7),

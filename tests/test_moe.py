@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import mjlab.tensor as tz
 from mjlab.tensor import Tensor
-from mjlab.adapters import AdapterBank, AdapterConfig, count_trainable
+from mjlab.adapters import Adapter, AdapterBank, AdapterConfig, count_trainable
 from mjlab.model import ModelConfig, ProjectionId
 from mjlab.moe_baseline import MoEAdapterBank, MoEConfig, MoEHooks, moe_forward, moe_gates
 
@@ -21,7 +23,8 @@ class TestMoEForward:
         cfg = square_cfg()
         rng = np.random.default_rng(0)
         bank = MoEAdapterBank(cfg, MoEConfig(n_experts=1, top_k=1, r=2, dropout=0.0), QV, seed=1)
-        a, b = bank.experts[(0, ProjectionId.q)][0]
+        expert = bank.experts[(0, ProjectionId.q)][0]
+        a, b = expert.a, expert.b
         a.data = rng.normal(size=a.data.shape)
         b.data = rng.normal(size=b.data.shape)
         h = Tensor(rng.normal(size=(4, 8)))
@@ -41,7 +44,7 @@ class TestMoEForward:
         rng = np.random.default_rng(4)
         n = 4
         bank = MoEAdapterBank(cfg, MoEConfig(n_experts=n, top_k=n, r=2, dropout=0.0), QV, seed=5)
-        for a, b in bank.experts[(0, ProjectionId.q)]:
+        for a, b in ((e.a, e.b) for e in bank.experts[(0, ProjectionId.q)]):
             a.data = rng.normal(size=a.data.shape)
             b.data = rng.normal(size=b.data.shape)
         h = rng.normal(size=(6, 8))
@@ -53,7 +56,7 @@ class TestMoEForward:
         g = e / e.sum(axis=1, keepdims=True)  # k = N: renormalization is identity
         expected = np.zeros((6, 8))
         for t in range(6):
-            for i, (a, b) in enumerate(bank.experts[(0, ProjectionId.q)]):
+            for i, (a, b) in enumerate((e.a, e.b) for e in bank.experts[(0, ProjectionId.q)]):
                 expected[t] += g[t, i] * 2.5 * (b.data @ (a.data @ h[t]))
         assert np.abs(out.data - expected).max() < 1e-12
 
@@ -69,6 +72,41 @@ class TestMoEForward:
     def test_top_k_bounds(self):
         with pytest.raises(ValueError, match="top_k"):
             MoEConfig(n_experts=2, top_k=3)
+
+
+class TestExperts:
+    def test_experts_are_lora_adapters_drawn_in_bank_order(self):
+        cfg = square_cfg(d=8, layers=1)
+        bank = MoEAdapterBank(cfg, MoEConfig(n_experts=2, top_k=1, r=3, alpha=4.0, dropout=0.1), QV, seed=21)
+        rng = np.random.default_rng(21)  # router, then each projection's experts: A drawn, B zero
+        assert np.array_equal(bank.routers[0].data, rng.normal(0.0, 1.0 / np.sqrt(8), size=(2, 8)))
+        for proj in QV:
+            for expert in bank.experts[(0, proj)]:
+                assert isinstance(expert, Adapter)
+                assert expert.cfg == AdapterConfig("lora", r=3, alpha=4.0, dropout=0.1)
+                assert np.array_equal(expert.a.data, rng.normal(0.0, 1.0 / np.sqrt(8), size=(3, 8)))
+                assert np.array_equal(expert.b.data, np.zeros((8, 3)))
+
+    @pytest.mark.parametrize("bad", [{"r": 0}, {"alpha": 0.0}, {"dropout": 1.0}])
+    def test_rank_alpha_dropout_errors_are_the_adapter_errors(self, bad):
+        with pytest.raises(ValueError) as adapter_err:
+            AdapterConfig(**bad)
+        with pytest.raises(ValueError) as moe_err:
+            MoEConfig(**bad)
+        assert str(moe_err.value) == str(adapter_err.value)
+
+    def test_manifest_tensor_names(self, tmp_path):
+        bank = MoEAdapterBank(square_cfg(d=8), MoEConfig(n_experts=2, top_k=1), QV, seed=0)
+        bank.save(tmp_path / "adapters")
+        manifest = json.loads((tmp_path / "adapters" / "manifest.json").read_text())
+        assert manifest["tensors"] == [
+            "layer0.q.e0.a", "layer0.q.e0.b", "layer0.q.e1.a", "layer0.q.e1.b",
+            "layer0.router",
+            "layer0.v.e0.a", "layer0.v.e0.b", "layer0.v.e1.a", "layer0.v.e1.b",
+        ]
+        assert manifest["moe"] == {"n_experts": 2, "top_k": 1, "r": 2, "alpha": 5.0, "dropout": 0.05}
+        assert sorted(p.name for p in (tmp_path / "adapters").glob("*.bin")) == \
+            sorted(f"{name}.bin" for name in manifest["tensors"])
 
 
 class TestCounts:
@@ -91,7 +129,7 @@ class TestGradients:
         bank = MoEAdapterBank(tiny_cfg, MoEConfig(n_experts=3, top_k=2, dropout=0.0), QV, seed=8)
         rng = np.random.default_rng(9)
         for pairs in bank.experts.values():
-            for a, b in pairs:
+            for b in (e.b for e in pairs):
                 b.data = rng.normal(size=b.data.shape) * 0.2
         hooks = MoEHooks(bank)
         hooks.set_batch()
@@ -108,7 +146,7 @@ class TestGradients:
         bank = MoEAdapterBank(tiny_cfg, MoEConfig(n_experts=2, top_k=1, r=1, dropout=0.0), (ProjectionId.q,), seed=10)
         rng = np.random.default_rng(11)
         for pairs in bank.experts.values():
-            for a, b in pairs:
+            for b in (e.b for e in pairs):
                 b.data = rng.normal(size=b.data.shape) * 0.2
         hooks = MoEHooks(bank)
         toks = np.array([[1, 5, 3]])

@@ -173,6 +173,52 @@ class TestPipeline:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
+class TestRunOutput:
+    def test_partial_world_rejected(self, small_world):
+        backbone, train_ds, _ = small_world
+        with pytest.raises(ValueError, match="together or none"):
+            run_pipeline(small_config(), 0, backbone=backbone, train_ds=train_ds)
+
+    def test_failed_write_leaves_no_run_dir(self, tmp_path, small_world, monkeypatch):
+        from mjlab.adapters import BankCore
+
+        def fail(self, directory):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(BankCore, "save", fail)
+        backbone, train_ds, val_ds = small_world
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(small_config(method="peft"), 0, out_dir=tmp_path / "run-x-s0",
+                         backbone=backbone, train_ds=train_ds, val_ds=val_ds)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_replaces_run_dir(self, tmp_path, small_world):
+        backbone, train_ds, val_ds = small_world
+        out = tmp_path / "run-x-s0"
+        out.mkdir()
+        (out / "stale.txt").write_text("from an earlier run")
+        run_pipeline(small_config(method="peft"), 0, out_dir=out, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
+        assert not (out / "stale.txt").exists()
+        assert (out / "report.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["run-x-s0"]
+
+    def test_ema_gets_one_row_per_token(self, small_world, monkeypatch):
+        import mjlab.train as train
+
+        seen = []
+        real = train.ema_update
+
+        def checking(state, decision, hidden, step):
+            seen.append({name: getattr(decision, name).shape[0] for name in ("z", "p", "m", "selected")})
+            assert set(seen[-1].values()) == {hidden.shape[0]}
+            return real(state, decision, hidden, step)
+
+        monkeypatch.setattr(train, "ema_update", checking)
+        backbone, train_ds, val_ds = small_world
+        run_pipeline(small_config(), 3, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
+        assert seen
+
+
 class TestSharedVsSpecific:
     def test_parity_and_structure(self, small_world):
         cfg = small_config(adapter={"r": 2})  # 2 tasks: rank splits evenly
