@@ -43,7 +43,6 @@ class Adapter:
     def __init__(self, cfg: AdapterConfig, d_out: int, d_in: int, rng: np.random.Generator):
         self.cfg = cfg
         self.d_out = d_out
-        self.d_in = d_in
         if cfg.variant in ("lora", "lorafa"):
             self.a = Tensor(
                 rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(cfg.r, d_in)),

@@ -87,6 +87,8 @@ def cmd_init_centers(cfg: ExperimentConfig, args) -> int:
     backbone_dir = out / "backbone"
     if backbone_dir.exists():
         model = Backbone.load(backbone_dir)
+        if model.cfg != cfg.model:  # the manifest records only the model section
+            raise ConfigError(f"{backbone_dir} holds a backbone for {model.cfg}, not for the config's {cfg.model}")
         train_ds, _ = make_datasets(cfg)
     else:
         model, train_ds, _ = prepare_world(cfg, seed)
@@ -250,22 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dump-config", action="store_true", help="print the effective config and exit")
     common.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-data", parents=[common])
-    sub.add_parser("pretrain", parents=[common])
-    sub.add_parser("init-centers", parents=[common])
-    sub.add_parser("train", parents=[common])
-    p_eval = sub.add_parser("eval", parents=[common])
-    p_eval.add_argument("--run-dir", type=str, default=None)
-    p_ablate = sub.add_parser("ablate", parents=[common])
-    p_ablate.add_argument("axis", type=str)
-    p_ablate.add_argument("--values", type=str, default=None, help="comma-separated values; ';' separates list values")
-    p_oracle = sub.add_parser("oracle", parents=[common])
-    p_oracle.add_argument("check", type=str, choices=["rank", "soft", "params"])
-    p_probe = sub.add_parser("probe", parents=[common])
-    p_probe.add_argument("--layer", type=int, default=None)
-    p_report = sub.add_parser("report", parents=[common])
-    p_report.add_argument("--run-dir", type=str, default=None)
-    sub.add_parser("compare", parents=[common])
+    commands = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
+    for name in ("eval", "report"):
+        commands[name].add_argument("--run-dir", type=str, default=None)
+    commands["ablate"].add_argument("axis", type=str)
+    commands["ablate"].add_argument("--values", type=str, default=None,
+                                    help="comma-separated values; ';' separates list values")
+    commands["oracle"].add_argument("check", type=str, choices=["rank", "soft", "params"])
+    commands["probe"].add_argument("--layer", type=int, default=None)
     return parser
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +19,8 @@ import numpy as np
 from .model import ModelConfig, ProjectionId
 from .adapters import AdapterConfig
 from .moe_baseline import MoEConfig
-from .data import TaskSpec, default_task_specs
-from .router import RouterState
+from .data import TaskSpec, check_disjoint_markers, default_task_specs
+from .router import RouterState, RoutingRules
 
 METHODS = ("mj", "peft", "moe", "frozen")
 
@@ -28,17 +30,10 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RouterSection:
-    tau: float = 1.0
-    top_k: int = 2
-    beta: float = 0.5
-    update_every: int = 2
+class RouterSection(RoutingRules):
     stop_frac: float = 0.6
-    similarity: str = "cosine"
-    granularity: str = "token"
     routed: list[str] = field(default_factory=lambda: ["q", "k", "v"])
     shared: list[str] = field(default_factory=lambda: ["o", "gate"])
-    permutation: list[int] | None = None
     routed_layers: list[int] | None = None
     kmeans_samples: int = 5000
     kmeans_iters: int = 50
@@ -56,26 +51,16 @@ class RouterSection:
             raise ConfigError("router.routed must not be empty")
         if self.kmeans_samples < 1 or self.kmeans_iters < 1:
             raise ConfigError("router.kmeans_* must be >= 1")
-        try:  # RouterState holds the routing rules (tau, top_k, beta, ...)
+        try:  # RouterState validates the routing rules (tau, top_k, beta, ...)
             self.router_state(np.ones((len(self.routed_projections()), 1)), stop_step=0)
         except ValueError as err:
             raise ConfigError(f"router: {err}") from err
 
     def router_state(self, centers: np.ndarray, stop_step: int) -> RouterState:
         """The RouterState these settings describe, on the given centers."""
-        return RouterState(
-            centers=centers,
-            tau=self.tau,
-            top_k=self.top_k,
-            beta=self.beta,
-            update_every=self.update_every,
-            stop_step=stop_step,
-            similarity=self.similarity,
-            granularity=self.granularity,
-            routed=self.routed_projections(),
-            shared=self.shared_projections(),
-            permutation=self.permutation,
-        )
+        rules = {f.name: getattr(self, f.name) for f in dataclasses.fields(RoutingRules)}
+        return RouterState(centers=centers, stop_step=stop_step, routed=self.routed_projections(),
+                           shared=self.shared_projections(), **rules)
 
     def routed_projections(self) -> tuple[ProjectionId, ...]:
         return tuple(sorted((ProjectionId[n] for n in self.routed)))
@@ -119,6 +104,8 @@ class PretrainSection:
             raise ConfigError("pretrain.steps must be >= 0")
         if self.lr <= 0:
             raise ConfigError("pretrain.lr must be positive")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ConfigError("pretrain.holdout_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -131,20 +118,21 @@ class DataSection:
     def __post_init__(self):
         if self.n_per_task < 1 or self.n_val_per_task < 1:
             raise ConfigError("data.n_*_per_task must be >= 1")
+        if self.tasks == []:
+            raise ConfigError("data.tasks must not be empty")
 
     def task_specs(self) -> list[TaskSpec]:
         if self.tasks is None:
             return default_task_specs()
         specs = []
         for raw in self.tasks:
-            _reject_unknown(TaskSpec, raw, "data.tasks[]")
-            spec = dict(raw)
-            spec["markers"] = tuple(spec["markers"])
-            specs.append(TaskSpec(**spec))
+            _check_fields(TaskSpec, raw, "data.tasks[]")
+            specs.append(TaskSpec(**raw))
         ids = [spec.task_id for spec in specs]
         duplicates = sorted({t for t in ids if ids.count(t) > 1})
         if duplicates:
             raise ConfigError(f"data.tasks has duplicate task_id {duplicates}")
+        check_disjoint_markers(specs)
         return specs
 
 
@@ -166,7 +154,14 @@ class ExperimentConfig:
             raise ConfigError(f"method must be one of {METHODS}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
-        task_ids = [spec.task_id for spec in self.data.task_specs()]  # validates task definitions
+        specs = self.data.task_specs()  # validates task definitions
+        task_ids = [spec.task_id for spec in specs]
+        top_symbol = max(max(spec.markers + (spec.filler_hi,)) for spec in specs)
+        if top_symbol >= self.model.vocab_size:
+            raise ConfigError(f"data.tasks use symbol {top_symbol}, outside model.vocab_size {self.model.vocab_size}")
+        too_long = [spec.task_id for spec in specs if spec.max_len > self.model.max_seq_len]
+        if too_long:
+            raise ConfigError(f"data.tasks {too_long} have max_len above model.max_seq_len {self.model.max_seq_len}")
         n_layers = self.model.n_layers
         routed_layers = self.router.routed_layers
         if routed_layers is not None:
@@ -193,22 +188,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _reject_unknown(cls, raw, "config")
-        sections = {
-            "model": ModelConfig,
-            "adapter": AdapterConfig,
-            "moe": MoEConfig,
-            "router": RouterSection,
-            "train": TrainSection,
-            "pretrain": PretrainSection,
-            "data": DataSection,
-        }
+        _check_fields(cls, raw, "config")
+        sections = {f.name: f.default_factory for f in dataclasses.fields(cls)
+                    if dataclasses.is_dataclass(f.default_factory)}
         kwargs = {}
         for key, value in raw.items():
             if key in sections:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config.{key} must be an object")
-                _reject_unknown(sections[key], value, f"config.{key}")
+                _check_fields(sections[key], value, f"config.{key}")
                 try:
                     kwargs[key] = sections[key](**value)
                 except ValueError as err:
@@ -228,11 +214,33 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-def _reject_unknown(cls, raw: dict, path: str) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - known)
+def _check_fields(cls, raw: dict, path: str) -> None:
+    """Reject keys `cls` does not declare, and values that do not fit their
+    field's annotation."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown keys in {path}: {unknown}")
+    for key, value in raw.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            raise ConfigError(f"{path}.{key} must be {hint.__name__ if isinstance(hint, type) else hint}, "
+                              f"not {value!r}")
+
+
+def _fits(value, hint) -> bool:
+    """Whether a config value fits an annotation: a list or tuple for either,
+    an object for a section, an int for a float, never a bool for a number."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in args)
+    if typing.get_origin(hint) in (list, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if dataclasses.is_dataclass(hint):
+        return isinstance(value, dict)
+    if hint in (int, float):
+        return isinstance(value, (int, float) if hint is float else int) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -187,16 +187,21 @@ def _gen_sequence(spec: TaskSpec, label: int, rng: np.random.Generator, vocab: i
     return seq
 
 
-def generate(specs: list[TaskSpec], n_per_task: int, seed: int, vocab: int = 64) -> Dataset:
-    """Deterministic dataset; labels stratified (balanced within one sample)."""
-    if n_per_task < 1:
-        raise ValueError("n_per_task must be >= 1")
+def check_disjoint_markers(specs: list[TaskSpec]) -> None:
+    """Raise ValueError if two tasks share a marker symbol."""
     used: set[int] = set()
     for spec in specs:
         overlap = used & set(spec.markers)
         if overlap:
             raise ValueError(f"marker slices overlap across tasks: {sorted(overlap)}")
         used.update(spec.markers)
+
+
+def generate(specs: list[TaskSpec], n_per_task: int, seed: int, vocab: int = 64) -> Dataset:
+    """Deterministic dataset; labels stratified (balanced within one sample)."""
+    if n_per_task < 1:
+        raise ValueError("n_per_task must be >= 1")
+    check_disjoint_markers(specs)
     rng = np.random.default_rng(seed)
     examples = []
     for spec in specs:

@@ -75,6 +75,7 @@ class ForwardHooks(Protocol):
 class ForwardResult(NamedTuple):
     hidden: list[Tensor]  # length n_layers + 1; hidden[l] is the input of block l
     logits: Tensor  # (B, T, vocab)
+    final: Tensor  # (B, T, d) final-LayerNormed last-block output
 
 
 class BlockWeights:
@@ -206,12 +207,11 @@ class Backbone:
             hidden.append(x)
         final = tz.layer_norm(x, self.ln_f_g, self.ln_f_b)
         logits = tz.matmul(final, tz.transpose(self.lm_head))
-        return ForwardResult(hidden=hidden, logits=logits)
+        return ForwardResult(hidden=hidden, logits=logits, final=final)
 
     def final_states(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> Tensor:
         """LayerNormed last-block output (B, T, d), the classifier-head input."""
-        result = self.forward(tokens, hooks)
-        return tz.layer_norm(result.hidden[-1], self.ln_f_g, self.ln_f_b)
+        return self.forward(tokens, hooks).final
 
     # -- checkpointing ------------------------------------------------------------
 

@@ -34,25 +34,32 @@ DEFAULT_ROUTED = (ProjectionId.q, ProjectionId.k, ProjectionId.v)
 DEFAULT_SHARED = (ProjectionId.o, ProjectionId.gate)
 
 
-@dataclass
-class RouterState:
-    """Routing state of a single block.
+@dataclass(kw_only=True)
+class RoutingRules:
+    """The routing settings and their defaults, declared once for the
+    config's router section and for every RouterState.
 
     `permutation[e]` is the center index scored for routed slot e, so
     shuffling it re-assigns centers to projections without touching either.
     """
 
-    centers: np.ndarray
     tau: float = 1.0
     top_k: int = 2
     beta: float = 0.5
     update_every: int = 2
-    stop_step: int = 0
     similarity: str = "cosine"
     granularity: str = "token"
+    permutation: tuple[int, ...] | None = None  # None: the identity
+
+
+@dataclass
+class RouterState(RoutingRules):
+    """Routing state of a single block: its rules, centers and EMA stop step."""
+
+    centers: np.ndarray
+    stop_step: int = 0
     routed: tuple[ProjectionId, ...] = DEFAULT_ROUTED
     shared: tuple[ProjectionId, ...] = DEFAULT_SHARED
-    permutation: tuple[int, ...] | None = None  # None: the identity
 
     def __post_init__(self):
         self.centers = np.ascontiguousarray(self.centers, dtype=np.float64)

@@ -13,7 +13,7 @@ import math
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +71,9 @@ def make_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def prepare_backbone(cfg: ExperimentConfig, seed: int, corpus: list[np.ndarray]) -> Backbone:
     """Init + brief next-token pretraining on `corpus` + freeze, fully seeded."""
     model = Backbone(cfg.model, seed=_derive(seed, 1))
-    usable = [c for c in corpus if len(c) <= cfg.model.max_seq_len]
     pretrain_backbone(
         model,
-        usable,
+        corpus,
         steps=cfg.pretrain.steps,
         lr=cfg.pretrain.lr,
         batch_size=cfg.pretrain.batch_size,
@@ -175,9 +174,10 @@ def evaluate(
     head: ClassifierHead,
     dataset: Dataset,
     usage: UsageRecorder | None = None,
-    capture_embeddings: bool = False,
 ) -> dict:
-    """Per-task accuracy on length-bucketed batches; optionally records usage."""
+    """Per-task accuracy on length-bucketed batches. With `usage`, also
+    records routing usage and each routed layer's first batch of hidden
+    states with its decision (under "embeddings")."""
     correct: dict[int, int] = {}
     totals: dict[int, int] = {}
     captured: dict[int, tuple[np.ndarray, RoutingDecision]] = {}
@@ -193,12 +193,11 @@ def evaluate(
         if usage is not None:
             for layer, decision, flat in hooks.collected:
                 usage.add(layer, decision)
-                if capture_embeddings and layer not in captured:
-                    captured[layer] = (flat, decision)
+                captured.setdefault(layer, (flat, decision))
     per_task = {task: correct[task] / totals[task] for task in sorted(totals)}
     overall = sum(correct.values()) / sum(totals.values())
     out = {"per_task_accuracy": per_task, "overall_accuracy": overall}
-    if capture_embeddings:
+    if usage is not None:
         out["embeddings"] = captured
     return out
 
@@ -246,52 +245,43 @@ def run_pipeline(
         bank.train()
     metrics: list[dict] = []
     order_rng = np.random.default_rng(_derive(seed, 6))
+    accum = cfg.train.grad_accum
     step = 0
     for _epoch in range(cfg.train.epochs):
         epoch_order = order_rng.permutation(len(batches))
-        micro = 0
-        step_loss = 0.0
-        step_decisions: list[tuple[int, RoutingDecision, np.ndarray]] = []
-        for bi in epoch_order:
-            tokens, labels, tasks = batch_arrays(train_ds, batches[bi])
-            if bank is not None:
-                bank.begin_step(_derive(seed, 7, step * 10000 + micro))
-            if hooks is not None:
-                hooks.set_batch(_task_expert_row(cfg, tasks))
-            with tz.Tape():
-                try:
-                    final = backbone.final_states(tokens, hooks)
-                    loss = tz.cross_entropy(head.logits(final), labels)
-                    scaled = tz.mul(loss, 1.0 / cfg.train.grad_accum)
-                    tz.backward(scaled)
-                except FloatingPointError as err:
-                    raise RuntimeError(f"training diverged at step {step}: {err}") from err
-            step_loss += float(scaled.data)
-            if states:
-                step_decisions.extend(hooks.collected)
-            micro += 1
-            if micro == cfg.train.grad_accum or bi == epoch_order[-1]:
-                opt.lr = lr_at_step(step, total_steps, cfg.train.lr, cfg.train.warmup_ratio)
-                opt.step()
-                opt.zero_grad()
-                fired = _apply_ema(states, step_decisions, step)
-                row = {"step": step, "loss": step_loss, "lr": opt.lr, "ema_fired": fired}
-                if step_decisions:
-                    row["usage"] = _step_usage(step_decisions)
-                metrics.append(row)
-                step += 1
-                micro = 0
-                step_loss = 0.0
-                step_decisions = []
+        for start in range(0, len(epoch_order), accum):  # one optimizer step per chunk
+            step_loss = 0.0
+            step_decisions: list[tuple[int, RoutingDecision, np.ndarray]] = []
+            for micro, bi in enumerate(epoch_order[start:start + accum]):
+                tokens, labels, tasks = batch_arrays(train_ds, batches[bi])
+                if bank is not None:
+                    bank.begin_step(_derive(seed, 7, step * 10000 + micro))
+                if hooks is not None:
+                    hooks.set_batch(_task_expert_row(cfg, tasks))
+                with tz.Tape():
+                    try:
+                        final = backbone.final_states(tokens, hooks)
+                        loss = tz.cross_entropy(head.logits(final), labels)
+                        scaled = tz.mul(loss, 1.0 / accum)
+                        tz.backward(scaled)
+                    except FloatingPointError as err:
+                        raise RuntimeError(f"training diverged at step {step}: {err}") from err
+                step_loss += float(scaled.data)
+                if states:
+                    step_decisions.extend(hooks.collected)
+            opt.lr = lr_at_step(step, total_steps, cfg.train.lr, cfg.train.warmup_ratio)
+            opt.step()
+            opt.zero_grad()
+            fired = _apply_ema(states, step_decisions, step)
+            row = {"step": step, "loss": step_loss, "lr": opt.lr, "ema_fired": fired}
+            if step_decisions:
+                row["usage"] = _step_usage(step_decisions)
+            metrics.append(row)
+            step += 1
 
     if bank is not None:
         bank.eval()
-    history.final = UsageRecorder()
-    result = evaluate(
-        cfg, backbone, hooks, head, val_ds,
-        usage=history.final if states else None,
-        capture_embeddings=bool(states),
-    )
+    result = evaluate(cfg, backbone, hooks, head, val_ds, usage=history.final if states else None)
 
     report = {
         "config_hash": config_hash(cfg),
@@ -324,7 +314,7 @@ def run_pipeline(
                 save_router(staged / "router", states)
             if stats is not None:
                 write_usage_csv(stats, staged / "usage.csv")
-            if "embeddings" in result and result["embeddings"]:
+            if result.get("embeddings"):
                 export_embeddings(staged / "embeddings.csv", result["embeddings"])
 
     report["metrics"] = metrics
@@ -484,13 +474,6 @@ def _parse_projection_list(value) -> list[str]:
     return [str(v) for v in value]
 
 
-def _backbone_key(cfg: ExperimentConfig, seed: int) -> str:
-    """Everything `prepare_world` reads: the model, pretrain and data
-    sections plus the seed."""
-    raw = cfg.to_dict()
-    return json.dumps([raw["model"], raw["pretrain"], raw["data"], seed], sort_keys=True)
-
-
 def _ablate_one(payload: tuple) -> dict:
     cfg, axis, value, seed, (backbone, train_ds, val_ds) = payload
     run = run_pipeline(cfg, seed, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
@@ -508,23 +491,18 @@ def _ablate_one(payload: tuple) -> dict:
 def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | None = None) -> list[dict]:
     """Sweep one knob over `values` x `seeds`; MJLAB_THREADS>1 parallelizes.
 
-    Runs with the same seed and the same model, pretrain and data sections
-    share one pretrained backbone and one pair of datasets. No axis touches
-    those sections, so a sweep pretrains once per seed, not once per value.
+    No axis touches the model, pretrain or data sections, so every run of a
+    seed shares that seed's world: one pretrained backbone and one pair of
+    datasets, built once per seed, not once per value.
     """
     seeds = seeds if seeds is not None else cfg.seeds
-    runs = [(apply_axis(cfg, axis, value), value, seed) for value in values for seed in seeds]
-    jobs: dict[str, tuple] = {}
-    for run_cfg, _, seed in runs:
-        jobs.setdefault(_backbone_key(run_cfg, seed), (run_cfg, seed))
+    runs = [(apply_axis(cfg, axis, value), value) for value in values]
+    unique_seeds = list(dict.fromkeys(seeds))
     workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            worlds = dict(zip(jobs, pool.map(prepare_world, *zip(*jobs.values()))))
-            payloads = [(c, axis, v, s, worlds[_backbone_key(c, s)]) for c, v, s in runs]
-            return list(pool.map(_ablate_one, payloads))
-    worlds = {key: prepare_world(*job) for key, job in jobs.items()}
-    return [_ablate_one((c, axis, v, s, worlds[_backbone_key(c, s)])) for c, v, s in runs]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run_all = map if pool is None else pool.map
+        worlds = dict(zip(unique_seeds, run_all(prepare_world, [cfg] * len(unique_seeds), unique_seeds)))
+        return list(run_all(_ablate_one, [(c, axis, v, s, worlds[s]) for c, v in runs for s in seeds]))
 
 
 def write_ablation_csv(rows: list[dict], path) -> None:

@@ -1,11 +1,18 @@
+import contextlib
+import copy
 import csv
+import dataclasses
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mjlab.cli import _parse_values, main
 from mjlab.config import ConfigError, ExperimentConfig, config_hash
@@ -112,6 +119,111 @@ class TestRoutingConfigFailsFast:
         raw["data"]["tasks"] = [dict(t, task_id=0) for t in raw["data"]["tasks"]]
         code, err = self._train_exit(tmp_path, raw, capsys)
         assert code == 1 and "duplicate task_id" in err
+
+
+TASK_0, TASK_1 = SMALL_RAW["data"]["tasks"]
+# Per field of SMALL_RAW's config, values that make it invalid: out of range,
+# of the wrong kind, or inconsistent with another section.
+INVALID_VALUES = {
+    ("method",): ["lora", "", 3],
+    ("seeds",): [[], [1.5], ["0"]],
+    ("out",): [7],
+    ("model", "d_model"): [0, -16, 15, 2.5, "16"],
+    ("model", "d_ff"): [0],
+    ("model", "n_layers"): [0, 1.0],
+    ("model", "n_heads"): [0, 3],
+    ("model", "vocab_size"): [0, 16],  # the tasks' markers go up to 22
+    ("model", "max_seq_len"): [0, 8],  # the tasks' sequences go up to 16
+    ("adapter", "variant"): ["dora", None],
+    ("adapter", "r"): [0, "2"],
+    ("adapter", "alpha"): [0.0, -1.0],
+    ("adapter", "dropout"): [1.0, -0.1],
+    ("moe", "n_experts"): [0],
+    ("moe", "top_k"): [0, 5],
+    ("moe", "r"): [0],
+    ("moe", "alpha"): [0.0],
+    ("moe", "dropout"): [1.0],
+    ("router", "tau"): [0.0, -1.0, "1", None],
+    ("router", "top_k"): [0, 4],
+    ("router", "beta"): [-0.1, 1.5],
+    ("router", "update_every"): [0, True],
+    ("router", "stop_frac"): [-0.1, 1.1],
+    ("router", "similarity"): ["manhattan"],
+    ("router", "granularity"): ["batch"],
+    ("router", "routed"): [[], ["qq"]],
+    ("router", "shared"): [["q"], ["zz"]],
+    ("router", "permutation"): [[0, 0, 1], [0, 1], [0, 1, 3], [0, 1, 2.0]],
+    ("router", "routed_layers"): [[2], [-1], [], [0.5]],
+    ("router", "kmeans_samples"): [0],
+    ("router", "kmeans_iters"): [0],
+    ("router", "task_experts"): [[0], [0, 3], [0.0, 1.0]],
+    ("train", "lr"): [-1.0],
+    ("train", "warmup_ratio"): [1.0, -0.1],
+    ("train", "epochs"): [0, 2.5],
+    ("train", "batch_size"): [0],
+    ("train", "grad_accum"): [0],
+    ("train", "weight_decay"): [-0.1],
+    ("pretrain", "steps"): [-1],
+    ("pretrain", "lr"): [0.0],
+    ("pretrain", "holdout_fraction"): [-0.5, 1.0],
+    ("data", "n_per_task"): [0],
+    ("data", "n_val_per_task"): [0],
+    ("data", "seed"): ["1"],
+    ("data", "tasks"): [[], {"task_id": 0}, [{"task_id": 0}], [dict(TASK_0, markers=[16.5, 17, 18])],
+                        [TASK_0, dict(TASK_1, markers=[18, 21, 22])]],  # marker 18 in both tasks
+    ("router",): ["x", None],
+}
+SECTION_FIELDS = {None: {f.name for f in dataclasses.fields(ExperimentConfig)}}
+SECTION_FIELDS.update({f.name: {g.name for g in dataclasses.fields(f.default_factory)}
+                       for f in dataclasses.fields(ExperimentConfig) if dataclasses.is_dataclass(f.default_factory)})
+
+
+def with_invalid_value(path, value) -> dict:
+    raw = copy.deepcopy(SMALL_RAW)
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return raw
+
+
+@st.composite
+def invalid_configs(draw) -> dict:
+    """SMALL_RAW with one field set to an invalid value, or one unknown key added."""
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(sorted(INVALID_VALUES)))
+        return with_invalid_value(path, draw(st.sampled_from(INVALID_VALUES[path])))
+    section = draw(st.sampled_from(list(SECTION_FIELDS)))
+    key = draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+               .filter(lambda k: k not in SECTION_FIELDS[section]))
+    path = (key,) if section is None else (section, key)
+    return with_invalid_value(path, draw(st.integers(-5, 5)))
+
+
+class TestInvalidConfigProperty:
+    def test_every_table_value_is_rejected(self):
+        for path, values in INVALID_VALUES.items():
+            for value in values:
+                with pytest.raises(ConfigError):
+                    ExperimentConfig.from_dict(with_invalid_value(path, value))
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=invalid_configs())
+    def test_train_exits_1_before_compute(self, raw):
+        import mjlab.train as train
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pretrained a backbone")
+
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch, \
+                contextlib.redirect_stderr(err):
+            patch.setattr(train, "prepare_backbone", refuse)
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(json.dumps(raw))
+            assert main(["train", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+            assert not out.exists()
+        assert err.getvalue().startswith("error:")
 
 
 class TestDumpConfig:
@@ -246,6 +358,25 @@ class TestRunDirectories:
             {layer: meta["stop_step"] for layer, meta in trained.items()}
         assert initial["0"]["stop_step"] == int(round(0.6 * report["steps"]))
         assert initial == trained
+
+    def test_init_centers_rejects_a_backbone_of_another_model(self, tmp_path, capsys, monkeypatch):
+        narrow, wide = tmp_path / "narrow.json", tmp_path / "wide.json"
+        narrow.write_text(json.dumps(small_raw(pretrain={"steps": 2})))
+        wide.write_text(json.dumps(small_raw(model={"d_model": 24})))
+        out = tmp_path / "stages"
+        assert main(["pretrain", "--config", str(narrow), "--out", str(out), "--quiet"]) == 0
+        import mjlab.train as train
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran k-means")
+
+        monkeypatch.setattr(train, "kmeans_init", refuse)
+        _no_pretraining(monkeypatch)
+        assert main(["init-centers", "--config", str(wide), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / "backbone") in err
+        assert "d_model=16" in err and "d_model=24" in err
+        assert not (out / "router").exists()
 
 
 class TestAblateValues:

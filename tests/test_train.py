@@ -9,11 +9,13 @@ from mjlab.config import ExperimentConfig
 from mjlab.data import generate, pretraining_corpus
 from mjlab.optim import AdamW, lr_at_step
 from mjlab.train import (
+    ABLATION_AXES,
     _derive,
     ablate,
     apply_axis,
     build_method,
     make_datasets,
+    optimizer_steps,
     prepare_backbone,
     run_pipeline,
     shared_vs_specific,
@@ -110,6 +112,17 @@ class TestPipeline:
         opt.step()
         for name, t in bank.named_tensors().items():
             assert np.array_equal(t.data, run["bank"].named_tensors()[name].data)
+
+    @pytest.mark.parametrize("grad_accum", [1, 2, 1000])
+    def test_one_metrics_row_per_optimizer_step(self, small_world, grad_accum):
+        from mjlab.data import length_buckets
+
+        backbone, train_ds, val_ds = small_world
+        cfg = small_config(method="peft", train={"epochs": 2, "batch_size": 8, "grad_accum": grad_accum})
+        assert 1000 > len(length_buckets(train_ds, 8)) > 2  # 1000: one step takes a whole epoch
+        run = run_pipeline(cfg, 1, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
+        assert len(run["metrics"]) == run["steps"] == optimizer_steps(cfg, train_ds)
+        assert [row["step"] for row in run["metrics"]] == list(range(run["steps"]))
 
     def test_optimizer_never_touches_backbone_or_centers(self, small_world):
         backbone, train_ds, val_ds = small_world
@@ -338,6 +351,17 @@ class TestAblate:
         monkeypatch.setenv("MJLAB_THREADS", "2")
         parallel = ablate(cfg, "beta", [0.2, 0.9], seeds=[0, 1])
         assert json.dumps(parallel) == json.dumps(sequential)
+
+    def test_no_axis_touches_what_a_world_is_built_from(self, small_cfg):
+        # ablate builds one world per seed from the base config's model, pretrain and data sections
+        representative = {"similarity": "l1", "tau": 0.5, "beta": 0.9, "topk": 1, "update_every": 3,
+                          "stop_frac": 0.3, "kmeans_samples": 100, "rank": 4, "shared": "up",
+                          "routed": "k,up,down", "permutation": [2, 0, 1], "routed_layers": 1}
+        assert set(representative) == set(ABLATION_AXES)
+        for axis, value in representative.items():
+            swept = apply_axis(small_cfg, axis, value)
+            for section in ("model", "pretrain", "data"):
+                assert getattr(swept, section) == getattr(small_cfg, section), (axis, section)
 
     def test_axis_setters(self, small_cfg):
         assert apply_axis(small_cfg, "similarity", "l1").router.similarity == "l1"
