@@ -9,6 +9,7 @@ probe, report. Everything reads one JSON config (--config), honors --seed and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,7 +29,6 @@ from .train import (
     optimizer_steps,
     prepare_backbone,
     prepare_world,
-    replace_config,
     run_pipeline,
     shared_vs_specific,
     write_ablation_csv,
@@ -44,9 +44,9 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         cfg = ExperimentConfig.from_json(path.read_text())
     if args.seed is not None:
-        cfg = replace_config(cfg, seeds=[args.seed])
+        cfg = dataclasses.replace(cfg, seeds=[args.seed])
     if args.out is not None:
-        cfg = replace_config(cfg, out=str(args.out))
+        cfg = dataclasses.replace(cfg, out=str(args.out))
     return cfg
 
 

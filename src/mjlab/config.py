@@ -2,7 +2,9 @@
 
 Unknown keys are rejected everywhere so a config file cannot silently
 misspell a knob, and `to_dict` emits the fully-defaulted effective config so
-a dumped file reproduces the run exactly.
+a dumped file reproduces the run exactly. `ExperimentConfig` runs one check
+(`_check_fields`) however it is built: from JSON, by its constructor or by
+`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class DataSection:
             raise ConfigError("data.n_*_per_task must be >= 1")
         if self.tasks == []:
             raise ConfigError("data.tasks must not be empty")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, not {self.seed}")
 
     def task_specs(self) -> list[TaskSpec]:
         if self.tasks is None:
@@ -150,10 +154,13 @@ class ExperimentConfig:
     out: str = "runs"
 
     def __post_init__(self):
+        _check_fields(type(self), dataclasses.asdict(self), "config")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, not {self.seeds}")
         specs = self.data.task_specs()  # validates task definitions
         task_ids = [spec.task_id for spec in specs]
         top_symbol = max(max(spec.markers + (spec.filler_hi,)) for spec in specs)
@@ -188,21 +195,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_fields(cls, raw, "config")
+        _check_fields(cls, raw, "config")  # names a mistyped field before a range check trips on it
         sections = {f.name: f.default_factory for f in dataclasses.fields(cls)
                     if dataclasses.is_dataclass(f.default_factory)}
-        kwargs = {}
-        for key, value in raw.items():
-            if key in sections:
-                _check_fields(sections[key], value, f"config.{key}")
-                try:
-                    kwargs[key] = sections[key](**value)
-                except ValueError as err:
-                    raise ConfigError(str(err)) from err
-            else:
-                kwargs[key] = value
         try:
-            return cls(**kwargs)
+            return cls(**{key: sections[key](**value) if key in sections else value for key, value in raw.items()})
         except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
 
@@ -216,7 +213,7 @@ class ExperimentConfig:
 
 def _check_fields(cls, raw: dict, path: str) -> None:
     """Reject keys `cls` does not declare, and values that do not fit their
-    field's annotation."""
+    field's annotation, in `raw` and in each section dict it holds."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
@@ -226,6 +223,8 @@ def _check_fields(cls, raw: dict, path: str) -> None:
         if not _fits(value, hint):
             raise ConfigError(f"{path}.{key} must be {hint.__name__ if isinstance(hint, type) else hint}, "
                               f"not {value!r}")
+        if dataclasses.is_dataclass(hint):
+            _check_fields(hint, value, f"{path}.{key}")
 
 
 def _fits(value, hint) -> bool:

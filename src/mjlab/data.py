@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -107,36 +106,6 @@ class Dataset:
             for ex in self.examples:
                 record = {"tokens": [int(t) for t in ex.tokens], "label": ex.label, "task": ex.task}
                 fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, path, specs: list[TaskSpec]) -> "Dataset":
-        examples = []
-        for line in Path(path).read_text().splitlines():
-            rec = json.loads(line)
-            examples.append(
-                Example(tokens=np.asarray(rec["tokens"], dtype=np.int64), label=rec["label"], task=rec["task"])
-            )
-        return cls(examples=examples, specs=specs)
-
-
-def evaluate_rule(spec: TaskSpec, tokens: np.ndarray) -> int:
-    """Label of a token sequence under the task's rule.
-
-    majority: class of the most frequent marker (lowest class wins ties);
-    last_marker: class of the final marker occurrence; count_threshold:
-    whether markers[0] occurs at least `threshold` times.
-    """
-    tokens = np.asarray(tokens)
-    if spec.rule == "majority":
-        counts = [(tokens == m).sum() for m in spec.markers]
-        return int(np.argmax(counts))
-    if spec.rule == "last_marker":
-        marker_pos = [(tokens == m).nonzero()[0] for m in spec.markers]
-        last = [(pos[-1] if len(pos) else -1) for pos in marker_pos]
-        if max(last) < 0:
-            raise ValueError("sequence contains no marker")
-        return int(np.argmax(last))
-    return int((tokens == spec.markers[0]).sum() >= spec.threshold)
 
 
 def _gen_sequence(spec: TaskSpec, label: int, rng: np.random.Generator, vocab: int) -> np.ndarray:

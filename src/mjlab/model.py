@@ -32,7 +32,6 @@ class ProjectionId(enum.IntEnum):
 
 
 PROJECTIONS: tuple[ProjectionId, ...] = tuple(ProjectionId)
-ATTN_PROJECTIONS = (ProjectionId.q, ProjectionId.k, ProjectionId.v, ProjectionId.o)
 
 
 @dataclass

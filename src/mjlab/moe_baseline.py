@@ -103,11 +103,6 @@ def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gat
     return out
 
 
-def moe_forward(bank: MoEAdapterBank, layer: int, proj: ProjectionId, h: Tensor) -> Tensor:
-    """Single-site MoE contribution with gates computed from the same input."""
-    return moe_mix(bank, layer, proj, h, moe_gates(bank, layer, h))
-
-
 class MoEHooks:
     """Forward hooks: per-block gates from the block input, experts on x."""
 

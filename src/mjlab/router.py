@@ -18,7 +18,7 @@ granularity), and usage fractions sum to k.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,9 +98,6 @@ class RouterState(RoutingRules):
 
     def permuted_centers(self) -> np.ndarray:
         return self.centers[np.asarray(self.permutation)]
-
-    def with_permutation(self, permutation) -> "RouterState":
-        return replace(self, permutation=tuple(permutation))
 
 
 @dataclass

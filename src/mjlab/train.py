@@ -14,6 +14,7 @@ import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,19 +38,19 @@ from .router import (
     write_usage_csv,
 )
 from .optim import AdamW, lr_at_step
-from .config import ConfigError, ExperimentConfig, config_hash
+from .config import ConfigError, ExperimentConfig, RouterSection, _check_fields, config_hash
 from .data import Dataset, generate, length_buckets, batch_arrays, pretraining_corpus, sample_init_tokens
 
-# ablation axes that set one scalar: axis -> (config section, key, type)
+# ablation axes that set one scalar: axis -> (config section, key)
 SCALAR_AXES = {
-    "similarity": ("router", "similarity", str),
-    "tau": ("router", "tau", float),
-    "beta": ("router", "beta", float),
-    "topk": ("router", "top_k", int),
-    "update_every": ("router", "update_every", int),
-    "stop_frac": ("router", "stop_frac", float),
-    "kmeans_samples": ("router", "kmeans_samples", int),
-    "rank": ("adapter", "r", int),
+    "similarity": ("router", "similarity"),
+    "tau": ("router", "tau"),
+    "beta": ("router", "beta"),
+    "topk": ("router", "top_k"),
+    "update_every": ("router", "update_every"),
+    "stop_frac": ("router", "stop_frac"),
+    "kmeans_samples": ("router", "kmeans_samples"),
+    "rank": ("adapter", "r"),
 }
 ABLATION_AXES = (*SCALAR_AXES, "shared", "routed", "permutation", "routed_layers")
 
@@ -388,11 +389,9 @@ def shared_vs_specific(cfg: ExperimentConfig, seeds: list[int] | None = None) ->
         raise ConfigError(
             f"adapter budget not divisible across tasks: rank {cfg.adapter.r}, {n_tasks} tasks"
         )
-    shared_cfg = replace_config(cfg, method="peft")
-    raw = shared_cfg.to_dict()
-    raw["adapter"]["r"] = cfg.adapter.r // n_tasks
-    raw["train"]["epochs"] = cfg.train.epochs * n_tasks
-    specific_cfg = ExperimentConfig.from_dict(raw)
+    shared_cfg = replace(cfg, method="peft")
+    specific_cfg = replace(shared_cfg, adapter=replace(cfg.adapter, r=cfg.adapter.r // n_tasks),
+                           train=replace(cfg.train, epochs=cfg.train.epochs * n_tasks))
     rows = []
     for seed in seeds:
         backbone, train_ds, val_ds = prepare_world(cfg, seed)
@@ -425,53 +424,34 @@ def shared_vs_specific(cfg: ExperimentConfig, seeds: list[int] | None = None) ->
     return table
 
 
-def replace_config(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Rebuild a config with top-level fields swapped (revalidates)."""
-    raw = cfg.to_dict()
-    raw.update(kwargs)
-    return ExperimentConfig.from_dict(raw)
-
-
 def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """New config with one ablation knob set."""
+    """New config with one ablation knob set to `value` as given, judged by
+    the config's own checks."""
     if axis not in ABLATION_AXES:
         raise ConfigError(f"unknown ablation axis {axis!r}; known: {ABLATION_AXES}")
     raw = cfg.to_dict()
     router = raw["router"]
-    if axis in SCALAR_AXES:
-        section, key, kind = SCALAR_AXES[axis]
-        try:
-            raw[section][key] = kind(value)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"ablation axis {axis!r} takes one {kind.__name__} per value, not {value!r}") from err
-    elif axis == "routed_layers" and isinstance(value, int):
-        router["routed_layers"] = list(range(value))
-    elif axis in ("permutation", "routed_layers"):
-        try:
-            router[axis] = [int(v) for v in value]
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"ablation axis {axis!r} takes a list of integers per value "
-                              f"(separate values with ';'), not {value!r}") from err
-    elif axis == "shared":
-        shared = _parse_projection_list(value)
-        targeted = set(router["routed"]) | set(router["shared"])
-        router["shared"] = shared
-        router["routed"] = sorted(targeted - set(shared))
-        router["top_k"] = min(router["top_k"], len(router["routed"]))
-    elif axis == "routed":
-        routed = _parse_projection_list(value)
-        router["routed"] = routed
-        router["shared"] = sorted(set(router["shared"]) - set(routed))
-        router["top_k"] = min(router["top_k"], len(routed))
-    if router.get("permutation") is not None and axis in ("shared", "routed"):
-        router["permutation"] = None
-    return ExperimentConfig.from_dict(raw)
-
-
-def _parse_projection_list(value) -> list[str]:
-    if isinstance(value, str):
-        return [v for v in value.split(",") if v]
-    return [str(v) for v in value]
+    try:
+        if axis in SCALAR_AXES:
+            section, key = SCALAR_AXES[axis]
+            raw[section][key] = value
+        elif axis == "routed_layers" and isinstance(value, int) and not isinstance(value, bool):
+            router["routed_layers"] = list(range(value))  # a count: the first `value` layers
+        elif axis in ("permutation", "routed_layers"):
+            router[axis] = value
+        else:  # "shared" or "routed": move the named projections to that group
+            names = [v for v in value.split(",") if v] if isinstance(value, str) else value
+            _check_fields(RouterSection, {axis: names}, "config.router")  # before the names are used
+            if axis == "shared":
+                router["routed"] = sorted((set(router["routed"]) | set(router["shared"])) - set(names))
+            else:
+                router["shared"] = sorted(set(router["shared"]) - set(names))
+            router[axis] = names
+            router["top_k"] = min(router["top_k"], len(router["routed"]))
+            router["permutation"] = None
+        return ExperimentConfig.from_dict(raw)
+    except ConfigError as err:
+        raise ConfigError(f"ablation axis {axis!r}: {err}") from err
 
 
 def _ablate_one(payload: tuple) -> dict:

@@ -5,6 +5,7 @@ every check also enforces its stated runtime budget.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_criterion_03_routing_invariants():
                 again = route(state, h)
                 assert np.array_equal(dec.selected, again.selected)
                 # permutation equivariance
-                shuffled = route(state.with_permutation(perm), h)
+                shuffled = route(replace(state, permutation=perm), h)
                 assert np.array_equal(shuffled.z, dec.z[:, np.asarray(perm)])
                 assert np.array_equal(shuffled.selected, np.sort(inverse[dec.selected], axis=1))
                 if similarity == "cosine":

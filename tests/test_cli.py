@@ -126,7 +126,7 @@ TASK_0, TASK_1 = SMALL_RAW["data"]["tasks"]
 # of the wrong kind, or inconsistent with another section.
 INVALID_VALUES = {
     ("method",): ["lora", "", 3],
-    ("seeds",): [[], [1.5], ["0"]],
+    ("seeds",): [[], [1.5], ["0"], [-1]],
     ("out",): [7],
     ("model", "d_model"): [0, -16, 15, 2.5, "16"],
     ("model", "d_ff"): [0],
@@ -168,14 +168,22 @@ INVALID_VALUES = {
     ("pretrain", "holdout_fraction"): [-0.5, 1.0],
     ("data", "n_per_task"): [0],
     ("data", "n_val_per_task"): [0],
-    ("data", "seed"): ["1"],
+    ("data", "seed"): ["1", -1],
     ("data", "tasks"): [[], {"task_id": 0}, [{"task_id": 0}], [dict(TASK_0, markers=[16.5, 17, 18])],
                         [TASK_0, dict(TASK_1, markers=[18, 21, 22])]],  # marker 18 in both tasks
     ("router",): ["x", None],
 }
+SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)
+            if dataclasses.is_dataclass(f.default_factory)}
 SECTION_FIELDS = {None: {f.name for f in dataclasses.fields(ExperimentConfig)}}
-SECTION_FIELDS.update({f.name: {g.name for g in dataclasses.fields(f.default_factory)}
-                       for f in dataclasses.fields(ExperimentConfig) if dataclasses.is_dataclass(f.default_factory)})
+SECTION_FIELDS.update({name: {f.name for f in dataclasses.fields(section)} for name, section in SECTIONS.items()})
+
+
+def construct(raw: dict) -> ExperimentConfig:
+    """Build `raw` in Python: each section through its own constructor, then
+    ExperimentConfig(...), with no from_dict in between."""
+    return ExperimentConfig(**{key: SECTIONS[key](**value) if key in SECTIONS and isinstance(value, dict) else value
+                               for key, value in raw.items()})
 
 
 def with_invalid_value(path, value) -> dict:
@@ -206,6 +214,15 @@ class TestInvalidConfigProperty:
             for value in values:
                 with pytest.raises(ConfigError):
                     ExperimentConfig.from_dict(with_invalid_value(path, value))
+
+    def test_every_table_value_is_rejected_at_construction(self):
+        assert construct(copy.deepcopy(SMALL_RAW)) == small_config()
+        for path, values in INVALID_VALUES.items():
+            for value in values:
+                with pytest.raises((ValueError, TypeError)):
+                    construct(with_invalid_value(path, value))
+        with pytest.raises(ConfigError, match="seeds"):
+            dataclasses.replace(small_config(), seeds=[1.5])
 
     @settings(max_examples=60, deadline=None)
     @given(raw=invalid_configs())
@@ -405,6 +422,11 @@ class TestAblateValues:
         ("beta", "0.2;0.9"),  # two lists
         ("rank", "x"),
         ("tau", "0,1;2"),
+        ("topk", "1.5"),  # a fraction for an integer field is not rounded
+        ("rank", "2.5"),
+        ("update_every", "2.5"),
+        ("permutation", "0,1,2.5;2,1,0"),
+        ("routed_layers", "0.5;1"),
     ])
     def test_malformed_values_exit_1_before_compute(self, axis, values, tmp_path, fast_config_path, capsys,
                                                     monkeypatch):

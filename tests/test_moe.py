@@ -7,11 +7,16 @@ import mjlab.tensor as tz
 from mjlab.tensor import Tensor
 from mjlab.adapters import Adapter, AdapterBank, AdapterConfig, count_trainable
 from mjlab.model import ModelConfig, ProjectionId
-from mjlab.moe_baseline import MoEAdapterBank, MoEConfig, MoEHooks, moe_forward, moe_gates
+from mjlab.moe_baseline import MoEAdapterBank, MoEConfig, MoEHooks, moe_gates, moe_mix
 
 from conftest import finite_difference_check
 
 QV = (ProjectionId.q, ProjectionId.v)
+
+
+def moe_forward(bank: MoEAdapterBank, layer: int, proj: ProjectionId, h: Tensor) -> Tensor:
+    """Single-site MoE contribution with gates computed from the same input."""
+    return moe_mix(bank, layer, proj, h, moe_gates(bank, layer, h))
 
 
 def square_cfg(d=8, layers=1):

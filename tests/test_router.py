@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,7 +121,7 @@ class TestRoute:
         rng = np.random.default_rng(8)
         state = make_state(rng.normal(size=(5, 8)), top_k=2)
         perm = (3, 0, 4, 1, 2)
-        permuted = state.with_permutation(perm)
+        permuted = replace(state, permutation=perm)
         h = rng.normal(size=(30, 8))
         base = route(state, h)
         shuffled = route(permuted, h)
