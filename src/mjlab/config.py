@@ -154,6 +154,10 @@ class ExperimentConfig:
     out: str = "runs"
 
     def __post_init__(self):
+        for key, section in _sections(type(self)).items():
+            value = getattr(self, key)
+            if not isinstance(value, section):  # a dict is a section's JSON form: from_dict builds it
+                raise ConfigError(f"config.{key} must be a {section.__name__}, not {type(value).__name__}")
         _check_fields(type(self), dataclasses.asdict(self), "config")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
@@ -196,8 +200,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _check_fields(cls, raw, "config")  # names a mistyped field before a range check trips on it
-        sections = {f.name: f.default_factory for f in dataclasses.fields(cls)
-                    if dataclasses.is_dataclass(f.default_factory)}
+        sections = _sections(cls)
         try:
             return cls(**{key: sections[key](**value) if key in sections else value for key, value in raw.items()})
         except (TypeError, ValueError) as err:
@@ -209,6 +212,12 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(raw)
+
+
+def _sections(cls) -> dict[str, type]:
+    """{field name: section class} of the fields of `cls` that are sections."""
+    return {f.name: f.default_factory for f in dataclasses.fields(cls)
+            if dataclasses.is_dataclass(f.default_factory)}
 
 
 def _check_fields(cls, raw: dict, path: str) -> None:

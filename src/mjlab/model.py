@@ -150,34 +150,15 @@ class Backbone:
     # -- forward ----------------------------------------------------------------
 
     def _project(self, layer: int, proj: ProjectionId, x: Tensor, hooks) -> Tensor:
-        base = tz.matmul(x, tz.transpose(self.blocks[layer].w[proj]))
+        base = tz.linear(x, self.blocks[layer].w[proj])
         if hooks is not None:
             extra = hooks.contribution(layer, proj, x, base)
             if extra is not None:
                 base = tz.add(base, extra)
         return base
 
-    def _attention(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        b, t, d = q.shape
-        nh = self.cfg.n_heads
-        hd = d // nh
-        qh = tz.swapaxes(tz.reshape(q, (b, t, nh, hd)), 1, 2)
-        kh = tz.swapaxes(tz.reshape(k, (b, t, nh, hd)), 1, 2)
-        vh = tz.swapaxes(tz.reshape(v, (b, t, nh, hd)), 1, 2)
-        scores = tz.mul(tz.matmul(qh, tz.swapaxes(kh, -1, -2)), 1.0 / np.sqrt(hd))
-        mask = np.where(np.arange(t)[:, None] < np.arange(t)[None, :], -1e9, 0.0)
-        scores = tz.add(scores, Tensor(mask[None, None, :, :]))
-        att = tz.softmax(scores, axis=-1)
-        ctx = tz.matmul(att, vh)
-        return tz.reshape(tz.swapaxes(ctx, 1, 2), (b, t, d))
-
-    def forward(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> ForwardResult:
-        """Causal forward pass; returns all residual-stream states and logits.
-
-        hidden[l] is the representation entering block l (hidden[0] is the
-        embedding output, hidden[n_layers] the final block output), which is
-        what routing and probes consume.
-        """
+    def _run_blocks(self, tokens: np.ndarray, hooks: ForwardHooks | None) -> tuple[list[Tensor], Tensor]:
+        """(hidden, final) of a causal pass, stopping at the final LayerNorm."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError("tokens must be (batch, time)")
@@ -197,20 +178,29 @@ class Backbone:
             q = self._project(layer, ProjectionId.q, a, hooks)
             k = self._project(layer, ProjectionId.k, a, hooks)
             v = self._project(layer, ProjectionId.v, a, hooks)
-            attn = self._attention(q, k, v)
+            attn = tz.causal_attention(q, k, v, self.cfg.n_heads)
             x = tz.add(x, self._project(layer, ProjectionId.o, attn, hooks))
             f_in = tz.layer_norm(x, blk.ln2_g, blk.ln2_b)
             up = self._project(layer, ProjectionId.up, f_in, hooks)
             gate = self._project(layer, ProjectionId.gate, f_in, hooks)
-            x = tz.add(x, self._project(layer, ProjectionId.down, tz.mul(tz.silu(gate), up), hooks))
+            x = tz.add(x, self._project(layer, ProjectionId.down, tz.swiglu(gate, up), hooks))
             hidden.append(x)
-        final = tz.layer_norm(x, self.ln_f_g, self.ln_f_b)
-        logits = tz.matmul(final, tz.transpose(self.lm_head))
-        return ForwardResult(hidden=hidden, logits=logits, final=final)
+        return hidden, tz.layer_norm(x, self.ln_f_g, self.ln_f_b)
+
+    def forward(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> ForwardResult:
+        """Causal forward pass; returns all residual-stream states and logits.
+
+        hidden[l] is the representation entering block l (hidden[0] is the
+        embedding output, hidden[n_layers] the final block output), which is
+        what routing and probes consume.
+        """
+        hidden, final = self._run_blocks(tokens, hooks)
+        return ForwardResult(hidden=hidden, logits=tz.linear(final, self.lm_head), final=final)
 
     def final_states(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> Tensor:
-        """LayerNormed last-block output (B, T, d), the classifier-head input."""
-        return self.forward(tokens, hooks).final
+        """LayerNormed last-block output (B, T, d), the classifier-head input;
+        the same pass as `forward` without the `lm_head` logits."""
+        return self._run_blocks(tokens, hooks)[1]
 
     # -- checkpointing ------------------------------------------------------------
 

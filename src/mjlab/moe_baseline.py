@@ -86,7 +86,7 @@ def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
     trains by gradient descent.
     """
     r = bank.routers[layer]
-    g = tz.softmax(tz.matmul(h, tz.transpose(r)), axis=-1)
+    g = tz.softmax(tz.linear(h, r), axis=-1)
     mask, _ = topk_mask(g.data.reshape(-1, bank.cfg.n_experts), bank.cfg.top_k)
     kept = tz.mul(g, Tensor(mask.reshape(g.shape)))
     denom = tz.tsum(kept, axis=-1, keepdims=True)

@@ -165,7 +165,7 @@ def route(state: RouterState, h, task_expert=None) -> RoutingDecision:
 
     c = state.permuted_centers()
     if state.similarity == "cosine":
-        z = tz.matmul(tz.l2_normalize_rows(rows), tz.transpose(tz.l2_normalize_rows(c)))
+        z = tz.linear(tz.l2_normalize_rows(rows), tz.l2_normalize_rows(c))
     elif state.similarity == "dot":
         z = tz.matmul(rows, Tensor(c.T))
     elif state.similarity == "euclidean":

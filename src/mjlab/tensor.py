@@ -10,8 +10,19 @@ The pure rearrangements (`transpose`, `swapaxes`, `reshape`, `broadcast_to`,
 `select_index`) only move values that an earlier check already saw, so they
 skip it.
 
-Backward functions compute no gradient for an input with
+Backward contract: `backward` pops the tape's nodes in reverse order and
+takes each node's output gradient away from its tensor before using it, so an
+intermediate gradient and the node's closure are freed as soon as the node has
+run. Only leaves (parameters and user tensors that no node produced) keep a
+`.grad`. Backward functions compute no gradient for an input with
 requires_grad=False; they return None in its place.
+
+Replay contract of the fused ops (`linear`, `causal_attention`, `swiglu`,
+`lora_delta`): each is one tape node that runs, in order, the numpy calls of
+the chain of simpler ops it replaces, including each contiguous copy those ops
+make (a copy changes the memory layout a later matmul reads, and so its
+result), and keeps only the arrays its backward reads. Values and gradients
+are bitwise equal to the chain's; only the op named by a finite check differs.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ __all__ = [
     "mul",
     "div",
     "matmul",
+    "linear",
     "transpose",
     "swapaxes",
     "reshape",
@@ -43,6 +55,8 @@ __all__ = [
     "tmean",
     "softmax",
     "silu",
+    "swiglu",
+    "causal_attention",
     "layer_norm",
     "embedding",
     "cross_entropy",
@@ -163,11 +177,14 @@ def _make(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from `loss`.
+    """Populate .grad for every requires_grad leaf reachable from `loss`.
 
-    The loss must be a scalar produced on the active tape; the tape is
-    cleared afterwards. Gradients accumulate (+=) into existing buffers so
-    repeated calls realize gradient accumulation until zero_grad.
+    The loss must be a scalar produced on the active tape. Nodes are popped
+    in reverse order, and each output's gradient is taken off it as its node
+    runs, so intermediate gradients and node closures are freed on the way
+    and the tape is empty afterwards; only leaves keep their `.grad`.
+    Gradients accumulate (+=) into existing leaf buffers so repeated calls
+    realize gradient accumulation until zero_grad.
     """
     tape = _active_tape()
     if tape is None:
@@ -178,11 +195,14 @@ def backward(loss: Tensor) -> None:
         raise ValueError("loss is detached from the active tape")
 
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
         out = node.output
-        if out.grad is None:
+        g_out, out.grad = out.grad, None
+        if g_out is None:
             continue
-        grads = node.backward_fn(out.grad)
+        grads = node.backward_fn(g_out)
         for inp, g in zip(node.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
@@ -190,7 +210,6 @@ def backward(loss: Tensor) -> None:
                 inp.grad = np.ascontiguousarray(g, dtype=np.float64)
             else:
                 inp.grad = inp.grad + g
-    tape.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +306,31 @@ def transpose(a) -> Tensor:
     if a.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
     return _make("transpose", a.data.T, (a,), lambda g: (np.ascontiguousarray(g.T),), check=False)
+
+
+def linear(x, w) -> Tensor:
+    """x @ w^T as one tape node: the chain `matmul(x, transpose(w))`.
+
+    `x` is (..., d_in) and `w` is (d_out, d_in). w^T is copied on every call,
+    as `transpose` does, so a weight written after `freeze()` is read as it
+    is now. The backward gives dW only when `w` requires grad.
+    """
+    x, w = _wrap(x), _wrap(w)
+    if w.ndim != 2:
+        raise ValueError("linear expects a 2-D weight")
+    if x.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
+        raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}^T")
+    wt = _as_array(w.data.T)
+
+    def back(g):
+        gx = _unbroadcast(g @ np.swapaxes(wt, -1, -2), x.data.shape) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            g_wt = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, wt.shape)
+            gw = np.ascontiguousarray(g_wt.T)
+        return gx, gw
+
+    return _make("linear", x.data @ wt, (x, w), back)
 
 
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
@@ -398,6 +442,67 @@ def silu(a) -> Tensor:
         return (g * sig * (1.0 + a.data * (1.0 - sig)),)
 
     return _make("silu", out, (a,), back)
+
+
+def swiglu(gate, up) -> Tensor:
+    """silu(gate) * up as one tape node: the chain `mul(silu(gate), up)`."""
+    gate, up = _wrap(gate), _wrap(up)
+    sig = 1.0 / (1.0 + np.exp(-gate.data))
+    act = _as_array(gate.data * sig)
+
+    def back(g):
+        g_gate = g_up = None
+        if gate.requires_grad:
+            g_act = _unbroadcast(g * up.data, act.shape)
+            g_gate = g_act * sig * (1.0 + gate.data * (1.0 - sig))
+        if up.requires_grad:
+            g_up = _unbroadcast(g * act, up.data.shape)
+        return g_gate, g_up
+
+    return _make("swiglu", act * up.data, (gate, up), back)
+
+
+def causal_attention(q, k, v, n_heads: int) -> Tensor:
+    """Causal multi-head scaled dot-product attention as one tape node.
+
+    `q`, `k` and `v` are (B, T, d) with d divisible by `n_heads`. It replays
+    the chain: split heads (reshape, swapaxes), q k^T, scale by 1/sqrt(d/h),
+    add the -1e9 causal mask, softmax, attend to v, merge heads. The node keeps
+    only the head-split q, k^T and v and the attention weights, not the
+    score arrays. It checks the masked scores and the output.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    b, t, d = q.data.shape
+    hd = d // n_heads
+    heads = (b, t, n_heads, hd)
+    qh, kh, vh = (_as_array(np.swapaxes(a.data.reshape(heads), 1, 2)) for a in (q, k, v))
+    kt = _as_array(np.swapaxes(kh, -1, -2))
+    s = _as_array(1.0 / np.sqrt(hd))
+    mask = np.where(np.arange(t)[:, None] < np.arange(t)[None, :], -1e9, 0.0)
+    scores = _as_array(_as_array(qh @ kt) * s) + mask[None, None, :, :]
+    _check_finite(scores, "causal_attention")
+    att = _softmax_rows(scores, -1)
+    out = _as_array(np.swapaxes(_as_array(att @ vh), 1, 2)).reshape(b, t, d)
+
+    def back(g):
+        g_ctx = np.ascontiguousarray(np.swapaxes(np.ascontiguousarray(g.reshape(heads)), 1, 2))
+        gq = gk = gv = None
+        if v.requires_grad:
+            g_vh = np.swapaxes(att, -1, -2) @ g_ctx
+            gv = np.ascontiguousarray(np.swapaxes(g_vh, 1, 2)).reshape(v.data.shape)
+        if q.requires_grad or k.requires_grad:
+            g_att = g_ctx @ np.swapaxes(vh, -1, -2)
+            dot = (g_att * att).sum(axis=-1, keepdims=True)
+            g_scores = att * (g_att - dot) * s
+            if q.requires_grad:
+                g_qh = g_scores @ np.swapaxes(kt, -1, -2)
+                gq = np.ascontiguousarray(np.swapaxes(g_qh, 1, 2)).reshape(q.data.shape)
+            if k.requires_grad:
+                g_kh = np.ascontiguousarray(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2))
+                gk = np.ascontiguousarray(np.swapaxes(g_kh, 1, 2)).reshape(k.data.shape)
+        return gq, gk, gv
+
+    return _make("causal_attention", out, (q, k, v), back)
 
 
 def layer_norm(a, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

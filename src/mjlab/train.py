@@ -112,7 +112,7 @@ class ClassifierHead:
     def logits(self, final_states: Tensor) -> Tensor:
         b, t, d = final_states.shape
         last = tz.reshape(tz.select_index(final_states, 1, t - 1), (b, d))
-        return tz.add(tz.matmul(last, tz.transpose(self.w)), self.b)
+        return tz.add(tz.linear(last, self.w), self.b)
 
     def trainable_tensors(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -436,6 +436,8 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
             section, key = SCALAR_AXES[axis]
             raw[section][key] = value
         elif axis == "routed_layers" and isinstance(value, int) and not isinstance(value, bool):
+            if value > cfg.model.n_layers:  # before range() builds a list of that size
+                raise ConfigError(f"count {value} exceeds model.n_layers {cfg.model.n_layers}")
             router["routed_layers"] = list(range(value))  # a count: the first `value` layers
         elif axis in ("permutation", "routed_layers"):
             router[axis] = value

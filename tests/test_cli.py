@@ -223,6 +223,8 @@ class TestInvalidConfigProperty:
                     construct(with_invalid_value(path, value))
         with pytest.raises(ConfigError, match="seeds"):
             dataclasses.replace(small_config(), seeds=[1.5])
+        with pytest.raises(ConfigError, match=r"config\.train"):
+            ExperimentConfig(train={"epochs": 2})  # a section's JSON form, not the section
 
     @settings(max_examples=60, deadline=None)
     @given(raw=invalid_configs())

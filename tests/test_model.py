@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,79 @@ class TestForward:
             return next_token_loss(model, toks)
 
         finite_difference_check(build, probe, rel_tol=1e-6)
+
+    def test_final_states_is_forward_final(self, tiny_cfg):
+        class HalfQ:
+            def begin_block(self, layer, h):
+                pass
+
+            def contribution(self, layer, proj, x, base):
+                return tz.mul(base, 0.5) if proj is ProjectionId.q else None
+
+        model = Backbone(tiny_cfg, seed=6)  # trainable, so every op is on the tape
+        toks = np.random.default_rng(1).integers(0, 16, size=(3, 7))
+        for hooks in (None, HalfQ()):
+            with tz.Tape() as tape:
+                full = model.forward(toks, hooks)
+                forward_nodes = len(tape.nodes)
+                tape.clear()
+                final = model.final_states(toks, hooks)
+                assert len(tape.nodes) == forward_nodes - 1  # no lm_head logits
+            assert np.array_equal(final.data, full.final.data)
+
+
+def retained_backward(loss, tape):
+    """Backward that keeps every intermediate `.grad` and node until the tape
+    is cleared: the reference for the leaf gradients of `tz.backward`."""
+    loss.grad = np.ones((), dtype=np.float64)
+    for node in reversed(tape.nodes):
+        if node.output.grad is None:
+            continue
+        for inp, g in zip(node.inputs, node.backward_fn(node.output.grad)):
+            if g is None or not inp.requires_grad:
+                continue
+            inp.grad = np.ascontiguousarray(g, dtype=np.float64) if inp.grad is None else inp.grad + g
+    tape.clear()
+
+
+class TestBackwardMemory:
+    def _step(self, model, toks, backward):
+        for t in model.parameters():
+            t.grad = None
+        weights = np.random.default_rng(2).normal(size=(*toks.shape, model.cfg.vocab_size))
+        with tz.Tape() as tape:
+            res = model.forward(toks)
+            loss = tz.tsum(tz.mul(res.logits, weights))
+            backward(loss, tape)
+            assert tape.nodes == []
+        return res, loss, {name: t.grad for name, t in model.named_parameters().items()}
+
+    def test_backward_frees_intermediates_and_keeps_leaf_gradients(self, tiny_cfg):
+        model = Backbone(tiny_cfg, seed=8)
+        toks = np.random.default_rng(3).integers(0, 16, size=(2, 6))
+        _, _, ref = self._step(model, toks, retained_backward)
+        res, loss, grads = self._step(model, toks, lambda loss, tape: tz.backward(loss))
+        for t in [*res.hidden, res.final, res.logits, loss]:
+            assert t.grad is None
+        assert set(grads) == set(ref)
+        for name in ref:
+            assert np.array_equal(grads[name], ref[name]), name
+
+    def test_backward_peak_is_bounded_by_the_tape(self):
+        cfg = ModelConfig()
+        model = Backbone(cfg, seed=0)
+        toks = np.random.default_rng(4).integers(0, cfg.vocab_size, size=(16, 24))
+        tracemalloc.start()
+        try:
+            with tz.Tape():
+                loss = next_token_loss(model, toks)
+                at_entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                tz.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * at_entry, (peak, at_entry)
 
 
 class TestFreezeAndPretrain:

@@ -305,6 +305,106 @@ class TestLoraDelta:
         assert np.array_equal(out.data, unfused_lora_delta(x, a, b, 1.0, 0.0, None).data)
 
 
+def unfused_linear(x, w):
+    """The two-node chain `linear` fuses; the bitwise reference."""
+    return tz.matmul(x, tz.transpose(w))
+
+
+def unfused_swiglu(gate, up):
+    """The two-node chain `swiglu` fuses; the bitwise reference."""
+    return tz.mul(tz.silu(gate), up)
+
+
+def unfused_causal_attention(q, k, v, n_heads):
+    """The 14-node chain `causal_attention` fuses; the bitwise reference."""
+    b, t, d = q.shape
+    hd = d // n_heads
+    qh = tz.swapaxes(tz.reshape(q, (b, t, n_heads, hd)), 1, 2)
+    kh = tz.swapaxes(tz.reshape(k, (b, t, n_heads, hd)), 1, 2)
+    vh = tz.swapaxes(tz.reshape(v, (b, t, n_heads, hd)), 1, 2)
+    scores = tz.mul(tz.matmul(qh, tz.swapaxes(kh, -1, -2)), 1.0 / np.sqrt(hd))
+    mask = np.where(np.arange(t)[:, None] < np.arange(t)[None, :], -1e9, 0.0)
+    scores = tz.add(scores, Tensor(mask[None, None, :, :]))
+    att = tz.softmax(scores, axis=-1)
+    ctx = tz.matmul(att, vh)
+    return tz.reshape(tz.swapaxes(ctx, 1, 2), (b, t, d))
+
+
+# op name -> (fused, unfused chain, input shapes, nodes in the chain)
+FUSED = {
+    "linear": (tz.linear, unfused_linear, {"x": (2, 5, 6), "w": (7, 6)}, 2),
+    "swiglu": (tz.swiglu, unfused_swiglu, {"gate": (3, 4, 5), "up": (3, 4, 5)}, 2),
+    "causal_attention": (lambda q, k, v: tz.causal_attention(q, k, v, 2),
+                         lambda q, k, v: unfused_causal_attention(q, k, v, 2),
+                         {"q": (2, 5, 6), "k": (2, 5, 6), "v": (2, 5, 6)}, 14),
+}
+TRAINABLE_MIXES = [
+    ("linear", ("x", "w")), ("linear", ("x",)), ("linear", ("w",)),
+    ("swiglu", ("gate", "up")), ("swiglu", ("gate",)), ("swiglu", ("up",)),
+    ("causal_attention", ("q", "k", "v")), ("causal_attention", ("v",)),
+    ("causal_attention", ("q", "k")), ("causal_attention", ("q",)), ("causal_attention", ("k",)),
+]
+
+
+class TestFusedOps:
+    """`linear`, `swiglu` and `causal_attention` against their unfused chains."""
+
+    @pytest.mark.parametrize("op", sorted(FUSED))
+    def test_finite_difference(self, op):
+        fused, _, shapes, _ = FUSED[op]
+        rng = np.random.default_rng(41)
+        ts = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes.values()]
+        w = rng.normal(size=fused(*ts).shape)
+
+        def build():
+            return tz.tsum(tz.mul(fused(*ts), w))
+
+        finite_difference_check(build, ts)
+
+    @pytest.mark.parametrize("op,trainable", TRAINABLE_MIXES)
+    def test_bitwise_equal_to_unfused_chain(self, op, trainable):
+        fused, chain, shapes, chain_nodes = FUSED[op]
+        rng = np.random.default_rng(42)
+        values = {k: rng.normal(size=s) for k, s in shapes.items()}
+
+        def run(fn):
+            ts = {k: Tensor(v.copy(), requires_grad=k in trainable) for k, v in values.items()}
+            with tz.Tape() as tape:
+                out = fn(*ts.values())
+                n_nodes = len(tape.nodes)
+                w = np.random.default_rng(43).normal(size=out.shape)
+                tz.backward(tz.tsum(tz.mul(out, w)))
+            return out.data, {k: t.grad for k, t in ts.items()}, n_nodes
+
+        out, grads, n_nodes = run(fused)
+        ref, ref_grads, ref_nodes = run(chain)
+        assert n_nodes == 1
+        if trainable == tuple(shapes):
+            assert ref_nodes == chain_nodes
+        assert np.array_equal(out, ref)
+        for k in values:
+            if k in trainable:
+                assert np.array_equal(grads[k], ref_grads[k]), k
+            else:
+                assert grads[k] is None and ref_grads[k] is None, k
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("op,position", [(op, i) for op in sorted(FUSED) for i in range(len(FUSED[op][2]))])
+    def test_non_finite_input_names_the_op(self, op, position):
+        fused, _, shapes, _ = FUSED[op]
+        rng = np.random.default_rng(44)
+        ts = [Tensor(rng.normal(size=s)) for s in shapes.values()]
+        ts[position].data[(0,) * ts[position].ndim] = np.inf
+        with pytest.raises(FloatingPointError, match=f"'{op}'"):
+            fused(*ts)
+
+    def test_linear_reads_the_weight_as_it_is_now(self):
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
+        assert np.array_equal(tz.linear(x, w).data, np.full((2, 4), 3.0))
+        w.data[:] = 2.0  # a write after freeze() must be seen: W^T is not cached
+        assert np.array_equal(tz.linear(x, w).data, np.full((2, 4), 6.0))
+
+
 class TestFrozenOperands:
     """Backward computes no gradient for a frozen operand and leaves the
     trainable ones bitwise as they were with every operand trainable."""

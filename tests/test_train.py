@@ -5,7 +5,7 @@ import pytest
 
 import mjlab.tensor as tz
 from mjlab.adapters import count_trainable
-from mjlab.config import ExperimentConfig
+from mjlab.config import ConfigError, ExperimentConfig
 from mjlab.data import generate, pretraining_corpus
 from mjlab.optim import AdamW, lr_at_step
 from mjlab.train import (
@@ -362,6 +362,11 @@ class TestAblate:
             swept = apply_axis(small_cfg, axis, value)
             for section in ("model", "pretrain", "data"):
                 assert getattr(swept, section) == getattr(small_cfg, section), (axis, section)
+
+    def test_routed_layers_count_above_n_layers_rejected_briefly(self, small_cfg):
+        with pytest.raises(ConfigError, match="routed_layers") as err:
+            apply_axis(small_cfg, "routed_layers", 10**5)
+        assert len(str(err.value)) < 300
 
     def test_axis_setters(self, small_cfg):
         assert apply_axis(small_cfg, "similarity", "l1").router.similarity == "l1"
