@@ -58,23 +58,24 @@ class Adapter:
         return {"s": self.s}
 
     def apply(self, h: Tensor, m, base: Tensor | None = None,
-              drop_rng: np.random.Generator | None = None) -> Tensor:
-        """m * delta(h). A scalar m == 0 short-circuits off the tape entirely."""
-        if isinstance(m, (int, float)) and m == 0:
-            shape = h.shape[:-1] + (self.d_out,)
-            return tz.zeros(shape)
+              drop_rng: np.random.Generator | None = None, column: int = 0) -> Tensor:
+        """m * delta(h) as one tape node.
+
+        `m` is 1, 0 or a (..., E) coefficient tensor whose last-axis `column`
+        gates this adapter. m == 0 short-circuits off the tape entirely.
+        """
+        if isinstance(m, (int, float)):
+            if m == 0:
+                return tz.zeros(h.shape[:-1] + (self.d_out,))
+            if m != 1:
+                raise ValueError(f"a scalar coefficient must be 0 or 1, got {m}")
+            m = None
         if self.cfg.variant in ("lora", "lorafa"):
-            delta = tz.lora_delta(h, self.a, self.b, self.cfg.alpha / self.cfg.r, self.cfg.dropout, drop_rng)
-        else:
-            if base is None:
-                raise ValueError("propulsion needs the frozen projection output")
-            x = base
-            if drop_rng is not None and self.cfg.dropout > 0.0:
-                x = tz.dropout(x, self.cfg.dropout, drop_rng)
-            delta = tz.mul(x, self.s)
-        if isinstance(m, (int, float)) and m == 1:
-            return delta
-        return tz.mul(delta, m)
+            return tz.lora_delta(h, self.a, self.b, self.cfg.alpha / self.cfg.r, self.cfg.dropout, drop_rng,
+                                 gate=m, column=column)
+        if base is None:
+            raise ValueError("propulsion needs the frozen projection output")
+        return tz.propulsion_delta(base, self.s, self.cfg.dropout, drop_rng, gate=m, column=column)
 
 
 class BankCore:

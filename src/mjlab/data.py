@@ -233,7 +233,7 @@ def sample_init_tokens(dataset: Dataset, budget: int, seed: int, model) -> dict:
     feats = {layer: np.empty((budget, model.cfg.d_model)) for layer in range(model.cfg.n_layers)}
     for chunk in bucket_by_length(np.unique(seqs), lengths, 32):
         tokens = np.stack([dataset.examples[si].tokens for si in chunk])
-        hidden = model.forward(tokens).hidden
+        hidden = model.hidden_states(tokens, n_blocks=model.cfg.n_layers - 1)
         rows = np.flatnonzero(np.isin(seqs, chunk))
         batch_rows = np.searchsorted(chunk, seqs[rows])  # chunk is ascending
         for layer in feats:

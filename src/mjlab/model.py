@@ -157,8 +157,10 @@ class Backbone:
                 base = tz.add(base, extra)
         return base
 
-    def _run_blocks(self, tokens: np.ndarray, hooks: ForwardHooks | None) -> tuple[list[Tensor], Tensor]:
-        """(hidden, final) of a causal pass, stopping at the final LayerNorm."""
+    def _run_blocks(self, tokens: np.ndarray, hooks: ForwardHooks | None,
+                    n_blocks: int | None = None) -> list[Tensor]:
+        """Residual-stream states of a causal pass through the first
+        `n_blocks` blocks (all by default): hidden[l] is the input of block l."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError("tokens must be (batch, time)")
@@ -170,7 +172,7 @@ class Backbone:
 
         x = tz.add(tz.embedding(self.tok_emb, tokens), tz.embedding(self.pos_emb, np.arange(t)))
         hidden = [x]
-        for layer in range(self.cfg.n_layers):
+        for layer in range(self.cfg.n_layers if n_blocks is None else n_blocks):
             blk = self.blocks[layer]
             if hooks is not None:
                 hooks.begin_block(layer, x)
@@ -185,7 +187,7 @@ class Backbone:
             gate = self._project(layer, ProjectionId.gate, f_in, hooks)
             x = tz.add(x, self._project(layer, ProjectionId.down, tz.swiglu(gate, up), hooks))
             hidden.append(x)
-        return hidden, tz.layer_norm(x, self.ln_f_g, self.ln_f_b)
+        return hidden
 
     def forward(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> ForwardResult:
         """Causal forward pass; returns all residual-stream states and logits.
@@ -194,13 +196,20 @@ class Backbone:
         embedding output, hidden[n_layers] the final block output), which is
         what routing and probes consume.
         """
-        hidden, final = self._run_blocks(tokens, hooks)
+        hidden = self._run_blocks(tokens, hooks)
+        final = tz.layer_norm(hidden[-1], self.ln_f_g, self.ln_f_b)
         return ForwardResult(hidden=hidden, logits=tz.linear(final, self.lm_head), final=final)
 
     def final_states(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> Tensor:
         """LayerNormed last-block output (B, T, d), the classifier-head input;
         the same pass as `forward` without the `lm_head` logits."""
-        return self._run_blocks(tokens, hooks)[1]
+        return tz.layer_norm(self._run_blocks(tokens, hooks)[-1], self.ln_f_g, self.ln_f_b)
+
+    def hidden_states(self, tokens: np.ndarray, n_blocks: int | None = None) -> list[Tensor]:
+        """`forward(tokens).hidden[:n_blocks + 1]` without hooks: the same
+        pass through the first `n_blocks` blocks (all by default), with no
+        final LayerNorm and no `lm_head` logits."""
+        return self._run_blocks(tokens, None, n_blocks)
 
     # -- checkpointing ------------------------------------------------------------
 

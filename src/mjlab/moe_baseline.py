@@ -98,7 +98,7 @@ def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gat
     drop_rng = bank.drop_rng
     out = None
     for n, expert in enumerate(bank.experts[(layer, proj)]):
-        term = expert.apply(x, tz.select_index(gates, gates.ndim - 1, n), drop_rng=drop_rng)
+        term = expert.apply(x, gates, drop_rng=drop_rng, column=n)
         out = term if out is None else tz.add(out, term)
     return out
 

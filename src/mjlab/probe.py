@@ -44,7 +44,7 @@ def collect_states(model: Backbone, dataset: Dataset, layer: int) -> tuple[list[
     labels = np.empty(len(dataset), dtype=np.int64)
     for idx in length_buckets(dataset, batch_size=32):
         tokens, glabels, _ = batch_arrays(dataset, idx)
-        hidden = model.forward(tokens).hidden[layer]
+        hidden = model.hidden_states(tokens, n_blocks=layer)[layer]
         for bi, ex_i in enumerate(idx):
             states[ex_i] = hidden.data[bi].copy()
             labels[ex_i] = glabels[bi]

@@ -2,9 +2,10 @@
 
 Per block, an (E, d) buffer of routing centers scores every token by
 similarity; softmax over experts plus top-k masking yields the sparse
-coefficients that gate each routed adapter. Centers are k-means-initialized
-and tracked by EMA entirely outside the gradient tape: they never own a
-gradient buffer and backward passes leave them bitwise untouched.
+coefficients that gate each routed adapter inside its own tape node. Centers
+are k-means-initialized and tracked by EMA entirely outside the gradient
+tape: they never own a gradient buffer and backward passes leave them bitwise
+untouched.
 
 `route` is the one implementation of that mechanism, for training and for
 inspection alike. Membership rule: a token is routed to expert e exactly when
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as tz
-from .tensor import NORM_FLOOR, Tensor
+from .tensor import NORM_FLOOR, Tensor, topk_mask  # noqa: F401  (the one top-k, re-exported)
 from .model import ProjectionId
 from .adapters import AdapterBank
 
@@ -110,26 +111,15 @@ class RoutingDecision:
     coefficients: Tensor | None = field(default=None, repr=False, compare=False)
 
 
-def topk_mask(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k columns per row; ties break toward the lowest expert index.
-
-    Returns the 0/1 mask and the (rows, k) selected columns, ascending per row.
-    """
-    order = np.argsort(-p, axis=1, kind="stable")
-    selected = np.sort(order[:, :k], axis=1)
-    mask = np.zeros_like(p)
-    np.put_along_axis(mask, selected, 1.0, axis=1)
-    return mask, selected
-
-
 def route(state: RouterState, h, task_expert=None) -> RoutingDecision:
     """Routing decision for the tokens of `h`: one (T, d) sequence or a (B, T, d) batch.
 
-    Similarity, softmax and top-k run as tape ops. Given a tracked Tensor
-    under an active Tape, `decision.coefficients` is therefore differentiable
-    with respect to the hidden states while the centers enter as constants;
-    given an array, or outside a Tape, the same ops run untracked. The array
-    fields hold one row per token (B * T rows).
+    Similarity, softmax and top-k run as one tape node,
+    `tz.route_coefficients`. Given a tracked Tensor under an active Tape,
+    `decision.coefficients` is therefore differentiable with respect to the
+    hidden states while the centers enter as constants; given an array, or
+    outside a Tape, the same computation runs untracked. The array fields
+    hold one row per token (B * T rows).
 
     Sequence granularity scores only the last token of each sequence and
     broadcasts its decision over the sequence; task granularity pins
@@ -149,47 +139,20 @@ def route(state: RouterState, h, task_expert=None) -> RoutingDecision:
     b, t, d = h.shape
     if d != state.centers.shape[1]:
         raise ValueError("token width does not match center width")
-    e = state.n_experts
 
+    pinned = None
     if state.granularity == "task":
         if task_expert is None:
             raise ValueError("task granularity requires a task expert index")
         experts = np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (b,))
-        if experts.min() < 0 or experts.max() >= e:
+        if experts.min() < 0 or experts.max() >= state.n_experts:
             raise ValueError("task expert index out of range")
-        rows = Tensor(h.data.reshape(b * t, d))  # informational only: off the tape
-    elif state.granularity == "sequence":
-        rows = tz.reshape(tz.select_index(h, 1, t - 1), (b, d))
-    else:
-        rows = tz.reshape(h, (b * t, d))
-
-    c = state.permuted_centers()
-    if state.similarity == "cosine":
-        z = tz.linear(tz.l2_normalize_rows(rows), tz.l2_normalize_rows(c))
-    elif state.similarity == "dot":
-        z = tz.matmul(rows, Tensor(c.T))
-    elif state.similarity == "euclidean":
-        z = tz.neg_l2_distance(rows, c)
-    else:
-        z = tz.neg_l1_distance(rows, c)
-    z = tz.mul(z, 1.0 / state.tau)
-    p = tz.softmax(z, axis=-1)
-
-    if state.granularity == "task":
-        selected = np.repeat(experts, t)[:, None]
-        pinned = np.zeros((b * t, e))
-        pinned[np.arange(b * t), selected[:, 0]] = 1.0
-        m = Tensor(pinned)
-    else:
-        mask, selected = topk_mask(p.data, state.top_k)
-        m = tz.mul(p, Tensor(mask))
+        pinned = np.repeat(experts, t)
+    coefficients, z, p, m, selected = tz.route_coefficients(
+        h, state.permuted_centers(), state.similarity, state.tau, state.top_k, state.granularity, pinned)
     if state.granularity == "sequence":
-        coefficients = tz.broadcast_to(tz.reshape(m, (b, 1, e)), (b, t, e))
-        return RoutingDecision(z=np.repeat(z.data, t, axis=0), p=np.repeat(p.data, t, axis=0),
-                               m=np.repeat(m.data, t, axis=0), selected=np.repeat(selected, t, axis=0),
-                               coefficients=coefficients)
-    return RoutingDecision(z=z.data, p=p.data, m=m.data, selected=selected,
-                           coefficients=tz.reshape(m, (b, t, e)))
+        z, p, m, selected = (np.repeat(a, t, axis=0) for a in (z, p, m, selected))
+    return RoutingDecision(z=z, p=p, m=m, selected=selected, coefficients=coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +422,5 @@ class MonkeyJumpHooks:
             # shared experts are always active; unrouted blocks/projections
             # degrade to standard uniform PEFT
             return adapter.apply(x, 1.0, base=base, drop_rng=self.bank.drop_rng)
-        slot = state.routed.index(proj)
-        mcol = tz.select_index(self._coeff[layer], 2, slot)  # (B, T, 1)
-        return adapter.apply(x, mcol, base=base, drop_rng=self.bank.drop_rng)
+        return adapter.apply(x, self._coeff[layer], base=base, drop_rng=self.bank.drop_rng,
+                             column=state.routed.index(proj))

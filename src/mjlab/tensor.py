@@ -18,11 +18,12 @@ run. Only leaves (parameters and user tensors that no node produced) keep a
 requires_grad=False; they return None in its place.
 
 Replay contract of the fused ops (`linear`, `causal_attention`, `swiglu`,
-`lora_delta`): each is one tape node that runs, in order, the numpy calls of
-the chain of simpler ops it replaces, including each contiguous copy those ops
-make (a copy changes the memory layout a later matmul reads, and so its
-result), and keeps only the arrays its backward reads. Values and gradients
-are bitwise equal to the chain's; only the op named by a finite check differs.
+`lora_delta`, `propulsion_delta`, `route_coefficients`): each is one tape
+node that runs, in order, the numpy calls of the chain of simpler ops it
+replaces, including each contiguous copy those ops make (a copy changes the
+memory layout a later matmul reads, and so its result), and keeps only the
+arrays its backward reads. Values and gradients are bitwise equal to the
+chain's; only the op named by a finite check differs.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ __all__ = [
     "cross_entropy",
     "dropout",
     "lora_delta",
+    "propulsion_delta",
+    "topk_mask",
+    "route_coefficients",
     "l2_normalize_rows",
     "neg_l2_distance",
     "neg_l1_distance",
@@ -582,39 +586,74 @@ def cross_entropy(logits, targets: np.ndarray, weights: np.ndarray | None = None
     return _make("cross_entropy", out, (logits,), back)
 
 
+def _drop(x: np.ndarray, p: float, rng: np.random.Generator | None):
+    """(dropout(x), keep) as `dropout` draws it; no `keep` unless `rng` is
+    given and p > 0.
+
+    `keep` is the boolean mask; a backward rebuilds the float mask as
+    `keep / (1.0 - p)`, the very expression the forward used, so a node
+    holds one byte per element for it instead of eight.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError("dropout rate must be in [0, 1)")
+    if rng is None or p == 0.0:
+        return x, None
+    keep = rng.random(x.shape) >= p
+    return _as_array(x * (keep / (1.0 - p))), keep
+
+
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; `rng` supplies the mask so callers control seeding."""
     a = _wrap(a)
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    if p == 0.0:
+    out, keep = _drop(a.data, p, rng)
+    if keep is None:
         return a
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    return _make("dropout", out, (a,), lambda g: (g * (keep / (1.0 - p)),))
+
+
+def _gated(op: str, delta: np.ndarray, inputs: tuple[Tensor, ...], delta_back,
+           gate: Tensor | None, column: int) -> Tensor:
+    """The node of an adapter delta, times column `column` of `gate` when given.
+
+    Replays the chain `mul(delta, select_index(gate, -1, column))`: the gate
+    gradient is the full-size array with only that column set, so the
+    gradients that several columns send into one gate tensor accumulate as
+    they did through `select_index`. Checks only the output, which is
+    non-finite whenever `delta` is (the gate column is finite).
+    """
+    if gate is None:
+        return _make(op, delta, inputs, delta_back)
+    sl = (Ellipsis, slice(column, column + 1))
+    col = _as_array(gate.data[sl])
+    delta = _as_array(delta)
 
     def back(g):
-        return (g * mask,)
+        grads = (None,) * len(inputs)
+        if any(t.requires_grad for t in inputs):
+            grads = delta_back(_unbroadcast(g * col, delta.shape))
+        g_gate = None
+        if gate.requires_grad:
+            g_gate = np.zeros_like(gate.data)
+            g_gate[sl] = _unbroadcast(g * delta, col.shape)
+        return (*grads, g_gate)
 
-    return _make("dropout", a.data * mask, (a,), back)
+    return _make(op, delta * col, (*inputs, gate), back)
 
 
 def lora_delta(x, a: Tensor, b: Tensor, scale: float, p: float,
-               rng: np.random.Generator | None) -> Tensor:
-    """scale * dropout(x) @ a^T @ b^T as one tape node.
+               rng: np.random.Generator | None, gate: Tensor | None = None, column: int = 0) -> Tensor:
+    """scale * dropout(x) @ a^T @ b^T as one tape node, times gate[..., column]
+    when `gate` is given.
 
-    `x` is (..., d_in), `a` is (r, d_in) and `b` is (d_out, r). Dropout runs
-    only when `rng` is given and p > 0, drawing its mask from `rng` exactly as
-    `dropout` does. Forward and backward replay the numpy calls of the chain
-    dropout, transpose, matmul, transpose, matmul, mul in the same order, so
-    values and gradients are bitwise equal to it.
+    `x` is (..., d_in), `a` is (r, d_in) and `b` is (d_out, r); `gate` is a
+    (..., E) coefficient tensor. Dropout runs only when `rng` is given and
+    p > 0, drawing its mask from `rng` exactly as `dropout` does. Forward and
+    backward replay the numpy calls of the chain dropout, transpose, matmul,
+    transpose, matmul, mul (and select_index, mul for the gate) in the same
+    order, so values and gradients are bitwise equal to it.
     """
     x = _wrap(x)
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    mask = None
-    xd = x.data
-    if rng is not None and p > 0.0:
-        mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-        xd = _as_array(x.data * mask)
+    xd, keep = _drop(x.data, p, rng)
     at = _as_array(a.data.T)
     xa = _as_array(xd @ at)
     bt = _as_array(b.data.T)
@@ -633,14 +672,94 @@ def lora_delta(x, a: Tensor, b: Tensor, scale: float, p: float,
         gx = ga = None
         if x.requires_grad:
             gx = g_xa @ np.swapaxes(at, -1, -2)
-            if mask is not None:
-                gx = gx * mask
+            if keep is not None:
+                gx = gx * (keep / (1.0 - p))
         if a.requires_grad:
             g_at = _unbroadcast(np.swapaxes(xd, -1, -2) @ g_xa, at.shape)
             ga = np.ascontiguousarray(g_at.T)
         return gx, ga, gb
 
-    return _make("lora_delta", xab * s, (x, a, b), back)
+    return _gated("lora_delta", xab * s, (x, a, b), back, gate, column)
+
+
+def propulsion_delta(x, s: Tensor, p: float, rng: np.random.Generator | None,
+                     gate: Tensor | None = None, column: int = 0) -> Tensor:
+    """dropout(x) * s as one tape node, times gate[..., column] when `gate`
+    is given: the chain dropout, mul (and select_index, mul for the gate).
+
+    `x` is (..., d_out), the frozen projection output, and `s` is (d_out,).
+    Dropout runs as in `lora_delta`.
+    """
+    x = _wrap(x)
+    xd, keep = _drop(x.data, p, rng)
+
+    def back(g):
+        gx = gs = None
+        if x.requires_grad:
+            gx = _unbroadcast(g * s.data, xd.shape)
+            if keep is not None:
+                gx = gx * (keep / (1.0 - p))
+        if s.requires_grad:
+            gs = _unbroadcast(g * xd, s.data.shape)
+        return gx, gs
+
+    return _gated("propulsion_delta", xd * s.data, (x, s), back, gate, column)
+
+
+# ---------------------------------------------------------------------------
+# routing
+# ---------------------------------------------------------------------------
+#
+# Each similarity is written once, as a numpy kernel returning its output and
+# the backward map of the output gradient to the rows' gradient; the public
+# ops and the fused `route_coefficients` node both run it.
+
+
+def _normalize_rows(x: np.ndarray, floor: float = NORM_FLOOR):
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    safe = np.maximum(norms, floor)
+    y = _as_array(x / safe)
+
+    def back(g):
+        dot = (g * y).sum(axis=1, keepdims=True)
+        return np.where(norms <= floor, g / floor, (g - y * dot) / safe)
+
+    return y, back
+
+
+def _neg_l2(x: np.ndarray, c: np.ndarray):
+    diff = x[:, None, :] - c[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+
+    def back(g):
+        safe = np.maximum(dist, NORM_FLOOR)
+        return ((-g / safe)[:, :, None] * diff).sum(axis=1)
+
+    return -dist, back
+
+
+def _neg_l1(x: np.ndarray, c: np.ndarray):
+    diff = x[:, None, :] - c[None, :, :]
+    return -np.abs(diff).sum(axis=2), lambda g: ((-g)[:, :, None] * np.sign(diff)).sum(axis=1)
+
+
+def _similarity(rows: np.ndarray, c: np.ndarray, similarity: str):
+    """The routing similarity of `rows` (N, d) to the constant centers `c`
+    (E, d), with its backward: the chain `linear` of the normalized rows and
+    centers for "cosine", `matmul` by a copy of c^T for "dot", and
+    `neg_l2_distance` or `neg_l1_distance`."""
+    if similarity == "cosine":
+        xn, back = _normalize_rows(rows)
+        wt = _as_array(_normalize_rows(c)[0].T)
+        return xn @ wt, lambda g: back(g @ np.swapaxes(wt, -1, -2))
+    if similarity == "dot":
+        ct = _as_array(c.T)
+        return rows @ ct, lambda g: g @ np.swapaxes(ct, -1, -2)
+    if similarity == "euclidean":
+        return _neg_l2(rows, c)
+    if similarity == "l1":
+        return _neg_l1(rows, c)
+    raise ValueError(f"unknown similarity {similarity!r}")
 
 
 def l2_normalize_rows(a, floor: float = NORM_FLOOR) -> Tensor:
@@ -652,45 +771,91 @@ def l2_normalize_rows(a, floor: float = NORM_FLOOR) -> Tensor:
     a = _wrap(a)
     if a.ndim != 2:
         raise ValueError("l2_normalize_rows expects a 2-D tensor")
-    norms = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
-    safe = np.maximum(norms, floor)
-    y = a.data / safe
-
-    def back(g):
-        floored = norms <= floor
-        dot = (g * y).sum(axis=1, keepdims=True)
-        gx = np.where(floored, g / floor, (g - y * dot) / safe)
-        return (gx,)
-
-    return _make("l2_normalize_rows", y, (a,), back)
+    y, back = _normalize_rows(a.data, floor)
+    return _make("l2_normalize_rows", y, (a,), lambda g: (back(g),))
 
 
 def neg_l2_distance(a, centers: np.ndarray) -> Tensor:
     """out[t, e] = -||a[t] - centers[e]||_2 with centers held constant."""
     a = _wrap(a)
-    c = _as_array(centers)
-    diff = a.data[:, None, :] - c[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    out = -dist
-
-    def back(g):
-        safe = np.maximum(dist, NORM_FLOOR)
-        return ((-g / safe)[:, :, None] * diff).sum(axis=1),
-
-    return _make("neg_l2_distance", out, (a,), back)
+    out, back = _neg_l2(a.data, _as_array(centers))
+    return _make("neg_l2_distance", out, (a,), lambda g: (back(g),))
 
 
 def neg_l1_distance(a, centers: np.ndarray) -> Tensor:
     """out[t, e] = -||a[t] - centers[e]||_1 with centers held constant."""
     a = _wrap(a)
-    c = _as_array(centers)
-    diff = a.data[:, None, :] - c[None, :, :]
-    out = -np.abs(diff).sum(axis=2)
+    out, back = _neg_l1(a.data, _as_array(centers))
+    return _make("neg_l1_distance", out, (a,), lambda g: (back(g),))
+
+
+def topk_mask(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k columns per row; ties break toward the lowest expert index.
+
+    Returns the 0/1 mask and the (rows, k) selected columns, ascending per row.
+    """
+    order = np.argsort(-p, axis=1, kind="stable")
+    selected = np.sort(order[:, :k], axis=1)
+    mask = np.zeros_like(p)
+    np.put_along_axis(mask, selected, 1.0, axis=1)
+    return mask, selected
+
+
+def route_coefficients(h: Tensor, centers: np.ndarray, similarity: str, tau: float, top_k: int,
+                       granularity: str, pinned: np.ndarray | None = None):
+    """Routing coefficients of the tokens of `h` (B, T, d) as one tape node.
+
+    Returns (coefficients, z, p, m, selected): the (B, T, E) coefficient
+    tensor and, with one row per scored token, the similarity logits, the
+    softmax, the sparse coefficients and the (rows, k) top-k columns.
+
+    It replays the chain: the scored rows (every token; for "sequence" each
+    sequence's last token, whose row is broadcast over the sequence), the
+    similarity to the constant `centers` (E, d), times 1/tau, `softmax` over
+    experts and the multiply by the `topk_mask`. Its backward gives the
+    gradient into `h` only. For "task" granularity `pinned` holds one expert
+    per token, which gets coefficient 1 off the tape; z and p are then
+    informational. Checks the scaled logits, which are non-finite whenever
+    the rows are or the similarity overflows.
+    """
+    b, t, d = h.shape
+    e = centers.shape[0]
+    if granularity == "sequence":
+        rows = _as_array(h.data[:, t - 1:t, :]).reshape(b, d)
+    else:
+        rows = h.data.reshape(b * t, d)
+    z, back_similarity = _similarity(rows, _as_array(centers), similarity)
+    s = _as_array(1.0 / tau)
+    z = _as_array(_as_array(z) * s)
+    _check_finite(z, "route_coefficients")
+    p = _softmax_rows(z, -1)
+    if granularity == "task":
+        selected = np.asarray(pinned)[:, None]
+        m = np.zeros((b * t, e))
+        m[np.arange(b * t), selected[:, 0]] = 1.0
+        return Tensor(m.reshape(b, t, e)), z, p, m, selected
+    mask, selected = topk_mask(p, top_k)
+    m = _as_array(p * mask)
+    if granularity == "sequence":
+        coefficients = np.broadcast_to(m.reshape(b, 1, e), (b, t, e))
+    else:
+        coefficients = m.reshape(b, t, e)
 
     def back(g):
-        return ((-g)[:, :, None] * np.sign(diff)).sum(axis=1),
+        if granularity == "sequence":
+            g_m = _unbroadcast(g, (b, 1, e)).reshape(b, e)
+        else:
+            g_m = g.reshape(b * t, e)
+        g_p = g_m * mask
+        g_z = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+        g_rows = back_similarity(g_z * s)
+        if granularity != "sequence":
+            return (g_rows.reshape(h.data.shape),)
+        g_h = np.zeros_like(h.data)
+        g_h[:, t - 1:t, :] = g_rows.reshape(b, 1, d)
+        return (g_h,)
 
-    return _make("neg_l1_distance", out, (a,), back)
+    return _make("route_coefficients", coefficients, (h,), back, check=False), z, p, m, selected
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .router import (
     ema_update,
     export_embeddings,
     kmeans_init,
+    route,
     save_router,
     usage_report,
     write_usage_csv,
@@ -203,6 +204,33 @@ def evaluate(
     return out
 
 
+def init_usage(cfg: ExperimentConfig, model: Backbone, states: dict[int, RouterState], dataset: Dataset,
+               usage: UsageRecorder) -> None:
+    """Records the routing usage of fresh adapters on `dataset`, from the
+    frozen backbone alone.
+
+    Every LoRA `B` and Propulsion `s` is zero at init, so each adapter delta
+    is exactly 0 and the adapted pass's hidden states are the frozen ones:
+    `route` runs on them per routed block and no adapter op runs.
+    """
+    last = max(states)
+    for idx in length_buckets(dataset, cfg.train.batch_size):
+        tokens, _, tasks = batch_arrays(dataset, idx)
+        hidden = model.hidden_states(tokens, n_blocks=last)
+        experts = _task_expert_row(cfg, tasks)
+        for layer, state in states.items():
+            usage.add(layer, route(state, hidden[layer], experts))
+
+
+@contextmanager
+def _diverged(stage: str):
+    """Re-raises a non-finite value in `stage` as a RuntimeError naming it."""
+    try:
+        yield
+    except FloatingPointError as err:
+        raise RuntimeError(f"training diverged at {stage}: {err}") from err
+
+
 def run_pipeline(
     cfg: ExperimentConfig,
     seed: int,
@@ -230,7 +258,8 @@ def run_pipeline(
 
     states = {}
     if cfg.method == "mj":
-        states = init_router_states(cfg, backbone, train_ds, seed, total_steps)
+        with _diverged("router initialization (k-means token sample)"):
+            states = init_router_states(cfg, backbone, train_ds, seed, total_steps)
     bank, hooks = build_method(cfg, seed, states)
 
     head = ClassifierHead(cfg.model.d_model, train_ds.n_global_classes)
@@ -239,8 +268,8 @@ def run_pipeline(
 
     history = RoutingHistory()
     if states:
-        bank.eval()
-        evaluate(cfg, backbone, hooks, head, val_ds, usage=history.init)
+        with _diverged("the initial usage pass"):
+            init_usage(cfg, backbone, states, val_ds, history.init)
 
     if bank is not None:
         bank.train()
@@ -259,14 +288,11 @@ def run_pipeline(
                     bank.begin_step(_derive(seed, 7, step * 10000 + micro))
                 if hooks is not None:
                     hooks.set_batch(_task_expert_row(cfg, tasks))
-                with tz.Tape():
-                    try:
-                        final = backbone.final_states(tokens, hooks)
-                        loss = tz.cross_entropy(head.logits(final), labels)
-                        scaled = tz.mul(loss, 1.0 / accum)
-                        tz.backward(scaled)
-                    except FloatingPointError as err:
-                        raise RuntimeError(f"training diverged at step {step}: {err}") from err
+                with tz.Tape(), _diverged(f"step {step}"):
+                    final = backbone.final_states(tokens, hooks)
+                    loss = tz.cross_entropy(head.logits(final), labels)
+                    scaled = tz.mul(loss, 1.0 / accum)
+                    tz.backward(scaled)
                 step_loss += float(scaled.data)
                 if states:
                     step_decisions.extend(hooks.collected)
@@ -282,7 +308,8 @@ def run_pipeline(
 
     if bank is not None:
         bank.eval()
-    result = evaluate(cfg, backbone, hooks, head, val_ds, usage=history.final if states else None)
+    with _diverged("the final evaluation"):
+        result = evaluate(cfg, backbone, hooks, head, val_ds, usage=history.final if states else None)
 
     report = {
         "config_hash": config_hash(cfg),

@@ -136,6 +136,16 @@ class TestForward:
             assert np.array_equal(final.data, full.final.data)
 
 
+    @pytest.mark.parametrize("n_blocks", [None, 0, 1])
+    def test_hidden_states_is_forward_hidden(self, tiny_cfg, tiny_frozen, n_blocks):
+        toks = np.random.default_rng(2).integers(0, 16, size=(3, 7))
+        full = tiny_frozen.forward(toks).hidden
+        hidden = tiny_frozen.hidden_states(toks, n_blocks)
+        assert len(hidden) == (tiny_cfg.n_layers if n_blocks is None else n_blocks) + 1
+        for got, ref in zip(hidden, full):
+            assert got.data.tobytes() == ref.data.tobytes()
+
+
 def retained_backward(loss, tape):
     """Backward that keeps every intermediate `.grad` and node until the tape
     is cleared: the reference for the leaf gradients of `tz.backward`."""

@@ -9,6 +9,7 @@ import mjlab.tensor as tz
 from mjlab.adapters import AdapterBank, AdapterConfig
 from mjlab.model import ProjectionId
 from mjlab.router import (
+    GRANULARITIES,
     SIMILARITIES,
     MonkeyJumpHooks,
     RouterState,
@@ -20,9 +21,12 @@ from mjlab.router import (
     load_router,
     route,
     save_router,
+    topk_mask,
     usage_report,
     write_usage_csv,
 )
+
+from conftest import finite_difference_check
 
 R5 = tuple(ProjectionId)[:5]  # q k v o up as routed slots
 
@@ -481,3 +485,248 @@ class TestMembershipRule:
                 assert np.allclose(state.centers[e], expected, rtol=0.0, atol=1e-12)
             else:
                 assert np.array_equal(state.centers[e], before[e])
+
+
+# ---------------------------------------------------------------------------
+# the fused route node against the chain it replaces
+# ---------------------------------------------------------------------------
+
+
+def unfused_route(state: RouterState, h, task_expert=None) -> RoutingDecision:
+    """`route` as a chain of tape ops, before `tz.route_coefficients` fused
+    it into one node; the bitwise reference."""
+    if not isinstance(h, tz.Tensor):
+        h = tz.Tensor(np.asarray(h, dtype=np.float64))
+    if h.ndim == 2:
+        h = tz.reshape(h, (1,) + h.shape)
+    b, t, d = h.shape
+    e = state.n_experts
+    if state.granularity == "task":
+        experts = np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (b,))
+        rows = tz.Tensor(h.data.reshape(b * t, d))  # informational only: off the tape
+    elif state.granularity == "sequence":
+        rows = tz.reshape(tz.select_index(h, 1, t - 1), (b, d))
+    else:
+        rows = tz.reshape(h, (b * t, d))
+
+    c = state.permuted_centers()
+    if state.similarity == "cosine":
+        z = tz.linear(tz.l2_normalize_rows(rows), tz.l2_normalize_rows(c))
+    elif state.similarity == "dot":
+        z = tz.matmul(rows, tz.Tensor(c.T))
+    elif state.similarity == "euclidean":
+        z = tz.neg_l2_distance(rows, c)
+    else:
+        z = tz.neg_l1_distance(rows, c)
+    z = tz.mul(z, 1.0 / state.tau)
+    p = tz.softmax(z, axis=-1)
+
+    if state.granularity == "task":
+        selected = np.repeat(experts, t)[:, None]
+        pinned = np.zeros((b * t, e))
+        pinned[np.arange(b * t), selected[:, 0]] = 1.0
+        m = tz.Tensor(pinned)
+    else:
+        mask, selected = topk_mask(p.data, state.top_k)
+        m = tz.mul(p, tz.Tensor(mask))
+    if state.granularity == "sequence":
+        coefficients = tz.broadcast_to(tz.reshape(m, (b, 1, e)), (b, t, e))
+        return RoutingDecision(z=np.repeat(z.data, t, axis=0), p=np.repeat(p.data, t, axis=0),
+                               m=np.repeat(m.data, t, axis=0), selected=np.repeat(selected, t, axis=0),
+                               coefficients=coefficients)
+    return RoutingDecision(z=z.data, p=p.data, m=m.data, selected=selected,
+                           coefficients=tz.reshape(m, (b, t, e)))
+
+
+class UnfusedHooks(MonkeyJumpHooks):
+    """The hooks before the fusion: `unfused_route`, then one `select_index`
+    and one `mul` per routed projection on top of the ungated adapter op."""
+
+    def begin_block(self, layer, h):
+        state = self.states.get(layer)
+        if state is None:
+            return
+        decision = unfused_route(state, h, self._task_experts)
+        self._coeff[layer] = decision.coefficients
+        self.collected.append((layer, decision, h.data.reshape(-1, h.shape[-1]).copy()))
+
+    def contribution(self, layer, proj, x, base):
+        adapter = self.bank.get(layer, proj)
+        state = self.states.get(layer)
+        if adapter is None or state is None or proj not in state.routed:
+            return super().contribution(layer, proj, x, base)
+        delta = adapter.apply(x, 1.0, base=base, drop_rng=self.bank.drop_rng)
+        return tz.mul(delta, tz.select_index(self._coeff[layer], 2, state.routed.index(proj)))
+
+
+def same_bytes(a, b) -> bool:
+    """Equal dtype, shape and raw bytes, so that -0.0 and +0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def route_and_backward(fn, state, values, tracked, task_expert=None):
+    """(decision, gradient into h, tape nodes of the routing) of one call."""
+    h = tz.Tensor(values.copy(), requires_grad=tracked)
+    with tz.Tape() as tape:
+        decision = fn(state, h, task_expert)
+        n_nodes = len(tape.nodes)
+        if decision.coefficients.requires_grad:
+            w = np.random.default_rng(60).normal(size=decision.coefficients.shape)
+            tz.backward(tz.tsum(tz.mul(decision.coefficients, w)))
+    return decision, h.grad, n_nodes
+
+
+def assert_route_matches_unfused(state, values, tracked, task_expert=None):
+    fused, g_fused, n_fused = route_and_backward(route, state, values, tracked, task_expert)
+    ref, g_ref, n_ref = route_and_backward(unfused_route, state, values, tracked, task_expert)
+    for name in ("z", "p", "m", "selected"):
+        assert same_bytes(getattr(fused, name), getattr(ref, name)), name
+    assert same_bytes(fused.coefficients.data, ref.coefficients.data)
+    assert fused.coefficients.requires_grad == ref.coefficients.requires_grad
+    if g_ref is None:
+        assert g_fused is None
+    else:
+        assert same_bytes(g_fused, g_ref)
+    assert n_fused == (1 if n_ref else 0)
+    return fused
+
+
+def assert_hooks_match_unfused(cfg, frozen, similarity, granularity, variant, routed, fresh):
+    """One forward and backward through `frozen` with `MonkeyJumpHooks` and
+    with `UnfusedHooks`: outputs, adapter gradients and decisions byte for
+    byte, and fewer tape nodes."""
+    rng = np.random.default_rng(65)
+    targeted = routed + (ProjectionId.o,)
+    states = {l: RouterState(centers=rng.normal(size=(len(routed), cfg.d_model)), routed=routed,
+                             shared=(ProjectionId.o,), top_k=min(2, len(routed)), similarity=similarity,
+                             granularity=granularity, stop_step=10)
+              for l in range(cfg.n_layers)}
+    weights = {name: rng.normal(size=t.shape) * 0.3 for name, t in
+               AdapterBank(cfg, AdapterConfig(variant=variant), targeted).named_tensors().items()}
+    toks = rng.integers(0, cfg.vocab_size, size=(3, 6))
+
+    def step(hooks_cls):
+        bank = AdapterBank(cfg, AdapterConfig(variant=variant, dropout=0.2), targeted, seed=5)
+        if not fresh:
+            for name, t in bank.named_tensors().items():
+                t.data = weights[name].copy()
+        hooks = hooks_cls(bank, states)
+        hooks.set_batch(np.array([0, len(routed) - 1, 0]))
+        bank.begin_step(7)
+        with tz.Tape() as tape:
+            out = frozen.final_states(toks, hooks)
+            n_nodes = len(tape.nodes)
+            tz.backward(tz.tsum(tz.mul(out, out)))
+        return out.data, {n: t.grad for n, t in bank.named_tensors().items()}, hooks.collected, n_nodes
+
+    out, grads, collected, n_nodes = step(MonkeyJumpHooks)
+    ref, ref_grads, ref_collected, ref_nodes = step(UnfusedHooks)
+    assert same_bytes(out, ref)
+    for name in grads:
+        assert (grads[name] is None) == (ref_grads[name] is None), name
+        if grads[name] is not None:
+            assert same_bytes(grads[name], ref_grads[name]), name
+    for (layer, dec, flat), (ref_layer, ref_dec, ref_flat) in zip(collected, ref_collected, strict=True):
+        assert layer == ref_layer and same_bytes(flat, ref_flat)
+        assert all(same_bytes(getattr(dec, k), getattr(ref_dec, k)) for k in ("z", "p", "m", "selected"))
+    assert n_nodes < ref_nodes
+
+
+class TestFusedRoute:
+    """`route` (one `tz.route_coefficients` node) against `unfused_route`,
+    in values and in the gradient into h, compared byte for byte."""
+
+    @pytest.mark.parametrize("tracked", [True, False])
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_bitwise_equal_to_unfused_route(self, similarity, granularity, tracked):
+        rng = np.random.default_rng(61)
+        state = make_state(rng.normal(size=(3, 6)), top_k=2, tau=0.7, similarity=similarity,
+                           granularity=granularity, permutation=(1, 2, 0))
+        task_expert = np.array([2, 0]) if granularity == "task" else None
+        assert_route_matches_unfused(state, rng.normal(size=(2, 5, 6)), tracked, task_expert)
+
+    @pytest.mark.parametrize("granularity", ("token", "sequence"))
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_selected_expert_underflows_to_zero(self, similarity, granularity):
+        rng = np.random.default_rng(62)
+        state = make_state(rng.normal(size=(3, 8)), top_k=2, tau=1e-4, similarity=similarity,
+                           granularity=granularity)
+        dec = assert_route_matches_unfused(state, rng.normal(size=(10, 6, 8)), True)
+        mask = np.zeros_like(dec.m)
+        np.put_along_axis(mask, dec.selected, 1.0, axis=1)
+        assert ((mask == 1.0) & (dec.m == 0.0)).any()  # the edge case is really hit
+
+    @pytest.mark.parametrize("granularity", ("token", "sequence"))
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_tied_centers_break_toward_low_index(self, similarity, granularity):
+        rng = np.random.default_rng(63)
+        state = make_state(np.tile(rng.normal(size=(1, 6)), (3, 1)), top_k=2, similarity=similarity,
+                           granularity=granularity)
+        dec = assert_route_matches_unfused(state, rng.normal(size=(2, 4, 6)), True)
+        assert (dec.selected == [0, 1]).all()
+
+    @pytest.mark.parametrize("granularity", ("token", "sequence"))
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_zero_norm_token_row(self, similarity, granularity):
+        rng = np.random.default_rng(64)
+        state = make_state(rng.normal(size=(3, 6)), top_k=2, similarity=similarity, granularity=granularity)
+        h = rng.normal(size=(2, 4, 6))
+        h[:, -1] = 0.0  # the last token, the scored one for sequence granularity
+        h[0, 1] = 0.0
+        assert_route_matches_unfused(state, h, True)
+
+    @pytest.mark.parametrize("variant", ["lora", "lorafa", "propulsion"])
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_block_gradients_match_unfused_hooks(self, tiny_cfg, tiny_frozen, similarity, granularity, variant):
+        """A forward and backward through the model: layer 0's input has no
+        grad and layer 1's has, the three routed columns of one coefficient
+        tensor accumulate their gradients, and the shared `o` stays ungated."""
+        assert_hooks_match_unfused(tiny_cfg, tiny_frozen, similarity, granularity, variant,
+                                   routed=(ProjectionId.q, ProjectionId.k, ProjectionId.v), fresh=False)
+
+    @pytest.mark.parametrize("variant", ["lora", "lorafa", "propulsion"])
+    @pytest.mark.parametrize("granularity", ("token", "sequence"))
+    def test_fresh_single_column_matches_unfused_hooks(self, tiny_cfg, tiny_frozen, granularity, variant):
+        """Fresh adapters (every delta is +-0.0, as at the first step) on one
+        routed column, so no other column's +0.0 is added to its gradient
+        and the sign of each zero shows."""
+        assert_hooks_match_unfused(tiny_cfg, tiny_frozen, "cosine", granularity, variant,
+                                   routed=(ProjectionId.v,), fresh=True)
+
+    @pytest.mark.parametrize("granularity", ("token", "sequence"))
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_finite_difference(self, similarity, granularity):
+        rng = np.random.default_rng(66)
+        state = make_state(rng.normal(size=(3, 5)), top_k=2, tau=0.8, similarity=similarity,
+                           granularity=granularity)
+        h = tz.Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 3))
+
+        def build():
+            return tz.tsum(tz.mul(route(state, h).coefficients, w))
+
+        finite_difference_check(build, [h])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_non_finite_input_names_the_op(self, similarity):
+        rng = np.random.default_rng(67)
+        state = make_state(rng.normal(size=(3, 4)), similarity=similarity)
+        h = tz.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        h.data[1, 2, 0] = np.inf
+        with tz.Tape(), pytest.raises(FloatingPointError, match="'route_coefficients'"):
+            route(state, h)
+
+    def test_one_node_per_routed_block(self):
+        rng = np.random.default_rng(68)
+        state = make_state(rng.normal(size=(3, 4)))
+        h = tz.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        with tz.Tape() as tape:
+            route(state, h)
+            assert len(tape.nodes) == 1
+            tape.clear()
+            unfused_route(state, h)
+            assert len(tape.nodes) == 7  # reshape, normalize, linear, mul, softmax, mask mul, reshape

@@ -305,6 +305,120 @@ class TestLoraDelta:
         assert np.array_equal(out.data, unfused_lora_delta(x, a, b, 1.0, 0.0, None).data)
 
 
+def unfused_propulsion_delta(x, s, p, rng):
+    """The two-node chain dropout, mul that `propulsion_delta` fuses."""
+    if rng is not None and p > 0.0:
+        x = tz.dropout(x, p, rng)
+    return tz.mul(x, s)
+
+
+def unfused_gate(delta, gate, column):
+    """The select_index, mul pair that a gated adapter op folds in."""
+    return tz.mul(delta, tz.select_index(gate, gate.ndim - 1, column))
+
+
+# op -> (fused, unfused chain, input shapes without the gate)
+ADAPTER_OPS = {
+    "lora_delta": (lambda x, a, b, rng, **gate: tz.lora_delta(x, a, b, 2.5, 0.3, rng, **gate),
+                   lambda x, a, b, rng: unfused_lora_delta(x, a, b, 2.5, 0.3, rng),
+                   {"x": (2, 4, 6), "a": (3, 6), "b": (7, 3)}),
+    "propulsion_delta": (lambda x, s, rng, **gate: tz.propulsion_delta(x, s, 0.3, rng, **gate),
+                         lambda x, s, rng: unfused_propulsion_delta(x, s, 0.3, rng),
+                         {"x": (2, 4, 7), "s": (7,)}),
+}
+
+
+class TestGatedAdapterOps:
+    """`lora_delta` and `propulsion_delta` times a coefficient column, as one
+    node, against the chain with `select_index` and `mul`."""
+
+    @pytest.mark.parametrize("op", sorted(ADAPTER_OPS))
+    @pytest.mark.parametrize("trainable", ["all", "gate", "inputs", "none"])
+    def test_bitwise_equal_to_unfused_chain(self, op, trainable):
+        fused, chain, shapes = ADAPTER_OPS[op]
+        rng = np.random.default_rng(45)
+        values = {k: rng.normal(size=s) for k, s in shapes.items()}
+        values["gate"] = rng.random(size=(2, 4, 3))
+        values["gate"][0, 1] = 0.0  # an unselected expert's column
+        w = rng.normal(size=(2, 4, shapes["b"][0] if "b" in shapes else shapes["s"][0]))
+
+        trains = {"all": set(values), "gate": {"gate"}, "inputs": set(shapes), "none": set()}[trainable]
+
+        def run(apply_columns):
+            ts = {k: Tensor(v.copy(), requires_grad=k in trains) for k, v in values.items()}
+            inputs = [ts[k] for k in shapes]
+            with tz.Tape() as tape:
+                outs = apply_columns(inputs, ts["gate"])
+                n_nodes = len(tape.nodes)
+                loss = tz.tsum(tz.mul(tz.add(tz.add(outs[0], outs[1]), outs[2]), w))
+                if loss.requires_grad:
+                    tz.backward(loss)
+            return [o.data for o in outs], {k: t.grad for k, t in ts.items()}, n_nodes
+
+        # three columns feed one gate tensor, as the routed q, k and v do
+        out, grads, n_nodes = run(lambda inputs, gate: [
+            fused(*inputs, np.random.default_rng(9 + c), gate=gate, column=c) for c in range(3)])
+        ref, ref_grads, _ = run(lambda inputs, gate: [
+            unfused_gate(chain(*inputs, np.random.default_rng(9 + c)), gate, c) for c in range(3)])
+        assert n_nodes == (3 if trainable != "none" else 0)
+        for a, b in zip(out, ref):
+            assert a.tobytes() == b.tobytes()
+        for k in values:
+            if grads[k] is None or ref_grads[k] is None:
+                assert grads[k] is None and ref_grads[k] is None, k
+            else:
+                assert grads[k].tobytes() == ref_grads[k].tobytes(), k
+
+    @pytest.mark.parametrize("op", sorted(ADAPTER_OPS))
+    def test_gate_gradient_keeps_the_sign_of_zero(self, op):
+        """A fresh adapter's delta is +-0.0, so its gate gradient can be -0.0.
+        numpy sums from +0.0, so that needs d_out = 1 (no sum) and one column
+        feeding the gate (nothing added to hide the sign)."""
+        fused, chain, _ = ADAPTER_OPS[op]
+        shapes = {"x": (2, 4, 6), "a": (3, 6), "b": (1, 3)} if op == "lora_delta" else {"x": (2, 4, 1), "s": (1,)}
+        rng = np.random.default_rng(48)
+        values = {k: rng.normal(size=s) for k, s in shapes.items()}
+        values["b" if "b" in shapes else "s"][:] = 0.0  # as at init
+        delta = chain(*(Tensor(values[k]) for k in shapes), None).data
+        w = np.where(np.signbit(delta), 1.0, -1.0)  # every g * delta is -0.0
+
+        def gate_grad(apply):
+            inputs = [Tensor(values[k].copy(), requires_grad=True) for k in shapes]
+            gate = Tensor(np.full((2, 4, 3), 0.5), requires_grad=True)
+            with tz.Tape():
+                tz.backward(tz.tsum(tz.mul(apply(inputs, gate), w)))
+            return gate.grad
+
+        got = gate_grad(lambda inputs, gate: fused(*inputs, None, gate=gate, column=2))
+        ref = gate_grad(lambda inputs, gate: unfused_gate(chain(*inputs, None), gate, 2))
+        assert (np.signbit(ref) & (ref == 0.0)).any()  # a -0.0 to keep
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("op", sorted(ADAPTER_OPS))
+    def test_finite_difference(self, op):
+        fused, _, shapes = ADAPTER_OPS[op]
+        rng = np.random.default_rng(46)
+        ts = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes.values()]
+        gate = Tensor(rng.random(size=(2, 4, 3)), requires_grad=True)
+        w = rng.normal(size=fused(*ts, None, gate=gate, column=1).shape)
+
+        def build():
+            return tz.tsum(tz.mul(fused(*ts, np.random.default_rng(5), gate=gate, column=1), w))
+
+        finite_difference_check(build, ts + [gate])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("op", sorted(ADAPTER_OPS))
+    def test_non_finite_input_names_the_op(self, op):
+        fused, _, shapes = ADAPTER_OPS[op]
+        rng = np.random.default_rng(47)
+        ts = [Tensor(rng.normal(size=s)) for s in shapes.values()]
+        ts[0].data[0, 0, 0] = np.inf
+        gate = Tensor(np.zeros((2, 4, 3)))  # inf * 0 is nan: still caught
+        with pytest.raises(FloatingPointError, match=f"'{op}'"):
+            fused(*ts, None, gate=gate, column=0)
+
+
 def unfused_linear(x, w):
     """The two-node chain `linear` fuses; the bitwise reference."""
     return tz.matmul(x, tz.transpose(w))

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -6,14 +7,22 @@ import pytest
 import mjlab.tensor as tz
 from mjlab.adapters import count_trainable
 from mjlab.config import ConfigError, ExperimentConfig
-from mjlab.data import generate, pretraining_corpus
+import mjlab.train as train_module
+from mjlab.data import batch_arrays, generate, length_buckets, pretraining_corpus
+from mjlab.model import ProjectionId
 from mjlab.optim import AdamW, lr_at_step
+from mjlab.router import UsageRecorder, route
 from mjlab.train import (
     ABLATION_AXES,
+    ClassifierHead,
     _derive,
+    _task_expert_row,
     ablate,
     apply_axis,
     build_method,
+    evaluate,
+    init_router_states,
+    init_usage,
     make_datasets,
     optimizer_steps,
     prepare_backbone,
@@ -22,6 +31,20 @@ from mjlab.train import (
 )
 
 from conftest import small_config
+
+
+def adapted_init_usage(seed: int):
+    """The initial usage pass as it was before it routed frozen states only:
+    a full evaluation of the fresh adapted model that run `seed` builds; the
+    reference for `init_usage`, with its signature."""
+
+    def adapted(cfg, model, states, dataset, usage):
+        bank, hooks = build_method(cfg, seed, states)
+        bank.eval()
+        return evaluate(cfg, model, hooks, ClassifierHead(cfg.model.d_model, dataset.n_global_classes),
+                        dataset, usage=usage)
+
+    return adapted
 
 
 class TestWorkers:
@@ -155,6 +178,64 @@ class TestPipeline:
         poisoned.blocks[0].w[list(poisoned.blocks[0].w)[0]].data[:] = 1e308
         with pytest.raises(RuntimeError, match="diverged at step"):
             run_pipeline(cfg, 9, backbone=poisoned, train_ds=train_ds, val_ds=val_ds)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mj_divergence_aborts_with_stage_diagnostic(self, small_world):
+        _, train_ds, val_ds = small_world
+        cfg = small_config(method="mj")
+        poisoned = prepare_backbone(cfg, 9, corpus=pretraining_corpus(train_ds))
+        poisoned.blocks[0].w[list(poisoned.blocks[0].w)[0]].data[:] = 1e308
+        with pytest.raises(RuntimeError, match=r"diverged at router initialization \(k-means token sample\): "
+                                               r"non-finite values produced by 'linear'"):
+            run_pipeline(cfg, 9, backbone=poisoned, train_ds=train_ds, val_ds=val_ds)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stage,name", [("init_usage", "the initial usage pass"),
+                                            ("evaluate", "the final evaluation")])
+    def test_divergence_in_a_later_stage_names_it(self, small_world, monkeypatch, stage, name):
+        backbone, train_ds, val_ds = small_world
+        poisoned = copy.deepcopy(backbone)
+        real = getattr(train_module, stage)
+
+        def poison_then_run(cfg, model, *args, **kwargs):
+            model.blocks[0].w[ProjectionId.q].data[:] = 1e308
+            return real(cfg, model, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, stage, poison_then_run)
+        with pytest.raises(RuntimeError, match=f"diverged at {name}: non-finite values produced by 'linear'"):
+            run_pipeline(small_config(method="mj"), 9, backbone=poisoned, train_ds=train_ds, val_ds=val_ds)
+
+    @pytest.mark.parametrize("variant", ["lora", "lorafa", "propulsion"])
+    def test_routing_only_init_pass_matches_the_adapted_pass(self, small_world, variant):
+        backbone, train_ds, val_ds = small_world
+        cfg = small_config(adapter={"variant": variant})
+        states = init_router_states(cfg, backbone, train_ds, 4, total_steps=10)
+        full, fast = UsageRecorder(), UsageRecorder()
+        captured = adapted_init_usage(4)(cfg, backbone, states, val_ds, full)["embeddings"]
+        init_usage(cfg, backbone, states, val_ds, fast)
+        assert list(fast.counts) == list(full.counts) == sorted(states)
+        for layer in full.counts:
+            assert fast.counts[layer].tobytes() == full.counts[layer].tobytes()
+            assert fast.tokens[layer] == full.tokens[layer]
+        # the adapted pass's first batch: its hidden states and decisions, byte for byte
+        tokens, _, tasks = batch_arrays(val_ds, length_buckets(val_ds, cfg.train.batch_size)[0])
+        hidden = backbone.hidden_states(tokens)
+        for layer, (flat, decision) in captured.items():
+            assert hidden[layer].data.reshape(flat.shape).tobytes() == flat.tobytes()
+            frozen = route(states[layer], hidden[layer], _task_expert_row(cfg, tasks))
+            for name in ("z", "p", "m", "selected"):
+                assert getattr(frozen, name).tobytes() == getattr(decision, name).tobytes(), name
+
+    @pytest.mark.parametrize("variant", ["lora", "lorafa", "propulsion"])
+    def test_routing_only_init_pass_writes_the_same_run(self, small_world, tmp_path, monkeypatch, variant):
+        backbone, train_ds, val_ds = small_world
+        cfg = small_config(adapter={"variant": variant})
+        run_pipeline(cfg, 4, tmp_path / "routed", backbone=backbone, train_ds=train_ds, val_ds=val_ds)
+        monkeypatch.setattr(train_module, "init_usage", adapted_init_usage(4))
+        run_pipeline(cfg, 4, tmp_path / "adapted", backbone=backbone, train_ds=train_ds, val_ds=val_ds)
+        for name in ("usage.csv", "embeddings.csv", "report.json", "metrics.jsonl"):
+            assert (tmp_path / "routed" / name).read_bytes() == (tmp_path / "adapted" / name).read_bytes(), name
+        assert "usage_rho" in json.loads((tmp_path / "routed" / "report.json").read_text())
 
     def test_moe_method_trains_router_end_to_end(self, small_world):
         backbone, train_ds, val_ds = small_world

@@ -1,6 +1,6 @@
 """Paired parent/change runs of the perfbench workloads, written as one BENCH file.
 
-    python3 tools/bench_pairs.py --parent /path/to/parent-checkout --label leaner_tape
+    python3 tools/bench_pairs.py --parent /path/to/parent-checkout --label route_node --claim wall_s:ablate_beta
 
 Run it from the root of the change's checkout; `--parent` is a checkout of the
 parent commit (for example `git archive <rev> | tar -x -C <dir>`). It runs, one
@@ -12,13 +12,17 @@ after another and nothing else alongside:
 - one traced pass (`--trace 1`) per side at seed 1 of each workload in
   `TRACED`, keeping the counts of `TRACE_KEYS`;
 - `--seconds 1 --trace 0` of every scheduled workload at seeds 1-10 in the
-  change, whose digests must equal `perfbench/baseline.json`.
+  change, whose digests must equal `perfbench/baseline.json`;
+- `tools/route_overhead.py` (mj against peft `run_pipeline` on one world) at
+  seeds 1-3, on the parent's sources and on the change's, in the same
+  alternating order.
 
 Then it writes `BENCH_<label>.json`: every run, each side's median and
 quartiles (`statistics.quantiles(values, n=4)`, as `perfbench/baseline.py`),
-the wins per metric, and whether the change lowered `peak_rss_mb` on
-`ablate_beta` by the pairing rule: at least 9 wins in 10 and a median
-difference larger than the parent's interquartile range.
+the wins per metric, the routing overhead per seed, and whether the change
+lowered the `--claim` metric on its workload (`peak_rss_mb:ablate_beta` by
+default) by the pairing rule: at least 9 wins in 10 and a median difference
+larger than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -38,8 +42,11 @@ TRACE_KEYS = (
     "tensor.tape_nodes_per_backward", "tensor.backward.calls", "tensor.backward.s",
     "tensor.op.matmul.calls", "tensor.op.transpose.calls", "tensor.op.swapaxes.calls",
     "tensor.op.reshape.calls", "tensor.op.silu.calls", "tensor.op.mul.calls", "tensor.op.add.calls",
-    "tensor.op.softmax.calls", "model.forward.calls",
+    "tensor.op.softmax.calls", "model.forward.calls", "router.route.s", "tensor.op.select_index.calls",
+    "tensor.op.l2_normalize_rows.calls", "train.evaluate.s", "train.init_router_states.s",
+    "data.sample_init_tokens.s",
 )
+OVERHEAD_SEEDS = (1, 2, 3)
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "val_accuracy")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
 
@@ -82,47 +89,81 @@ def paired(parent: Path, workload: str, seeds) -> dict:
     return {"pairs": pairs, "summary": summary}
 
 
+def route_overhead(parent: Path, seed: int) -> dict:
+    """`tools/route_overhead.py` at `seed` on each side's sources, the parent
+    first on odd seeds."""
+    sides = ("parent", "change") if seed % 2 else ("change", "parent")
+    row = {"seed": seed, "first": sides[0]}
+    for side in sides:
+        src = (parent if side == "parent" else ROOT) / "src"
+        cmd = [sys.executable, "tools/route_overhead.py", "--seed", str(seed), "--src", str(src)]
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
+        row[side] = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(f"route overhead seed={seed} {row['parent']['overhead_s']:.3f}->{row['change']['overhead_s']:.3f} s",
+          flush=True)
+    return row
+
+
+def claim_of(paired_runs: dict, metric: str, workload: str) -> dict:
+    """Whether the change lowered `metric` on `workload`: at least 9 wins in
+    10 and a median difference larger than the parent's interquartile range."""
+    s = paired_runs[workload]["summary"]
+    parent, change = s["parent"][metric], s["change"][metric]
+    iqr = parent["q3"] - parent["q1"]
+    diff = parent["median"] - change["median"]
+    n = len(paired_runs[workload]["pairs"])
+    wins = s["change_wins"][metric]
+    return {"workload": workload, "metric": metric, "pairs": n, "change_wins": wins, "median_diff": diff,
+            "parent_iqr": iqr, "relative_change": -diff / parent["median"],
+            "met": wins * 10 >= 9 * n and diff > iqr}
+
+
+def parse_claim(text: str) -> tuple[str, str]:
+    metric, _, workload = text.partition(":")
+    if metric not in LOWER_IS_BETTER or workload not in PAIRS:
+        raise argparse.ArgumentTypeError(f"expected METRIC:WORKLOAD with METRIC in {LOWER_IS_BETTER} "
+                                         f"and WORKLOAD in {tuple(PAIRS)}, got {text!r}")
+    return metric, workload
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repository root")
+    parser.add_argument("--claim", type=parse_claim, default=("peak_rss_mb", "ablate_beta"),
+                        metavar="METRIC:WORKLOAD", help="the metric the change claims to lower")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
+    metric, workload = args.claim
     baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
 
     out = {"label": args.label, "command": "python3 tools/bench_pairs.py --parent <parent checkout> "
-                                           f"--label {args.label}",
+                                           f"--label {args.label} --claim {metric}:{workload}",
            "env": {"OPENBLAS_NUM_THREADS": "1 (set by perfbench/run.py)", "cpus": len(os.sched_getaffinity(0))}}
-    out["paired"] = {workload: paired(parent, workload, seeds) for workload, seeds in PAIRS.items()}
-
-    s = out["paired"]["ablate_beta"]["summary"]
-    parent_rss, change_rss = s["parent"]["peak_rss_mb"], s["change"]["peak_rss_mb"]
-    iqr = parent_rss["q3"] - parent_rss["q1"]
-    diff = parent_rss["median"] - change_rss["median"]
-    n = len(out["paired"]["ablate_beta"]["pairs"])
-    out["claim"] = {"workload": "ablate_beta", "metric": "peak_rss_mb", "pairs": n,
-                    "change_wins": s["change_wins"]["peak_rss_mb"], "median_diff_mb": diff, "parent_iqr_mb": iqr,
-                    "relative_change": -diff / parent_rss["median"],
-                    "met": s["change_wins"]["peak_rss_mb"] * 10 >= 9 * n and diff > iqr}
+    out["paired"] = {name: paired(parent, name, seeds) for name, seeds in PAIRS.items()}
+    out["claim"] = claim_of(out["paired"], metric, workload)
 
     out["trace_counts_seed1"] = {}
-    for workload in TRACED:
-        traced = {side: run(root, workload, 1, 10, trace=1)["metrics"] for side, root in
+    for name in TRACED:
+        traced = {side: run(root, name, 1, 10, trace=1)["metrics"] for side, root in
                   (("parent", parent), ("change", ROOT))}
-        out["trace_counts_seed1"][workload] = {key: [traced["parent"][key], traced["change"][key]]
-                                               for key in TRACE_KEYS}
-        print(f"{workload} traced: {out['trace_counts_seed1'][workload]}", flush=True)
+        out["trace_counts_seed1"][name] = {key: [traced["parent"][key], traced["change"][key]] for key in TRACE_KEYS}
+        print(f"{name} traced: {out['trace_counts_seed1'][name]}", flush=True)
     out["trace_counts_seed1"]["note"] = "[parent, change] from one --trace 1 run each at seed 1"
 
     out["digests"] = {}
-    for workload, recorded in baseline["workloads"].items():
+    for name, recorded in baseline["workloads"].items():
         per_seed = {}
         for seed in range(1, 11):
-            got = run(ROOT, workload, seed, 1)
+            got = run(ROOT, name, seed, 1)
             per_seed[str(seed)] = got["digest"]
-            print(f"{workload} seed={seed} digest match={got['digest'] == recorded['digests'][str(seed)]}", flush=True)
-        out["digests"][workload] = {"per_seed": per_seed,
+            print(f"{name} seed={seed} digest match={got['digest'] == recorded['digests'][str(seed)]}", flush=True)
+        out["digests"][name] = {"per_seed": per_seed,
                                     "all_match_baseline": all(per_seed[k] == recorded["digests"][k] for k in per_seed)}
+
+    rows = [route_overhead(parent, seed) for seed in OVERHEAD_SEEDS]
+    out["route_overhead"] = {"rows": rows, "median_s": {
+        side: statistics.median(row[side]["overhead_s"] for row in rows) for side in ("parent", "change")}}
 
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(json.dumps(out["claim"]))
