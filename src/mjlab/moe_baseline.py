@@ -94,13 +94,11 @@ def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
 
 
 def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
-    """Gate-weighted sum of expert LoRA outputs on input x."""
-    drop_rng = bank.drop_rng
-    out = None
-    for n, expert in enumerate(bank.experts[(layer, proj)]):
-        term = expert.apply(x, gates, drop_rng=drop_rng, column=n)
-        out = term if out is None else tz.add(out, term)
-    return out
+    """Gate-weighted sum of expert LoRA outputs on input x, as one tape node."""
+    experts = bank.experts[(layer, proj)]
+    cfg = experts[0].cfg
+    return tz.lora_delta(x, [e.a for e in experts], [e.b for e in experts], cfg.alpha / cfg.r, cfg.dropout,
+                         bank.drop_rng, gate=gates, column=range(len(experts)))
 
 
 class MoEHooks:

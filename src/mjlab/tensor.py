@@ -22,8 +22,9 @@ Replay contract of the fused ops (`linear`, `causal_attention`, `swiglu`,
 node that runs, in order, the numpy calls of the chain of simpler ops it
 replaces, including each contiguous copy those ops make (a copy changes the
 memory layout a later matmul reads, and so its result), and keeps only the
-arrays its backward reads. Values and gradients are bitwise equal to the
-chain's; only the op named by a finite check differs.
+arrays its backward reads; `lora_delta`'s backward rebuilds dropout(x) and
+the delta instead of keeping them. Values and gradients are bitwise equal to
+the chain's; only the op named by a finite check differs.
 """
 
 from __future__ import annotations
@@ -586,20 +587,33 @@ def cross_entropy(logits, targets: np.ndarray, weights: np.ndarray | None = None
     return _make("cross_entropy", out, (logits,), back)
 
 
-def _drop(x: np.ndarray, p: float, rng: np.random.Generator | None):
-    """(dropout(x), keep) as `dropout` draws it; no `keep` unless `rng` is
-    given and p > 0.
+def _mask(keep: np.ndarray, p: float) -> np.ndarray:
+    """The float dropout mask from the boolean `keep`, by the one expression
+    every forward and every backward uses.
 
-    `keep` is the boolean mask; a backward rebuilds the float mask as
-    `keep / (1.0 - p)`, the very expression the forward used, so a node
-    holds one byte per element for it instead of eight.
+    Bitwise equal to `keep / (1.0 - p)`: a kept element is the one correctly
+    rounded quotient 1.0 / (1.0 - p) either way, a dropped one +0.0. numpy
+    multiplies a boolean array by a scalar in about half the time it takes
+    to divide it.
+    """
+    return keep * (1.0 / (1.0 - p))
+
+
+def _drop(x: np.ndarray, p: float, rng: np.random.Generator | None, n: int | None = None):
+    """(dropout(x), keep) as `dropout` draws it; no `keep` unless `rng` is
+    given and p > 0. With `n`, n masks come from one (n,) + x.shape draw,
+    the stream of n draws of x.shape.
+
+    `keep` is the boolean mask; a backward rebuilds the float mask with
+    `_mask`, as the forward did, so a node holds one byte per element for it
+    instead of eight.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if rng is None or p == 0.0:
         return x, None
-    keep = rng.random(x.shape) >= p
-    return _as_array(x * (keep / (1.0 - p))), keep
+    keep = rng.random(x.shape if n is None else (n,) + x.shape) >= p
+    return _as_array(x * _mask(keep, p)), keep
 
 
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
@@ -608,7 +622,7 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     out, keep = _drop(a.data, p, rng)
     if keep is None:
         return a
-    return _make("dropout", out, (a,), lambda g: (g * (keep / (1.0 - p)),))
+    return _make("dropout", out, (a,), lambda g: (g * _mask(keep, p),))
 
 
 def _gated(op: str, delta: np.ndarray, inputs: tuple[Tensor, ...], delta_back,
@@ -640,8 +654,9 @@ def _gated(op: str, delta: np.ndarray, inputs: tuple[Tensor, ...], delta_back,
     return _make(op, delta * col, (*inputs, gate), back)
 
 
-def lora_delta(x, a: Tensor, b: Tensor, scale: float, p: float,
-               rng: np.random.Generator | None, gate: Tensor | None = None, column: int = 0) -> Tensor:
+def lora_delta(x, a: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor], scale: float, p: float,
+               rng: np.random.Generator | None, gate: Tensor | None = None,
+               column: int | Sequence[int] = 0) -> Tensor:
     """scale * dropout(x) @ a^T @ b^T as one tape node, times gate[..., column]
     when `gate` is given.
 
@@ -651,35 +666,93 @@ def lora_delta(x, a: Tensor, b: Tensor, scale: float, p: float,
     backward replay the numpy calls of the chain dropout, transpose, matmul,
     transpose, matmul, mul (and select_index, mul for the gate) in the same
     order, so values and gradients are bitwise equal to it.
+
+    E adapters that read the same `x` (one projection's MoE experts) make
+    one node too: `a`, `b` and `column` are then sequences of E, and the
+    output is the sum of the adapters' gated deltas in order, the chain of E
+    single calls joined by `add`. Their masks are one (E,) + x.shape draw,
+    the stream of E draws, and their matmuls run stacked on a leading
+    adapter axis, which numpy computes slice by slice as the single calls
+    do. The node's inputs are (x, a, b, gate) once per adapter, in reverse
+    order, so `backward` accumulates the gradients of `x` and `gate` in the
+    chain's order.
+
+    The node keeps x, the masks, x_d @ A^T, A^T, B^T and the gate columns;
+    backward rebuilds dropout(x) and the ungated delta from them with the
+    forward's own expressions.
     """
     x = _wrap(x)
-    xd, keep = _drop(x.data, p, rng)
-    at = _as_array(a.data.T)
-    xa = _as_array(xd @ at)
-    bt = _as_array(b.data.T)
-    xab = _as_array(xa @ bt)
+    single = isinstance(a, Tensor)
+    if single:
+        a, b, column = (a,), (b,), (column,)
+    n = len(a)
     s = _as_array(scale)
+    xd, keep = _drop(x.data, p, rng, None if single else n)
+    if single:
+        at, bt = _as_array(a[0].data.T), _as_array(b[0].data.T)
+        at_mm, bt_mm = at, bt
+    else:
+        at, bt = np.stack([t.data.T for t in a]), np.stack([t.data.T for t in b])
+        lead = (n,) + (1,) * (x.ndim - 2)  # one adapter slice per batch of x
+        at_mm, bt_mm = at.reshape(lead + at.shape[1:]), bt.reshape(lead + bt.shape[1:])
+    xa = _as_array(xd @ at_mm)
+
+    def ungated():
+        return _as_array(_as_array(xa @ bt_mm) * s)
+
+    def per_adapter(arr):
+        return (arr,) if single else arr
+
+    out = ungated()
+    cols = None
+    if gate is not None:  # the gate columns, stacked as the deltas are
+        if single:
+            cols = _as_array(gate.data[..., column[0]:column[0] + 1])
+        else:
+            cols = np.stack([gate.data[..., c:c + 1] for c in column])
+        out = out * cols
+    if not single:
+        terms, out = out, out[0]
+        for term in terms[1:]:
+            out = out + term
+    inputs = ()
+    for e in reversed(range(n)):
+        inputs += (x, a[e], b[e]) if gate is None else (x, a[e], b[e], gate)
 
     def back(g):
-        g_xab = g * s
-        gb = None
-        if b.requires_grad:
-            g_bt = _unbroadcast(np.swapaxes(xa, -1, -2) @ g_xab, bt.shape)
-            gb = np.ascontiguousarray(g_bt.T)
-        if not (x.requires_grad or a.requires_grad):
-            return None, None, gb
-        g_xa = g_xab @ np.swapaxes(bt, -1, -2)
-        gx = ga = None
-        if x.requires_grad:
-            gx = g_xa @ np.swapaxes(at, -1, -2)
-            if keep is not None:
-                gx = gx * (keep / (1.0 - p))
-        if a.requires_grad:
-            g_at = _unbroadcast(np.swapaxes(xd, -1, -2) @ g_xa, at.shape)
-            ga = np.ascontiguousarray(g_at.T)
-        return gx, ga, gb
+        trains_a = any(t.requires_grad for t in a)
+        mask = _mask(keep, p) if keep is not None and (x.requires_grad or trains_a) else None
+        xds = per_adapter(_as_array(x.data * mask)) if mask is not None and trains_a else (x.data,) * n
+        gated = gate is not None and gate.requires_grad
+        deltas = per_adapter(ungated()) if gated else None
+        ats, bts, xas, gcols = per_adapter(at), per_adapter(bt), per_adapter(xa), per_adapter(cols)
+        grads = []
+        for e in reversed(range(n)):
+            gx = ga = gb = None
+            if x.requires_grad or a[e].requires_grad or b[e].requires_grad:
+                g_xab = (g if cols is None else g * gcols[e]) * s
+                if b[e].requires_grad:
+                    g_bt = _unbroadcast(np.swapaxes(xas[e], -1, -2) @ g_xab, bts[e].shape)
+                    gb = np.ascontiguousarray(g_bt.T)
+                if x.requires_grad or a[e].requires_grad:
+                    g_xa = g_xab @ np.swapaxes(bts[e], -1, -2)
+                    if x.requires_grad:
+                        gx = g_xa @ np.swapaxes(ats[e], -1, -2)
+                        if mask is not None:
+                            gx = gx * per_adapter(mask)[e]
+                    if a[e].requires_grad:
+                        g_at = _unbroadcast(np.swapaxes(xds[e], -1, -2) @ g_xa, ats[e].shape)
+                        ga = np.ascontiguousarray(g_at.T)
+            grads += (gx, ga, gb)
+            if gate is not None:
+                g_gate = None
+                if gated:
+                    g_gate = np.zeros_like(gate.data)
+                    g_gate[..., column[e]:column[e] + 1] = _unbroadcast(g * deltas[e], gcols[e].shape)
+                grads.append(g_gate)
+        return grads
 
-    return _gated("lora_delta", xab * s, (x, a, b), back, gate, column)
+    return _make("lora_delta", out, inputs, back)
 
 
 def propulsion_delta(x, s: Tensor, p: float, rng: np.random.Generator | None,
@@ -698,7 +771,7 @@ def propulsion_delta(x, s: Tensor, p: float, rng: np.random.Generator | None,
         if x.requires_grad:
             gx = _unbroadcast(g * s.data, xd.shape)
             if keep is not None:
-                gx = gx * (keep / (1.0 - p))
+                gx = gx * _mask(keep, p)
         if s.requires_grad:
             gs = _unbroadcast(g * xd, s.data.shape)
         return gx, gs

@@ -284,6 +284,22 @@ class TestEndToEnd:
         eval_out = json.loads(capsys.readouterr().out)
         assert eval_out["per_task_accuracy"] == raw_report["per_task_accuracy"]
 
+    @pytest.mark.parametrize("method", ["moe", "peft"])
+    def test_eval_round_trip_of_baseline_runs(self, tmp_path, fast_config_path, capsys, method):
+        raw = json.loads(fast_config_path.read_text())
+        raw["method"] = method
+        path = tmp_path / f"{method}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "runs"
+        assert main(["train", "--config", str(path), "--seed", "0", "--out", str(out), "--quiet"]) == 0
+        run_dir = next(out.glob("run-*-s0"))
+        report = json.loads((run_dir / "report.json").read_text())
+        assert main(["eval", "--run-dir", str(run_dir)]) == 0
+        eval_out = json.loads(capsys.readouterr().out)
+        # the same floats, not merely close ones
+        assert json.dumps(eval_out["per_task_accuracy"]) == json.dumps(report["per_task_accuracy"])
+        assert json.dumps(eval_out["overall_accuracy"]) == json.dumps(report["overall_accuracy"])
+
     def test_eval_rejects_wrong_shape_centers_before_any_forward(self, tmp_path, fast_config_path, capsys,
                                                                  monkeypatch):
         from mjlab.model import Backbone

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ import pytest
 import mjlab.tensor as tz
 from mjlab.tensor import Tensor
 from mjlab.adapters import Adapter, AdapterBank, AdapterConfig, count_trainable
-from mjlab.model import ModelConfig, ProjectionId
+from mjlab.config import ExperimentConfig
+from mjlab.model import Backbone, ModelConfig, ProjectionId
 from mjlab.moe_baseline import MoEAdapterBank, MoEConfig, MoEHooks, moe_gates, moe_mix
+
+from mjlab.train import ClassifierHead, build_method
 
 from conftest import finite_difference_check
 
@@ -17,6 +21,17 @@ QV = (ProjectionId.q, ProjectionId.v)
 def moe_forward(bank: MoEAdapterBank, layer: int, proj: ProjectionId, h: Tensor) -> Tensor:
     """Single-site MoE contribution with gates computed from the same input."""
     return moe_mix(bank, layer, proj, h, moe_gates(bank, layer, h))
+
+
+def unfused_moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
+    """The chain `moe_mix` fuses: one `Adapter.apply` per expert, joined by
+    `add`; the bitwise reference."""
+    drop_rng = bank.drop_rng
+    out = None
+    for n, expert in enumerate(bank.experts[(layer, proj)]):
+        term = expert.apply(x, gates, drop_rng=drop_rng, column=n)
+        out = term if out is None else tz.add(out, term)
+    return out
 
 
 def square_cfg(d=8, layers=1):
@@ -191,3 +206,166 @@ class TestCheckpoint:
         tz.save_tensor(target, np.zeros((3, 8)))  # router is (n_experts, d)
         with pytest.raises(ValueError, match="layer0.router.bin"):
             bank.load_weights(tmp_path / "moe")
+
+
+def grouped_bank(n_experts: int, d_out: int = 5, dropout: float = 0.3, frozen_a: bool = False) -> MoEAdapterBank:
+    """One layer, one projection (d_in 6) of `n_experts` experts with drawn,
+    non-zero factors; `frozen_a` freezes every A, as LoRA-FA does."""
+    cfg = ModelConfig(d_model=6, d_ff=d_out, n_layers=1, n_heads=1, vocab_size=8, max_seq_len=8)
+    bank = MoEAdapterBank(cfg, MoEConfig(n_experts=n_experts, top_k=1, r=3, dropout=dropout),
+                          (ProjectionId.up,), seed=31)
+    rng = np.random.default_rng(32)
+    for expert in bank.experts[(0, ProjectionId.up)]:
+        expert.b.data = rng.normal(size=expert.b.shape)
+        expert.a.requires_grad = not frozen_a
+    return bank
+
+
+class TestGroupedNode:
+    """`moe_mix`, one `lora_delta` node for all of a projection's experts,
+    against `unfused_moe_mix` byte for byte."""
+
+    @staticmethod
+    def run(mix, n_experts, x_shape, dropout=True, x_grad=True, gate_grad=True, frozen_a=False, rounds=2):
+        """Values, node count and every gradient after each of `rounds`
+        forward/backward passes that accumulate into the same `.grad`."""
+        bank = grouped_bank(n_experts, frozen_a=frozen_a)
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.normal(size=x_shape + (6,)), requires_grad=x_grad)
+        gate_values = rng.random(size=x_shape + (n_experts,))
+        gate_values[..., 0, -1] = 0.0  # an unselected expert
+        gates = Tensor(gate_values, requires_grad=gate_grad)
+        w = rng.normal(size=x_shape + (5,))
+        experts = bank.experts[(0, ProjectionId.up)]
+        leaves = {"x": x, "gates": gates, **{f"e{n}.{k}": t for n, e in enumerate(experts)
+                                             for k, t in e.named_tensors().items()}}
+        if not dropout:
+            bank.eval()
+        out = []
+        for step in range(rounds):
+            if dropout:
+                bank.begin_step(40 + step)
+            with tz.Tape() as tape:
+                y = mix(bank, 0, ProjectionId.up, x, gates)
+                n_nodes = len(tape.nodes)
+                loss = tz.tsum(tz.mul(y, w))
+                if loss.requires_grad:
+                    tz.backward(loss)
+            grads = {k: None if t.grad is None else t.grad.copy() for k, t in leaves.items()}
+            out.append((y.data, n_nodes, grads))
+        return out
+
+    @pytest.mark.parametrize("n_experts", [1, 2, 4])
+    @pytest.mark.parametrize("x_shape", [(4,), (2, 4)])
+    @pytest.mark.parametrize("dropout", [True, False])
+    @pytest.mark.parametrize("trainable", [
+        "all", "layer0",  # layer 0's x has no grad
+        "no_gate_grad", "frozen_a", "gate_only"])
+    def test_bitwise_equal_to_unfused_chain(self, n_experts, x_shape, dropout, trainable):
+        kwargs = {"all": {}, "layer0": {"x_grad": False}, "no_gate_grad": {"gate_grad": False},
+                  "frozen_a": {"frozen_a": True}, "gate_only": {"x_grad": False, "frozen_a": True}}[trainable]
+        got = self.run(moe_mix, n_experts, x_shape, dropout, **kwargs)
+        ref = self.run(unfused_moe_mix, n_experts, x_shape, dropout, **kwargs)
+        for (y, nodes, grads), (ref_y, ref_nodes, ref_grads) in zip(got, ref):
+            assert nodes == 1 and ref_nodes == 2 * n_experts - 1
+            assert y.tobytes() == ref_y.tobytes()
+            for k, g in grads.items():
+                if g is None or ref_grads[k] is None:
+                    assert g is None and ref_grads[k] is None, k
+                else:
+                    assert g.tobytes() == ref_grads[k].tobytes(), k
+        if trainable == "gate_only":
+            assert got[0][2]["e0.b"] is not None and got[0][2]["e0.a"] is None
+
+    def test_second_backward_accumulates(self):
+        (_, _, first), (_, _, second) = self.run(moe_mix, 4, (2, 4))
+        for k, g in first.items():
+            assert not np.array_equal(second[k], g), k
+
+    @pytest.mark.parametrize("n_experts", [1, 2, 4])
+    def test_gate_gradient_keeps_the_sign_of_zero(self, n_experts):
+        """Fresh experts (B = 0) with d_out = 1 send -0.0 into every gate
+        column; adding another expert's +0.0 columns clears the sign, so only
+        E = 1 keeps one, and the node must keep it there too."""
+        bank = grouped_bank(n_experts, d_out=1, dropout=0.0)
+        for expert in bank.experts[(0, ProjectionId.up)]:
+            expert.b.data[:] = 0.0
+        rng = np.random.default_rng(34)
+        x_values = rng.normal(size=(2, 4, 6))
+        delta = unfused_moe_mix(bank, 0, ProjectionId.up, Tensor(x_values), Tensor(np.ones((2, 4, n_experts)))).data
+        w = np.where(np.signbit(delta), 1.0, -1.0)  # every g * delta is -0.0
+
+        def gate_grad(mix):
+            gates = Tensor(np.full((2, 4, n_experts), 0.5), requires_grad=True)
+            with tz.Tape():
+                tz.backward(tz.tsum(tz.mul(mix(bank, 0, ProjectionId.up, Tensor(x_values), gates), w)))
+            return gates.grad
+
+        got, ref = gate_grad(moe_mix), gate_grad(unfused_moe_mix)
+        assert (np.signbit(ref) & (ref == 0.0)).any() == (n_experts == 1)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_finite_difference(self):
+        bank = grouped_bank(3)
+        rng = np.random.default_rng(35)
+        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        gates = Tensor(rng.random(size=(2, 3, 3)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 5))
+
+        def build():
+            bank.begin_step(7)  # identical masks on every eval
+            return tz.tsum(tz.mul(moe_mix(bank, 0, ProjectionId.up, x, gates), w))
+
+        experts = bank.experts[(0, ProjectionId.up)]
+        finite_difference_check(build, [x, gates] + [t for e in experts for t in (e.a, e.b)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_input_names_the_op(self):
+        bank = grouped_bank(2)
+        x = Tensor(np.random.default_rng(36).normal(size=(2, 3, 6)))
+        x.data[1, 2, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="'lora_delta'"):
+            moe_mix(bank, 0, ProjectionId.up, x, Tensor(np.zeros((2, 3, 2))))  # inf * 0 is nan
+
+    def test_one_stacked_draw_is_the_stream_of_separate_draws(self):
+        shape = (2, 3, 6)
+        one = np.random.default_rng(37).random((4,) + shape)
+        rng = np.random.default_rng(37)
+        assert one.tobytes() == np.stack([rng.random(shape) for _ in range(4)]).tobytes()
+
+
+class TestTapeFootprint:
+    """A MoE fine-tune step keeps about a peft step's tape: each projection's
+    experts are one node."""
+
+    @staticmethod
+    def step(method: str) -> tuple[int, int]:
+        """(tape nodes, tape bytes) at backward entry of one step at the
+        default config, B = 16, T = 24; the same batch for every method."""
+        cfg = ExperimentConfig(method=method)
+        backbone = Backbone(cfg.model, seed=0)
+        backbone.freeze()
+        bank, hooks = build_method(cfg, 0)
+        head = ClassifierHead(cfg.model.d_model, 3)
+        rng = np.random.default_rng(38)
+        tokens = rng.integers(0, cfg.model.vocab_size, size=(16, 24))
+        labels = rng.integers(0, 3, size=16)
+        bank.begin_step(1)
+        hooks.set_batch()
+        tracemalloc.start()
+        try:
+            with tz.Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                loss = tz.cross_entropy(head.logits(backbone.final_states(tokens, hooks)), labels)
+                at_entry = tracemalloc.get_traced_memory()[0] - before
+                n_nodes = len(tape.nodes)
+                tz.backward(loss)
+        finally:
+            tracemalloc.stop()
+        return n_nodes, at_entry
+
+    def test_moe_step_holds_about_a_peft_tape(self):
+        moe_nodes, moe_bytes = self.step("moe")
+        _, peft_bytes = self.step("peft")
+        assert moe_nodes <= 120, moe_nodes
+        assert moe_bytes <= 1.25 * peft_bytes, (moe_bytes, peft_bytes)

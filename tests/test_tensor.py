@@ -250,6 +250,12 @@ class TestFiniteDifference:
         finite_difference_check(build, [w])
 
 
+@pytest.mark.parametrize("p", [0.05, 0.1, 1 / 3, 0.5, 0.7, 0.999])
+def test_float_dropout_mask_is_the_quotient(p):
+    keep = np.random.default_rng(24).random((5, 7)) >= p
+    assert tz._mask(keep, p).tobytes() == (keep / (1.0 - p)).tobytes()
+
+
 def unfused_lora_delta(x, a, b, scale, p, rng):
     """The six-node chain `lora_delta` fuses; the bitwise reference."""
     if rng is not None and p > 0.0:

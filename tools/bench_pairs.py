@@ -13,16 +13,18 @@ after another and nothing else alongside:
   `TRACED`, keeping the counts of `TRACE_KEYS`;
 - `--seconds 1 --trace 0` of every scheduled workload at seeds 1-10 in the
   change, whose digests must equal `perfbench/baseline.json`;
-- `tools/route_overhead.py` (mj against peft `run_pipeline` on one world) at
-  seeds 1-3, on the parent's sources and on the change's, in the same
-  alternating order.
+- `tools/route_overhead.py` (mj, peft and moe `run_pipeline` on one world,
+  and each method's step tape bytes) at seeds 1-3, on the parent's sources
+  and on the change's, in the same alternating order.
 
 Then it writes `BENCH_<label>.json`: every run, each side's median and
 quartiles (`statistics.quantiles(values, n=4)`, as `perfbench/baseline.py`),
-the wins per metric, the routing overhead per seed, and whether the change
-lowered the `--claim` metric on its workload (`peak_rss_mb:ablate_beta` by
-default) by the pairing rule: at least 9 wins in 10 and a median difference
-larger than the parent's interquartile range.
+the wins per metric, the routing overhead and MoE ledger per seed, and
+whether the change lowered the `--claim` metric on its workload
+(`peak_rss_mb:ablate_beta` by default) by the pairing rule: at least 9 wins
+in 10 and a median difference larger than the parent's interquartile range.
+A claim is never met while any pair of any workload reported `correct:
+false` or differed in its artifact digest.
 """
 
 from __future__ import annotations
@@ -44,8 +46,12 @@ TRACE_KEYS = (
     "tensor.op.reshape.calls", "tensor.op.silu.calls", "tensor.op.mul.calls", "tensor.op.add.calls",
     "tensor.op.softmax.calls", "model.forward.calls", "router.route.s", "tensor.op.select_index.calls",
     "tensor.op.l2_normalize_rows.calls", "train.evaluate.s", "train.init_router_states.s",
-    "data.sample_init_tokens.s",
+    "data.sample_init_tokens.s", "moe_baseline.mix.s", "moe_baseline.gates.s", "adapters.apply.calls",
+    "optim.step.s",
 )
+LEDGER_KEYS = ("overhead_s", "mj_s", "peft_s", "moe_s", "mj_speedup_over_moe", "mj_nodes_per_backward",
+               "peft_nodes_per_backward", "moe_nodes_per_backward", "mj_step_tape_bytes", "peft_step_tape_bytes",
+               "moe_step_tape_bytes")
 OVERHEAD_SEEDS = (1, 2, 3)
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "val_accuracy")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
@@ -99,23 +105,27 @@ def route_overhead(parent: Path, seed: int) -> dict:
         cmd = [sys.executable, "tools/route_overhead.py", "--seed", str(seed), "--src", str(src)]
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
         row[side] = json.loads(proc.stdout.strip().splitlines()[-1])
-    print(f"route overhead seed={seed} {row['parent']['overhead_s']:.3f}->{row['change']['overhead_s']:.3f} s",
-          flush=True)
+    print(f"route overhead seed={seed} " + " ".join(
+        f"{key}={row['parent'][key]:.4g}->{row['change'][key]:.4g}" for key in LEDGER_KEYS), flush=True)
     return row
 
 
 def claim_of(paired_runs: dict, metric: str, workload: str) -> dict:
     """Whether the change lowered `metric` on `workload`: at least 9 wins in
-    10 and a median difference larger than the parent's interquartile range."""
+    10 and a median difference larger than the parent's interquartile range,
+    with every pair of every workload correct on both sides and digest-equal."""
     s = paired_runs[workload]["summary"]
     parent, change = s["parent"][metric], s["change"][metric]
     iqr = parent["q3"] - parent["q1"]
     diff = parent["median"] - change["median"]
     n = len(paired_runs[workload]["pairs"])
     wins = s["change_wins"][metric]
+    faulty = sum(not (p["both_correct"] and p["digest_equal"]) for runs in paired_runs.values()
+                 for p in runs["pairs"])
     return {"workload": workload, "metric": metric, "pairs": n, "change_wins": wins, "median_diff": diff,
             "parent_iqr": iqr, "relative_change": -diff / parent["median"],
-            "met": wins * 10 >= 9 * n and diff > iqr}
+            "pairs_incorrect_or_digest_differs": faulty,
+            "met": faulty == 0 and wins * 10 >= 9 * n and diff > iqr}
 
 
 def parse_claim(text: str) -> tuple[str, str]:
@@ -163,7 +173,9 @@ def main(argv=None) -> int:
 
     rows = [route_overhead(parent, seed) for seed in OVERHEAD_SEEDS]
     out["route_overhead"] = {"rows": rows, "median_s": {
-        side: statistics.median(row[side]["overhead_s"] for row in rows) for side in ("parent", "change")}}
+        side: statistics.median(row[side]["overhead_s"] for row in rows) for side in ("parent", "change")},
+        "median": {side: {key: statistics.median(row[side][key] for row in rows) for key in LEDGER_KEYS}
+                   for side in ("parent", "change")}}
 
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(json.dumps(out["claim"]))

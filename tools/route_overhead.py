@@ -1,16 +1,19 @@
-"""Routing overhead: mj against peft `run_pipeline` on one shared world.
+"""Routing overhead and the MoE ledger: mj, peft and moe `run_pipeline` on one shared world.
 
     python3 tools/route_overhead.py --seed 1
     python3 tools/route_overhead.py --seed 1 --src /path/to/other-checkout/src
 
 Builds the `BENCH_SCALE` config of `perfbench/workloads.py` at `--seed` (as
 the benchmark does: `data.seed` and the run seed), runs `prepare_world` once
-and then `run_pipeline` for method mj and for method peft on that world,
-timing each, with one BLAS thread. `--src` picks the mjlab sources to time, so
-one copy of this script measures a parent checkout and a change alike. Prints
-one JSON line: the world time, each method's fine-tune plus eval time, the
-mj - peft overhead, each method's tape nodes per backward and both
-accuracies.
+and then `run_pipeline` for methods mj, peft and moe on that world, timing
+each, with one BLAS thread. `--src` picks the mjlab sources to time, so one
+copy of this script measures a parent checkout and a change alike. After the
+timed runs, one more `run_pipeline` per method runs up to its first
+fine-tune step under tracemalloc and stops at that step's `backward` entry,
+to read the bytes its tape holds there. Prints one JSON line: the world
+time, each method's fine-tune plus eval time, the mj - peft overhead, how
+many times faster mj is than moe, each method's tape nodes per backward and
+step tape bytes, and the accuracies.
 """
 
 import os
@@ -22,9 +25,15 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+METHODS = ("mj", "peft", "moe")
+
+
+class _AtBackward(Exception):
+    """Stops a measuring run at its first `backward` entry."""
 
 
 def main(argv=None) -> int:
@@ -41,15 +50,26 @@ def main(argv=None) -> int:
 
     nodes: list[int] = []
     backward = tz.backward
+    measuring = False
 
     def counting_backward(loss):
         nodes.append(len(tz._active_tape().nodes))
+        if measuring:
+            raise _AtBackward(tracemalloc.get_traced_memory()[0])
         return backward(loss)
 
+    class StepTape(tz.Tape):
+        """Traces allocations from the first tape on, when measuring."""
+
+        def __enter__(self):
+            if measuring and not tracemalloc.is_tracing():
+                tracemalloc.start()
+            return super().__enter__()
+
     tz.backward = counting_backward
+    tz.Tape = StepTape
     out = {"seed": args.seed, "src": str(args.src.resolve())}
-    cfgs = {method: ExperimentConfig.from_dict(make_config(method, args.seed, BENCH_SCALE))
-            for method in ("mj", "peft")}
+    cfgs = {method: ExperimentConfig.from_dict(make_config(method, args.seed, BENCH_SCALE)) for method in METHODS}
     start = time.perf_counter()
     world = prepare_world(cfgs["mj"], args.seed)
     out["prepare_world_s"] = time.perf_counter() - start
@@ -60,7 +80,16 @@ def main(argv=None) -> int:
         out[f"{method}_s"] = time.perf_counter() - start
         out[f"{method}_nodes_per_backward"] = sum(nodes) / len(nodes)
         out[f"{method}_accuracy"] = run["overall_accuracy"]
+    measuring = True
+    for method, cfg in cfgs.items():
+        try:
+            run_pipeline(cfg, args.seed, backbone=world[0], train_ds=world[1], val_ds=world[2])
+        except _AtBackward as stop:
+            out[f"{method}_step_tape_bytes"] = stop.args[0]
+        finally:
+            tracemalloc.stop()
     out["overhead_s"] = out["mj_s"] - out["peft_s"]
+    out["mj_speedup_over_moe"] = out["moe_s"] / out["mj_s"]
     print(json.dumps(out, sort_keys=True))
     return 0
 
