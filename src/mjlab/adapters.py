@@ -57,25 +57,36 @@ class Adapter:
             return {"a": self.a, "b": self.b}
         return {"s": self.s}
 
-    def apply(self, h: Tensor, m, base: Tensor | None = None,
-              drop_rng: np.random.Generator | None = None, column: int = 0) -> Tensor:
-        """m * delta(h) as one tape node.
+    def term(self, m, drop_rng: np.random.Generator | None = None,
+             column: int = 0) -> tz.LoRA | tz.Propulsion | None:
+        """This adapter times `m`, as the term a projection node adds.
 
         `m` is 1, 0 or a (..., E) coefficient tensor whose last-axis `column`
-        gates this adapter. m == 0 short-circuits off the tape entirely.
+        gates this adapter; m == 0 gives None, no term at all.
         """
         if isinstance(m, (int, float)):
             if m == 0:
-                return tz.zeros(h.shape[:-1] + (self.d_out,))
+                return None
             if m != 1:
                 raise ValueError(f"a scalar coefficient must be 0 or 1, got {m}")
             m = None
         if self.cfg.variant in ("lora", "lorafa"):
-            return tz.lora_delta(h, self.a, self.b, self.cfg.alpha / self.cfg.r, self.cfg.dropout, drop_rng,
-                                 gate=m, column=column)
+            return tz.LoRA(self.a, self.b, self.cfg.alpha / self.cfg.r, self.cfg.dropout, drop_rng, m, column)
+        return tz.Propulsion(self.s, self.cfg.dropout, drop_rng, m, column)
+
+    def apply(self, h: Tensor, m, base: Tensor | None = None,
+              drop_rng: np.random.Generator | None = None, column: int = 0) -> Tensor:
+        """m * delta(h) on its own, as one tape node; `base` is the frozen
+        projection output Propulsion reads. m == 0 short-circuits off the
+        tape entirely."""
+        term = self.term(m, drop_rng, column)
+        if term is None:
+            return tz.zeros(h.shape[:-1] + (self.d_out,))
+        if isinstance(term, tz.LoRA):
+            return tz.lora_delta(h, *term)
         if base is None:
             raise ValueError("propulsion needs the frozen projection output")
-        return tz.propulsion_delta(base, self.s, self.cfg.dropout, drop_rng, gate=m, column=column)
+        return tz.propulsion_delta(base, *term)
 
 
 class BankCore:

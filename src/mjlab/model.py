@@ -32,6 +32,10 @@ class ProjectionId(enum.IntEnum):
 
 
 PROJECTIONS: tuple[ProjectionId, ...] = tuple(ProjectionId)
+# The projections of a block grouped by the input they read, in call order:
+# q, k and v read the LN1 output, up and gate the LN2 output.
+QKV = (ProjectionId.q, ProjectionId.k, ProjectionId.v)
+UP_GATE = (ProjectionId.up, ProjectionId.gate)
 
 
 @dataclass
@@ -65,10 +69,15 @@ class ForwardHooks(Protocol):
     def begin_block(self, layer: int, h: Tensor) -> None:
         """Called once per block with the residual-stream input (B, T, d)."""
 
-    def contribution(
-        self, layer: int, proj: ProjectionId, x: Tensor, base: Tensor
-    ) -> Tensor | None:
-        """Additive correction to `base = W x`, or None for no effect."""
+    def contribution(self, layer: int, proj: ProjectionId) -> tz.LoRA | tz.Propulsion | None:
+        """The adapter term that projection `proj` of block `layer` adds to
+        its frozen product W x, or None for no effect: the LoRA factors of
+        E >= 1 adapters or the Propulsion scale `s`, the scale, the dropout
+        rate and stream, and the gate with its columns.
+
+        Asked once per projection and forward, in projection order, after
+        `begin_block`; the block's projection node applies the terms.
+        """
 
 
 class ForwardResult(NamedTuple):
@@ -149,13 +158,14 @@ class Backbone:
 
     # -- forward ----------------------------------------------------------------
 
-    def _project(self, layer: int, proj: ProjectionId, x: Tensor, hooks) -> Tensor:
-        base = tz.linear(x, self.blocks[layer].w[proj])
-        if hooks is not None:
-            extra = hooks.contribution(layer, proj, x, base)
-            if extra is not None:
-                base = tz.add(base, extra)
-        return base
+    def _project(self, layer: int, projs: tuple[ProjectionId, ...], x: Tensor, hooks) -> Tensor:
+        """The projections `projs` of block `layer` on their shared input
+        `x`, each with its hooks' term, as one node: stacked on a leading
+        axis, or the one output of a single projection."""
+        w = self.blocks[layer].w
+        terms = [None if hooks is None else hooks.contribution(layer, proj) for proj in projs]
+        return tz.adapted_projections(x, [w[proj] for proj in projs], terms,
+                                      [f"layer {layer}, projection {proj.name}" for proj in projs])
 
     def _run_blocks(self, tokens: np.ndarray, hooks: ForwardHooks | None,
                     n_blocks: int | None = None) -> list[Tensor]:
@@ -176,16 +186,11 @@ class Backbone:
             blk = self.blocks[layer]
             if hooks is not None:
                 hooks.begin_block(layer, x)
-            a = tz.layer_norm(x, blk.ln1_g, blk.ln1_b)
-            q = self._project(layer, ProjectionId.q, a, hooks)
-            k = self._project(layer, ProjectionId.k, a, hooks)
-            v = self._project(layer, ProjectionId.v, a, hooks)
-            attn = tz.causal_attention(q, k, v, self.cfg.n_heads)
-            x = tz.add(x, self._project(layer, ProjectionId.o, attn, hooks))
-            f_in = tz.layer_norm(x, blk.ln2_g, blk.ln2_b)
-            up = self._project(layer, ProjectionId.up, f_in, hooks)
-            gate = self._project(layer, ProjectionId.gate, f_in, hooks)
-            x = tz.add(x, self._project(layer, ProjectionId.down, tz.swiglu(gate, up), hooks))
+            qkv = self._project(layer, QKV, tz.layer_norm(x, blk.ln1_g, blk.ln1_b), hooks)
+            attn = tz.causal_attention(qkv, self.cfg.n_heads)
+            x = tz.add(x, self._project(layer, (ProjectionId.o,), attn, hooks))
+            up_gate = self._project(layer, UP_GATE, tz.layer_norm(x, blk.ln2_g, blk.ln2_b), hooks)
+            x = tz.add(x, self._project(layer, (ProjectionId.down,), tz.swiglu(up_gate), hooks))
             hidden.append(x)
         return hidden
 

@@ -93,16 +93,23 @@ def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
     return tz.div(kept, denom)
 
 
-def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
-    """Gate-weighted sum of expert LoRA outputs on input x, as one tape node."""
+def moe_term(bank: MoEAdapterBank, layer: int, proj: ProjectionId, gates: Tensor) -> tz.LoRA:
+    """A projection's experts as one LoRA term, expert n gated by column n
+    of `gates`."""
     experts = bank.experts[(layer, proj)]
     cfg = experts[0].cfg
-    return tz.lora_delta(x, [e.a for e in experts], [e.b for e in experts], cfg.alpha / cfg.r, cfg.dropout,
-                         bank.drop_rng, gate=gates, column=range(len(experts)))
+    return tz.LoRA([e.a for e in experts], [e.b for e in experts], cfg.alpha / cfg.r, cfg.dropout,
+                   bank.drop_rng, gates, range(len(experts)))
+
+
+def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
+    """Gate-weighted sum of expert LoRA outputs on input x, as one tape node."""
+    return tz.lora_delta(x, *moe_term(bank, layer, proj, gates))
 
 
 class MoEHooks:
-    """Forward hooks: per-block gates from the block input, experts on x."""
+    """Forward hooks: per-block gates from the block input, each projection's
+    experts as one gated term."""
 
     def __init__(self, bank: MoEAdapterBank):
         self.bank = bank
@@ -115,7 +122,7 @@ class MoEHooks:
         if layer in self.bank.routers:
             self._gates[layer] = moe_gates(self.bank, layer, h)
 
-    def contribution(self, layer: int, proj: ProjectionId, x: Tensor, base: Tensor):
+    def contribution(self, layer: int, proj: ProjectionId):
         if (layer, proj) not in self.bank.experts:
             return None
-        return moe_mix(self.bank, layer, proj, x, self._gates[layer])
+        return moe_term(self.bank, layer, proj, self._gates[layer])

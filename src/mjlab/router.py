@@ -2,10 +2,10 @@
 
 Per block, an (E, d) buffer of routing centers scores every token by
 similarity; softmax over experts plus top-k masking yields the sparse
-coefficients that gate each routed adapter inside its own tape node. Centers
-are k-means-initialized and tracked by EMA entirely outside the gradient
-tape: they never own a gradient buffer and backward passes leave them bitwise
-untouched.
+coefficients that gate each routed adapter's term inside its projection
+node. Centers are k-means-initialized and tracked by EMA entirely outside the
+gradient tape: they never own a gradient buffer and backward passes leave
+them bitwise untouched.
 
 `route` is the one implementation of that mechanism, for training and for
 inspection alike. Membership rule: a token is routed to expert e exactly when
@@ -413,7 +413,7 @@ class MonkeyJumpHooks:
         self._coeff[layer] = decision.coefficients
         self.collected.append((layer, decision, h.data.reshape(-1, h.shape[-1]).copy()))
 
-    def contribution(self, layer: int, proj: ProjectionId, x: Tensor, base: Tensor):
+    def contribution(self, layer: int, proj: ProjectionId):
         adapter = self.bank.get(layer, proj)
         if adapter is None:
             return None
@@ -421,6 +421,5 @@ class MonkeyJumpHooks:
         if state is None or proj in state.shared or proj not in state.routed:
             # shared experts are always active; unrouted blocks/projections
             # degrade to standard uniform PEFT
-            return adapter.apply(x, 1.0, base=base, drop_rng=self.bank.drop_rng)
-        return adapter.apply(x, self._coeff[layer], base=base, drop_rng=self.bank.drop_rng,
-                             column=state.routed.index(proj))
+            return adapter.term(1.0, self.bank.drop_rng)
+        return adapter.term(self._coeff[layer], self.bank.drop_rng, column=state.routed.index(proj))

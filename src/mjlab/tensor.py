@@ -17,14 +17,19 @@ run. Only leaves (parameters and user tensors that no node produced) keep a
 `.grad`. Backward functions compute no gradient for an input with
 requires_grad=False; they return None in its place.
 
-Replay contract of the fused ops (`linear`, `causal_attention`, `swiglu`,
-`lora_delta`, `propulsion_delta`, `route_coefficients`): each is one tape
-node that runs, in order, the numpy calls of the chain of simpler ops it
-replaces, including each contiguous copy those ops make (a copy changes the
-memory layout a later matmul reads, and so its result), and keeps only the
-arrays its backward reads; `lora_delta`'s backward rebuilds dropout(x) and
-the delta instead of keeping them. Values and gradients are bitwise equal to
-the chain's; only the op named by a finite check differs.
+Replay contract of the fused ops (`linear`, `adapted_projections`,
+`causal_attention`, `swiglu`, `lora_delta`, `propulsion_delta`,
+`route_coefficients`): each is one tape node that runs, in order, the numpy
+calls of the chain of simpler ops it replaces, including each contiguous
+copy those ops make (a copy changes the memory layout a later matmul reads,
+and so its result), and keeps only the arrays its backward reads; an adapter
+term's backward rebuilds dropout(x) and the delta from the boolean mask
+instead of keeping them. Values and gradients are bitwise equal to the
+chain's; only the op named by a finite check differs.
+`adapted_projections` is a block's projections on one shared input, each
+with its adapter term (`LoRA` or `Propulsion`), and outputs them stacked on
+a leading axis; `causal_attention` takes the stacked q, k, v and `swiglu`
+the stacked up, gate.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +53,7 @@ __all__ = [
     "div",
     "matmul",
     "linear",
+    "adapted_projections",
     "transpose",
     "swapaxes",
     "reshape",
@@ -63,6 +69,8 @@ __all__ = [
     "embedding",
     "cross_entropy",
     "dropout",
+    "LoRA",
+    "Propulsion",
     "lora_delta",
     "propulsion_delta",
     "topk_mask",
@@ -449,38 +457,42 @@ def silu(a) -> Tensor:
     return _make("silu", out, (a,), back)
 
 
-def swiglu(gate, up) -> Tensor:
-    """silu(gate) * up as one tape node: the chain `mul(silu(gate), up)`."""
-    gate, up = _wrap(gate), _wrap(up)
-    sig = 1.0 / (1.0 + np.exp(-gate.data))
-    act = _as_array(gate.data * sig)
+def swiglu(ug) -> Tensor:
+    """silu(gate) * up as one tape node: the chain `mul(silu(gate), up)`.
+
+    `ug` is (2, ..., d_ff): up and gate stacked, as the {up, gate} projection
+    node outputs them. The gradient is stacked the same way.
+    """
+    ug = _wrap(ug)
+    up, gate = ug.data
+    sig = 1.0 / (1.0 + np.exp(-gate))
+    act = _as_array(gate * sig)
 
     def back(g):
-        g_gate = g_up = None
-        if gate.requires_grad:
-            g_act = _unbroadcast(g * up.data, act.shape)
-            g_gate = g_act * sig * (1.0 + gate.data * (1.0 - sig))
-        if up.requires_grad:
-            g_up = _unbroadcast(g * act, up.data.shape)
-        return g_gate, g_up
+        g_ug = np.empty_like(ug.data)
+        np.multiply(g, act, out=g_ug[0])
+        np.multiply(g * up * sig, 1.0 + gate * (1.0 - sig), out=g_ug[1])
+        return (g_ug,)
 
-    return _make("swiglu", act * up.data, (gate, up), back)
+    return _make("swiglu", act * up, (ug,), back)
 
 
-def causal_attention(q, k, v, n_heads: int) -> Tensor:
+def causal_attention(qkv, n_heads: int) -> Tensor:
     """Causal multi-head scaled dot-product attention as one tape node.
 
-    `q`, `k` and `v` are (B, T, d) with d divisible by `n_heads`. It replays
-    the chain: split heads (reshape, swapaxes), q k^T, scale by 1/sqrt(d/h),
-    add the -1e9 causal mask, softmax, attend to v, merge heads. The node keeps
-    only the head-split q, k^T and v and the attention weights, not the
-    score arrays. It checks the masked scores and the output.
+    `qkv` is (3, B, T, d): q, k and v stacked, as the {q, k, v} projection
+    node outputs them, with d divisible by `n_heads`. It replays the chain:
+    split heads (reshape, swapaxes), q k^T, scale by 1/sqrt(d/h), add the
+    -1e9 causal mask, softmax, attend to v, merge heads. The node keeps only
+    the head-split q, k^T and v and the attention weights, not the score
+    arrays. It checks the masked scores and the output. The gradient is
+    stacked as `qkv` is.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    b, t, d = q.data.shape
+    qkv = _wrap(qkv)
+    _, b, t, d = qkv.data.shape
     hd = d // n_heads
     heads = (b, t, n_heads, hd)
-    qh, kh, vh = (_as_array(np.swapaxes(a.data.reshape(heads), 1, 2)) for a in (q, k, v))
+    qh, kh, vh = (_as_array(np.swapaxes(a.reshape(heads), 1, 2)) for a in qkv.data)
     kt = _as_array(np.swapaxes(kh, -1, -2))
     s = _as_array(1.0 / np.sqrt(hd))
     mask = np.where(np.arange(t)[:, None] < np.arange(t)[None, :], -1e9, 0.0)
@@ -491,23 +503,17 @@ def causal_attention(q, k, v, n_heads: int) -> Tensor:
 
     def back(g):
         g_ctx = np.ascontiguousarray(np.swapaxes(np.ascontiguousarray(g.reshape(heads)), 1, 2))
-        gq = gk = gv = None
-        if v.requires_grad:
-            g_vh = np.swapaxes(att, -1, -2) @ g_ctx
-            gv = np.ascontiguousarray(np.swapaxes(g_vh, 1, 2)).reshape(v.data.shape)
-        if q.requires_grad or k.requires_grad:
-            g_att = g_ctx @ np.swapaxes(vh, -1, -2)
-            dot = (g_att * att).sum(axis=-1, keepdims=True)
-            g_scores = att * (g_att - dot) * s
-            if q.requires_grad:
-                g_qh = g_scores @ np.swapaxes(kt, -1, -2)
-                gq = np.ascontiguousarray(np.swapaxes(g_qh, 1, 2)).reshape(q.data.shape)
-            if k.requires_grad:
-                g_kh = np.ascontiguousarray(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2))
-                gk = np.ascontiguousarray(np.swapaxes(g_kh, 1, 2)).reshape(k.data.shape)
-        return gq, gk, gv
+        g_qkv = np.empty_like(qkv.data)
+        gq, gk, gv = (part.reshape(heads) for part in g_qkv)
+        gv[...] = np.swapaxes(np.swapaxes(att, -1, -2) @ g_ctx, 1, 2)
+        g_att = g_ctx @ np.swapaxes(vh, -1, -2)
+        dot = (g_att * att).sum(axis=-1, keepdims=True)
+        g_scores = att * (g_att - dot) * s
+        gq[...] = np.swapaxes(g_scores @ np.swapaxes(kt, -1, -2), 1, 2)
+        gk[...] = np.swapaxes(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2), 1, 2)
+        return (g_qkv,)
 
-    return _make("causal_attention", out, (q, k, v), back)
+    return _make("causal_attention", out, (qkv,), back)
 
 
 def layer_norm(a, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -625,69 +631,59 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     return _make("dropout", out, (a,), lambda g: (g * _mask(keep, p),))
 
 
-def _gated(op: str, delta: np.ndarray, inputs: tuple[Tensor, ...], delta_back,
-           gate: Tensor | None, column: int) -> Tensor:
-    """The node of an adapter delta, times column `column` of `gate` when given.
+class LoRA(NamedTuple):
+    """E >= 1 LoRA adapters on one projection's input x: the sum over e of
+    scale * dropout(x) @ a_e^T @ b_e^T, each times gate[..., column_e] when
+    `gate` is given.
 
-    Replays the chain `mul(delta, select_index(gate, -1, column))`: the gate
-    gradient is the full-size array with only that column set, so the
-    gradients that several columns send into one gate tensor accumulate as
-    they did through `select_index`. Checks only the output, which is
-    non-finite whenever `delta` is (the gate column is finite).
+    `a` is (r, d_in) and `b` (d_out, r), or sequences of E of them with E
+    columns; `gate` is a (..., E') coefficient tensor. Dropout runs only when
+    `rng` is given and p > 0. The fields are `lora_delta`'s arguments after x.
     """
-    if gate is None:
-        return _make(op, delta, inputs, delta_back)
-    sl = (Ellipsis, slice(column, column + 1))
-    col = _as_array(gate.data[sl])
-    delta = _as_array(delta)
 
-    def back(g):
-        grads = (None,) * len(inputs)
-        if any(t.requires_grad for t in inputs):
-            grads = delta_back(_unbroadcast(g * col, delta.shape))
-        g_gate = None
-        if gate.requires_grad:
-            g_gate = np.zeros_like(gate.data)
-            g_gate[sl] = _unbroadcast(g * delta, col.shape)
-        return (*grads, g_gate)
-
-    return _make(op, delta * col, (*inputs, gate), back)
+    a: Tensor | Sequence[Tensor]
+    b: Tensor | Sequence[Tensor]
+    scale: float
+    p: float
+    rng: np.random.Generator | None
+    gate: Tensor | None = None
+    column: int | Sequence[int] = 0
 
 
-def lora_delta(x, a: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor], scale: float, p: float,
-               rng: np.random.Generator | None, gate: Tensor | None = None,
-               column: int | Sequence[int] = 0) -> Tensor:
-    """scale * dropout(x) @ a^T @ b^T as one tape node, times gate[..., column]
-    when `gate` is given.
+class Propulsion(NamedTuple):
+    """A Propulsion adapter on one projection: dropout(W x) * s, times
+    gate[..., column] when `gate` is given; `s` is (d_out,). The fields are
+    `propulsion_delta`'s arguments after the frozen product."""
 
-    `x` is (..., d_in), `a` is (r, d_in) and `b` is (d_out, r); `gate` is a
-    (..., E) coefficient tensor. Dropout runs only when `rng` is given and
-    p > 0, drawing its mask from `rng` exactly as `dropout` does. Forward and
-    backward replay the numpy calls of the chain dropout, transpose, matmul,
-    transpose, matmul, mul (and select_index, mul for the gate) in the same
-    order, so values and gradients are bitwise equal to it.
+    s: Tensor
+    p: float
+    rng: np.random.Generator | None
+    gate: Tensor | None = None
+    column: int = 0
 
-    E adapters that read the same `x` (one projection's MoE experts) make
-    one node too: `a`, `b` and `column` are then sequences of E, and the
-    output is the sum of the adapters' gated deltas in order, the chain of E
-    single calls joined by `add`. Their masks are one (E,) + x.shape draw,
-    the stream of E draws, and their matmuls run stacked on a leading
-    adapter axis, which numpy computes slice by slice as the single calls
-    do. The node's inputs are (x, a, b, gate) once per adapter, in reverse
-    order, so `backward` accumulates the gradients of `x` and `gate` in the
-    chain's order.
 
-    The node keeps x, the masks, x_d @ A^T, A^T, B^T and the gate columns;
+def _lora(x: Tensor, term: LoRA):
+    """`term` on `x` as the body of a tape node: (delta, inputs, back), where
+    `back(g)` gives the gradients of `inputs`.
+
+    Replays the numpy calls of the chain dropout, transpose, matmul,
+    transpose, matmul, mul (and select_index, mul for the gate) of each
+    adapter, and `add` over adapters in order. E > 1 masks are one (E,) +
+    x.shape draw, the stream of E draws, and their matmuls run stacked on a
+    leading adapter axis, which numpy computes slice by slice as separate
+    calls do. `inputs` are (x, a, b, gate) once per adapter, in reverse order,
+    so `backward` accumulates the gradients of x and the gate in the chain's
+    order. Keeps x, the masks, x_d @ A^T, A^T, B^T and the gate columns; the
     backward rebuilds dropout(x) and the ungated delta from them with the
     forward's own expressions.
     """
-    x = _wrap(x)
+    a, b, column, gate, p = term.a, term.b, term.column, term.gate, term.p
     single = isinstance(a, Tensor)
     if single:
         a, b, column = (a,), (b,), (column,)
     n = len(a)
-    s = _as_array(scale)
-    xd, keep = _drop(x.data, p, rng, None if single else n)
+    s = _as_array(term.scale)
+    xd, keep = _drop(x.data, p, term.rng, None if single else n)
     if single:
         at, bt = _as_array(a[0].data.T), _as_array(b[0].data.T)
         at_mm, bt_mm = at, bt
@@ -713,8 +709,8 @@ def lora_delta(x, a: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor], sc
         out = out * cols
     if not single:
         terms, out = out, out[0]
-        for term in terms[1:]:
-            out = out + term
+        for t in terms[1:]:
+            out = out + t
     inputs = ()
     for e in reversed(range(n)):
         inputs += (x, a[e], b[e]) if gate is None else (x, a[e], b[e], gate)
@@ -752,31 +748,152 @@ def lora_delta(x, a: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor], sc
                 grads.append(g_gate)
         return grads
 
+    return out, inputs, back
+
+
+def _propulsion(base: np.ndarray, base_grad: bool, term: Propulsion):
+    """`term` on the frozen product `base` as the body of a tape node:
+    (delta, inputs, back). `inputs` are (s, gate) or (s,); `back(g)` gives
+    the gradient into `base` (None unless `base_grad`), then theirs.
+
+    Replays the chain dropout, mul (and select_index, mul for the gate).
+    Keeps `base`, the boolean mask and the gate column; the backward rebuilds
+    dropout(base) and the ungated delta from them, as `_lora` does.
+    """
+    s, p, gate = term.s, term.p, term.gate
+    xd, keep = _drop(base, p, term.rng)
+    out = xd * s.data
+    if gate is not None:
+        sl = (Ellipsis, slice(term.column, term.column + 1))
+        col = _as_array(gate.data[sl])
+        out = _as_array(out) * col
+
+    def dropped():
+        return base if keep is None else _as_array(base * _mask(keep, p))
+
+    def back(g):
+        g_delta = g if gate is None else g * col
+        g_base = gs = None
+        if base_grad:
+            g_base = _unbroadcast(g_delta * s.data, base.shape)
+            if keep is not None:
+                g_base = g_base * _mask(keep, p)
+        if s.requires_grad:
+            gs = _unbroadcast(g_delta * dropped(), s.data.shape)
+        if gate is None:
+            return g_base, gs
+        g_gate = None
+        if gate.requires_grad:
+            g_gate = np.zeros_like(gate.data)
+            g_gate[sl] = _unbroadcast(g * _as_array(dropped() * s.data), col.shape)
+        return g_base, gs, g_gate
+
+    return out, (s,) if gate is None else (s, gate), back
+
+
+def lora_delta(x, a: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor], scale: float, p: float,
+               rng: np.random.Generator | None, gate: Tensor | None = None,
+               column: int | Sequence[int] = 0) -> Tensor:
+    """The `LoRA` term (a, b, scale, p, rng, gate, column) on `x` as one tape
+    node: scale * dropout(x) @ a^T @ b^T, times gate[..., column] when `gate`
+    is given, summed over the adapters when `a`, `b` and `column` are
+    sequences (one projection's MoE experts).
+
+    Values and gradients are bitwise equal to the chain of single ops, and to
+    the chain of E single calls joined by `add`.
+    """
+    x = _wrap(x)
+    out, inputs, back = _lora(x, LoRA(a, b, scale, p, rng, gate, column))
     return _make("lora_delta", out, inputs, back)
 
 
 def propulsion_delta(x, s: Tensor, p: float, rng: np.random.Generator | None,
                      gate: Tensor | None = None, column: int = 0) -> Tensor:
-    """dropout(x) * s as one tape node, times gate[..., column] when `gate`
-    is given: the chain dropout, mul (and select_index, mul for the gate).
+    """The `Propulsion` term (s, p, rng, gate, column) on `x`, the frozen
+    projection output (..., d_out), as one tape node: dropout(x) * s, times
+    gate[..., column] when `gate` is given."""
+    x = _wrap(x)
+    out, inputs, back = _propulsion(x.data, x.requires_grad, Propulsion(s, p, rng, gate, column))
+    return _make("propulsion_delta", out, (x, *inputs), back)
 
-    `x` is (..., d_out), the frozen projection output, and `s` is (d_out,).
-    Dropout runs as in `lora_delta`.
+
+def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Propulsion | None],
+                        labels: Sequence[str]) -> Tensor:
+    """The P projections that read one input `x` (..., d_in), each its frozen
+    product x W^T plus its adapter term, stacked on a new leading axis
+    (P, ..., d_out), as one tape node; for P = 1 the one sum (..., d_out).
+
+    `weights` are P (d_out, d_in) weights, `terms[i]` is projection i's
+    `LoRA` or `Propulsion` term or None, and `labels[i]` names it in a
+    diagnostic. The node replays, per projection in order, the chain
+    `linear`, the term's node (`lora_delta` or `propulsion_delta`) and `add`,
+    so dropout masks are drawn in projection order. The frozen products are
+    one matmul by the P W^T, stacked by one copy per call (a weight written
+    after `freeze()` is read as it is now), which numpy computes projection
+    by projection as the separate products. The input gradient is one matmul
+    per projection, and `x` is an input once per node of the chain, so
+    `backward` adds its terms in the chain's order.
+
+    The node keeps x, the W^T, what each term keeps (a Propulsion term also
+    keeps its projection's frozen product) and nothing else: not the frozen
+    products, not the deltas. It checks its output once; only when that
+    fails does it find the first non-finite array in the chain's order, and
+    raises naming the chain's op ('linear', the term's op or 'add') and the
+    projection's label.
     """
     x = _wrap(x)
-    xd, keep = _drop(x.data, p, rng)
+    n = len(weights)
+    wt = np.array([w.data.T for w in weights])  # each W^T C-contiguous, as `linear` copies it
+    if wt.ndim != 3 or x.ndim < 2 or x.data.shape[-1] != wt.shape[1]:
+        raise ValueError(f"projection shape mismatch: {x.data.shape} @ {[w.data.shape for w in weights]}^T")
+
+    def products():
+        if n == 1:
+            return (x.data @ wt[0])[None]
+        return x.data @ wt.reshape((n,) + (1,) * (x.ndim - 2) + wt.shape[1:])  # one W^T per batch of x
+
+    out = products()
+    deltas, backs, inputs = [None] * n, [None] * n, ()
+    for i, (w, term) in enumerate(zip(weights, terms)):
+        term_inputs = ()
+        if term is not None:
+            if isinstance(term, Propulsion):
+                deltas[i], term_inputs, backs[i] = _propulsion(out[i].copy(), x.requires_grad or w.requires_grad, term)
+            else:
+                deltas[i], term_inputs, backs[i] = _lora(x, term)
+            out[i] += deltas[i]
+        inputs = term_inputs + (x, w) + inputs
+    if not np.isfinite(out).all():
+        _name_non_finite(products(), deltas, out, terms, labels)
 
     def back(g):
-        gx = gs = None
-        if x.requires_grad:
-            gx = _unbroadcast(g * s.data, xd.shape)
-            if keep is not None:
-                gx = gx * _mask(keep, p)
-        if s.requires_grad:
-            gs = _unbroadcast(g * xd, s.data.shape)
-        return gx, gs
+        grads = ()
+        for i, (w, term, term_back) in enumerate(zip(weights, terms, backs)):
+            g_i = g[i] if n > 1 else g
+            t_grads = () if term_back is None else tuple(term_back(g_i))
+            if isinstance(term, Propulsion):
+                g_base, *t_grads = t_grads
+                if g_base is not None:
+                    g_i = g_i + g_base
+            gx = _unbroadcast(g_i @ np.swapaxes(wt[i], -1, -2), x.data.shape) if x.requires_grad else None
+            gw = None
+            if w.requires_grad:
+                gw = np.ascontiguousarray(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g_i, wt[i].shape).T)
+            grads = tuple(t_grads) + (gx, gw) + grads
+        return grads
 
-    return _gated("propulsion_delta", xd * s.data, (x, s), back, gate, column)
+    return _make("adapted_projections", out if n > 1 else out[0], inputs, back, check=False)
+
+
+def _name_non_finite(base, deltas, out, terms, labels) -> None:
+    """Raises for the first non-finite array of the chain `adapted_projections`
+    replays: per projection its frozen product, its term's delta, their sum."""
+    for i, (delta, term, label) in enumerate(zip(deltas, terms, labels)):
+        for op, arr in (("linear", base[i]),
+                        ("propulsion_delta" if isinstance(term, Propulsion) else "lora_delta", delta),
+                        ("add", out[i])):
+            if arr is not None and not np.isfinite(arr).all():
+                raise FloatingPointError(f"non-finite values produced by '{op}' at {label}")
 
 
 # ---------------------------------------------------------------------------

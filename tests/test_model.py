@@ -47,7 +47,7 @@ class TestForward:
             def begin_block(self, layer, h):
                 pass
 
-            def contribution(self, layer, proj, x, base):
+            def contribution(self, layer, proj):
                 return None
 
         plain = tiny_frozen.forward(toks)
@@ -121,8 +121,9 @@ class TestForward:
             def begin_block(self, layer, h):
                 pass
 
-            def contribution(self, layer, proj, x, base):
-                return tz.mul(base, 0.5) if proj is ProjectionId.q else None
+            def contribution(self, layer, proj):  # base + base * -0.5: half of q
+                half = tz.Tensor(np.full(tiny_cfg.d_model, -0.5))
+                return tz.Propulsion(half, 0.0, None) if proj is ProjectionId.q else None
 
         model = Backbone(tiny_cfg, seed=6)  # trainable, so every op is on the tape
         toks = np.random.default_rng(1).integers(0, 16, size=(3, 7))

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 import mjlab.tensor as tz
 from mjlab.adapters import AdapterBank, AdapterConfig
-from mjlab.model import ProjectionId
+from mjlab.model import Backbone, ProjectionId
 from mjlab.router import (
     GRANULARITIES,
     SIMILARITIES,
@@ -27,6 +27,7 @@ from mjlab.router import (
 )
 
 from conftest import finite_difference_check
+from unfused_model import delta_of, unfused_final_states
 
 R5 = tuple(ProjectionId)[:5]  # q k v o up as routed slots
 
@@ -376,13 +377,13 @@ class TestShared:
         hooks = MonkeyJumpHooks(bank, states)
 
         calls = []
-        orig_apply = bank.get(0, ProjectionId.o).apply
+        orig_term = bank.get(0, ProjectionId.o).term
 
-        def spy(h, m, base=None, drop_rng=None):
+        def spy(m, drop_rng=None):
             calls.append(m)
-            return orig_apply(h, m, base=base, drop_rng=drop_rng)
+            return orig_term(m, drop_rng)
 
-        bank.get(0, ProjectionId.o).apply = spy
+        bank.get(0, ProjectionId.o).term = spy
         hooks.set_batch(None)
         tiny_frozen.forward(np.array([[1, 2, 3]]), hooks)
         assert calls and all(m == 1.0 for m in calls)
@@ -540,7 +541,9 @@ def unfused_route(state: RouterState, h, task_expert=None) -> RoutingDecision:
 
 class UnfusedHooks(MonkeyJumpHooks):
     """The hooks before the fusion: `unfused_route`, then one `select_index`
-    and one `mul` per routed projection on top of the ungated adapter op."""
+    and one `mul` per routed projection on top of the ungated adapter op.
+    They answer the chain's `contribution(layer, proj, x, base)`, so they run
+    with `unfused_final_states`."""
 
     def begin_block(self, layer, h):
         state = self.states.get(layer)
@@ -554,7 +557,7 @@ class UnfusedHooks(MonkeyJumpHooks):
         adapter = self.bank.get(layer, proj)
         state = self.states.get(layer)
         if adapter is None or state is None or proj not in state.routed:
-            return super().contribution(layer, proj, x, base)
+            return delta_of(super().contribution(layer, proj), x, base)
         delta = adapter.apply(x, 1.0, base=base, drop_rng=self.bank.drop_rng)
         return tz.mul(delta, tz.select_index(self._coeff[layer], 2, state.routed.index(proj)))
 
@@ -606,7 +609,7 @@ def assert_hooks_match_unfused(cfg, frozen, similarity, granularity, variant, ro
                AdapterBank(cfg, AdapterConfig(variant=variant), targeted).named_tensors().items()}
     toks = rng.integers(0, cfg.vocab_size, size=(3, 6))
 
-    def step(hooks_cls):
+    def step(hooks_cls, final_states):
         bank = AdapterBank(cfg, AdapterConfig(variant=variant, dropout=0.2), targeted, seed=5)
         if not fresh:
             for name, t in bank.named_tensors().items():
@@ -615,13 +618,13 @@ def assert_hooks_match_unfused(cfg, frozen, similarity, granularity, variant, ro
         hooks.set_batch(np.array([0, len(routed) - 1, 0]))
         bank.begin_step(7)
         with tz.Tape() as tape:
-            out = frozen.final_states(toks, hooks)
+            out = final_states(frozen, toks, hooks)
             n_nodes = len(tape.nodes)
             tz.backward(tz.tsum(tz.mul(out, out)))
         return out.data, {n: t.grad for n, t in bank.named_tensors().items()}, hooks.collected, n_nodes
 
-    out, grads, collected, n_nodes = step(MonkeyJumpHooks)
-    ref, ref_grads, ref_collected, ref_nodes = step(UnfusedHooks)
+    out, grads, collected, n_nodes = step(MonkeyJumpHooks, Backbone.final_states)
+    ref, ref_grads, ref_collected, ref_nodes = step(UnfusedHooks, unfused_final_states)
     assert same_bytes(out, ref)
     for name in grads:
         assert (grads[name] is None) == (ref_grads[name] is None), name

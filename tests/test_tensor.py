@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,64 @@ ADAPTER_OPS = {
 }
 
 
+class TestPropulsionDelta:
+    """`propulsion_delta` keeps the boolean dropout mask, as `lora_delta`
+    does, and rebuilds dropout(x) in its backward: bitwise the chain dropout,
+    mul (and select_index, mul for the gate), on a smaller tape."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("trainable", ["all", "s", "x"])
+    def test_bitwise_equal_to_unfused_chain(self, p, gated, trainable):
+        rng = np.random.default_rng(49)
+        values = {"x": rng.normal(size=(2, 4, 7)), "s": rng.normal(size=7), "gate": rng.random(size=(2, 4, 3))}
+        w = rng.normal(size=(2, 4, 7))
+        trains = {"all": set(values), "s": {"s"}, "x": {"x"}}[trainable]
+
+        def run(apply):
+            ts = {k: Tensor(v.copy(), requires_grad=k in trains) for k, v in values.items()}
+            with tz.Tape():
+                out = apply(ts["x"], ts["s"], ts["gate"] if gated else None)
+                tz.backward(tz.tsum(tz.mul(out, w)))
+            return out.data, {k: t.grad for k, t in ts.items()}
+
+        def chain(x, s, gate):
+            delta = unfused_propulsion_delta(x, s, p, np.random.default_rng(9))
+            return delta if gate is None else unfused_gate(delta, gate, 1)
+
+        out, grads = run(lambda x, s, gate: tz.propulsion_delta(x, s, p, np.random.default_rng(9), gate, 1))
+        ref, ref_grads = run(chain)
+        assert out.tobytes() == ref.tobytes()
+        for k in values:
+            if grads[k] is None or ref_grads[k] is None:
+                assert grads[k] is None and ref_grads[k] is None, k
+            else:
+                assert grads[k].tobytes() == ref_grads[k].tobytes(), k
+
+    def test_keeps_the_boolean_mask_not_the_dropped_product(self):
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.normal(size=(16, 24, 64)), requires_grad=True)
+        s = Tensor(rng.normal(size=64), requires_grad=True)
+        gate = Tensor(rng.random(size=(16, 24, 3)), requires_grad=True)
+
+        def held(apply) -> int:
+            """Bytes the tape holds for `apply` besides its output."""
+            tracemalloc.start()
+            try:
+                with tz.Tape():
+                    before = tracemalloc.get_traced_memory()[0]
+                    out = apply(np.random.default_rng(9))
+                    return tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+
+        fused = held(lambda rng: tz.propulsion_delta(x, s, 0.3, rng, gate, 1))
+        chain = held(lambda rng: unfused_gate(unfused_propulsion_delta(x, s, 0.3, rng), gate, 1))
+        column = 8 * 16 * 24
+        assert fused <= x.data.size + column + 4096, fused  # the mask and the gate column
+        assert chain >= 8 * x.data.size, chain  # dropout(x) at float64
+
+
 class TestGatedAdapterOps:
     """`lora_delta` and `propulsion_delta` times a coefficient column, as one
     node, against the chain with `select_index` and `mul`."""
@@ -450,11 +509,20 @@ def unfused_causal_attention(q, k, v, n_heads):
     return tz.reshape(tz.swapaxes(ctx, 1, 2), (b, t, d))
 
 
-# op name -> (fused, unfused chain, input shapes, nodes in the chain)
+def stacked(*parts):
+    """The parts stacked on a new leading axis, as one node that gives each
+    part its own gradient: the separate inputs of the chain, fed to a fused
+    op that takes one stacked array."""
+    return tz._make("stack", np.stack([part.data for part in parts]), parts, tuple, check=False)
+
+
+# op name -> (fused, unfused chain, input shapes, nodes in the chain); swiglu
+# and causal_attention get their inputs through `stacked`, one more node
 FUSED = {
     "linear": (tz.linear, unfused_linear, {"x": (2, 5, 6), "w": (7, 6)}, 2),
-    "swiglu": (tz.swiglu, unfused_swiglu, {"gate": (3, 4, 5), "up": (3, 4, 5)}, 2),
-    "causal_attention": (lambda q, k, v: tz.causal_attention(q, k, v, 2),
+    "swiglu": (lambda gate, up: tz.swiglu(stacked(up, gate)), unfused_swiglu,
+               {"gate": (3, 4, 5), "up": (3, 4, 5)}, 2),
+    "causal_attention": (lambda q, k, v: tz.causal_attention(stacked(q, k, v), 2),
                          lambda q, k, v: unfused_causal_attention(q, k, v, 2),
                          {"q": (2, 5, 6), "k": (2, 5, 6), "v": (2, 5, 6)}, 14),
 }
@@ -498,7 +566,7 @@ class TestFusedOps:
 
         out, grads, n_nodes = run(fused)
         ref, ref_grads, ref_nodes = run(chain)
-        assert n_nodes == 1
+        assert n_nodes == (1 if op == "linear" else 2)  # the op, after `stacked`
         if trainable == tuple(shapes):
             assert ref_nodes == chain_nodes
         assert np.array_equal(out, ref)

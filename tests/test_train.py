@@ -9,7 +9,7 @@ from mjlab.adapters import count_trainable
 from mjlab.config import ConfigError, ExperimentConfig
 import mjlab.train as train_module
 from mjlab.data import batch_arrays, generate, length_buckets, pretraining_corpus
-from mjlab.model import ProjectionId
+from mjlab.model import Backbone, ProjectionId
 from mjlab.optim import AdamW, lr_at_step
 from mjlab.router import UsageRecorder, route
 from mjlab.train import (
@@ -204,6 +204,18 @@ class TestPipeline:
         monkeypatch.setattr(train_module, stage, poison_then_run)
         with pytest.raises(RuntimeError, match=f"diverged at {name}: non-finite values produced by 'linear'"):
             run_pipeline(small_config(method="mj"), 9, backbone=poisoned, train_ds=train_ds, val_ds=val_ds)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["peft", "mj"])
+    def test_divergence_names_the_layer_and_the_projection(self, small_world, method):
+        _, train_ds, val_ds = small_world
+        cfg = small_config(method=method, model={"n_layers": 3})
+        poisoned = Backbone(cfg.model, seed=9)
+        poisoned.freeze()
+        poisoned.blocks[2].w[ProjectionId.v].data[:] = 1e308  # q and k of layer 2 stay finite
+        with pytest.raises(RuntimeError, match=r"diverged at step 0: non-finite values produced by 'linear' "
+                                               r"at layer 2, projection v$"):
+            run_pipeline(cfg, 9, backbone=poisoned, train_ds=train_ds, val_ds=val_ds)
 
     @pytest.mark.parametrize("variant", ["lora", "lorafa", "propulsion"])
     def test_routing_only_init_pass_matches_the_adapted_pass(self, small_world, variant):

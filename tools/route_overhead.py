@@ -10,10 +10,11 @@ each, with one BLAS thread. `--src` picks the mjlab sources to time, so one
 copy of this script measures a parent checkout and a change alike. After the
 timed runs, one more `run_pipeline` per method runs up to its first
 fine-tune step under tracemalloc and stops at that step's `backward` entry,
-to read the bytes its tape holds there. Prints one JSON line: the world
-time, each method's fine-tune plus eval time, the mj - peft overhead, how
-many times faster mj is than moe, each method's tape nodes per backward and
-step tape bytes, and the accuracies.
+to read the bytes its tape holds there; one more `prepare_backbone` does the
+same at its first pretraining step. Prints one JSON line: the world time,
+each method's fine-tune plus eval time, the mj - peft overhead, how many
+times faster mj is than moe, the tape nodes per backward and step tape bytes
+of each method and of pretraining, and the accuracies.
 """
 
 import os
@@ -45,7 +46,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import mjlab.tensor as tz
     from mjlab.config import ExperimentConfig
-    from mjlab.train import prepare_world, run_pipeline
+    from mjlab.data import pretraining_corpus
+    from mjlab.train import prepare_backbone, prepare_world, run_pipeline
     from workloads import BENCH_SCALE, make_config
 
     nodes: list[int] = []
@@ -88,6 +90,14 @@ def main(argv=None) -> int:
             out[f"{method}_step_tape_bytes"] = stop.args[0]
         finally:
             tracemalloc.stop()
+    nodes.clear()
+    try:
+        prepare_backbone(cfgs["mj"], args.seed, corpus=pretraining_corpus(world[1]))
+    except _AtBackward as stop:
+        out["pretrain_step_tape_bytes"] = stop.args[0]
+    finally:
+        tracemalloc.stop()
+    out["pretrain_nodes_per_backward"] = nodes[0]
     out["overhead_s"] = out["mj_s"] - out["peft_s"]
     out["mj_speedup_over_moe"] = out["moe_s"] / out["mj_s"]
     print(json.dumps(out, sort_keys=True))
