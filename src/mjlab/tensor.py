@@ -10,10 +10,15 @@ The pure rearrangements (`transpose`, `swapaxes`, `reshape`, `broadcast_to`,
 `select_index`) only move values that an earlier check already saw, so they
 skip it.
 
-Backward contract: `backward` pops the tape's nodes in reverse order and
-takes each node's output gradient away from its tensor before using it, so an
-intermediate gradient and the node's closure are freed as soon as the node has
-run. Only leaves (parameters and user tensors that no node produced) keep a
+Backward contract: the tape holds gradient slots, not tensors. A tracked op
+output gets a `_Slot`; its node holds that slot, the slot of each input an op
+made, each leaf input (a parameter or user tensor) itself, and None for an
+input that needs no gradient. Each node's closure keeps only what its
+backward reads: shapes, requires_grad flags and the arrays it uses. So an op
+output whose values no backward reads is freed as soon as the caller drops
+it. `backward` pops the nodes in reverse order and takes each node's output
+gradient off its slot before using it, so an intermediate gradient and the
+node's closure are freed as soon as the node has run. Only leaves keep a
 `.grad`. Backward functions compute no gradient for an input with
 requires_grad=False; they return None in its place.
 
@@ -22,10 +27,20 @@ Replay contract of the fused ops (`linear`, `adapted_projections`,
 `route_coefficients`): each is one tape node that runs, in order, the numpy
 calls of the chain of simpler ops it replaces, including each contiguous
 copy those ops make (a copy changes the memory layout a later matmul reads,
-and so its result), and keeps only the arrays its backward reads; an adapter
-term's backward rebuilds dropout(x) and the delta from the boolean mask
-instead of keeping them. Values and gradients are bitwise equal to the
-chain's; only the op named by a finite check differs.
+and so its result). Values and gradients are bitwise equal to the chain's;
+only the op named by a finite check differs. What each keeps, and what its
+backward rebuilds with the forward's own expressions:
+- `linear`, `adapted_projections`: W^T, and x only when a weight trains,
+  plus what each adapter term keeps;
+- a `LoRA` term: x, the boolean masks, A^T, B^T and the gate; it rebuilds
+  dropout(x), x_d A^T, the gate columns and the ungated delta;
+- a `Propulsion` term: its frozen product, the boolean mask and the gate
+  column; it rebuilds dropout(W x) and the ungated delta;
+- `swiglu`: the stacked up|gate; it rebuilds sigmoid(gate) and silu(gate);
+- `causal_attention`: the head-split q, k^T and v and the attention weights,
+  which would cost a second softmax to rebuild;
+- `route_coefficients`: the softmax, the top-k mask and what the
+  similarity's backward reads.
 `adapted_projections` is a block's projections on one shared input, each
 with its adapter term (`LoRA` or `Propulsion`), and outputs them stacked on
 a leading axis; `causal_attention` takes the stacked q, k, v and `swiglu`
@@ -103,13 +118,14 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """A contiguous float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "slot")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
         _check_finite(self.data, "tensor")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.slot: _Slot | None = None  # set on an op output the tape tracks
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -135,7 +151,19 @@ def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+class _Slot:
+    """The gradient of one tracked op output while `backward` runs."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class _Node:
+    """`output` is the output's slot; `inputs` holds, per input, its slot,
+    the leaf Tensor itself, or None when it needs no gradient."""
+
     __slots__ = ("inputs", "output", "backward_fn")
 
     def __init__(self, inputs, output, backward_fn):
@@ -183,9 +211,11 @@ def _make(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = track
-    out.grad = None
+    out.grad = out.slot = None
     if track:
-        tape.nodes.append(_Node(inputs, out, backward_fn))
+        out.slot = _Slot()
+        inputs = tuple(t.slot or t if t.requires_grad else None for t in inputs)
+        tape.nodes.append(_Node(inputs, out.slot, backward_fn))
     return out
 
 
@@ -193,9 +223,9 @@ def backward(loss: Tensor) -> None:
     """Populate .grad for every requires_grad leaf reachable from `loss`.
 
     The loss must be a scalar produced on the active tape. Nodes are popped
-    in reverse order, and each output's gradient is taken off it as its node
-    runs, so intermediate gradients and node closures are freed on the way
-    and the tape is empty afterwards; only leaves keep their `.grad`.
+    in reverse order, and each output's gradient is taken off its slot as its
+    node runs, so intermediate gradients and node closures are freed on the
+    way and the tape is empty afterwards; only leaves keep their `.grad`.
     Gradients accumulate (+=) into existing leaf buffers so repeated calls
     realize gradient accumulation until zero_grad.
     """
@@ -204,10 +234,10 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("backward called with no active tape")
     if loss.data.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-    if not any(node.output is loss for node in tape.nodes):
+    if not any(node.output is loss.slot for node in tape.nodes):
         raise ValueError("loss is detached from the active tape")
 
-    loss.grad = np.ones((), dtype=np.float64)
+    loss.slot.grad = np.ones((), dtype=np.float64)
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
@@ -217,7 +247,7 @@ def backward(loss: Tensor) -> None:
             continue
         grads = node.backward_fn(g_out)
         for inp, g in zip(node.inputs, grads):
-            if g is None or not inp.requires_grad:
+            if g is None or inp is None:
                 continue
             if inp.grad is None:
                 inp.grad = np.ascontiguousarray(g, dtype=np.float64)
@@ -249,15 +279,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data + b.data
-
-    def back(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _make("add", out, (a, b), back)
+    shapes = [t.shape if t.requires_grad else None for t in (a, b)]
+    return _make("add", a.data + b.data, (a, b),
+                 lambda g: [None if sh is None else _unbroadcast(g, sh) for sh in shapes])
 
 
 def neg(a) -> Tensor:
@@ -272,11 +296,13 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    ad, bd = a.data if b.requires_grad else None, b.data if a.requires_grad else None
 
     def back(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g * bd, a_shape) if bd is not None else None,
+            _unbroadcast(g * ad, b_shape) if ad is not None else None,
         )
 
     return _make("mul", out, (a, b), back)
@@ -285,11 +311,13 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = a.data / b.data
+    a_shape, a_grad, bd = a.shape, a.requires_grad, b.data
+    ad = a.data if b.requires_grad else None
 
     def back(g):
         return (
-            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g / bd, a_shape) if a_grad else None,
+            _unbroadcast(-g * ad / (bd * bd), bd.shape) if ad is not None else None,
         )
 
     return _make("div", out, (a, b), back)
@@ -305,10 +333,12 @@ def matmul(a, b) -> Tensor:
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
         )
     out = a.data @ b.data
+    a_shape, b_shape = a.shape, b.shape
+    ad, bd = a.data if b.requires_grad else None, b.data if a.requires_grad else None
 
     def back(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape) if bd is not None else None
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape) if ad is not None else None
         return ga, gb
 
     return _make("matmul", out, (a, b), back)
@@ -334,12 +364,14 @@ def linear(x, w) -> Tensor:
     if x.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}^T")
     wt = _as_array(w.data.T)
+    x_shape, x_grad = x.shape, x.requires_grad
+    xd = x.data if w.requires_grad else None
 
     def back(g):
-        gx = _unbroadcast(g @ np.swapaxes(wt, -1, -2), x.data.shape) if x.requires_grad else None
+        gx = _unbroadcast(g @ np.swapaxes(wt, -1, -2), x_shape) if x_grad else None
         gw = None
-        if w.requires_grad:
-            g_wt = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, wt.shape)
+        if xd is not None:
+            g_wt = _unbroadcast(np.swapaxes(xd, -1, -2) @ g, wt.shape)
             gw = np.ascontiguousarray(g_wt.T)
         return gx, gw
 
@@ -359,10 +391,10 @@ def swapaxes(a, axis1: int, axis2: int) -> Tensor:
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _wrap(a)
     shape = tuple(shape)
-    out = a.data.reshape(shape)
+    out, a_shape = a.data.reshape(shape), a.shape
 
     def back(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(a_shape),)
 
     return _make("reshape", out, (a,), back, check=False)
 
@@ -370,10 +402,10 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     a = _wrap(a)
     shape = tuple(shape)
-    out = np.broadcast_to(a.data, shape)
+    out, a_shape = np.broadcast_to(a.data, shape), a.shape
 
     def back(g):
-        return (_unbroadcast(g, a.data.shape),)
+        return (_unbroadcast(g, a_shape),)
 
     return _make("broadcast_to", out, (a,), back, check=False)
 
@@ -386,10 +418,10 @@ def select_index(a, axis: int, index: int) -> Tensor:
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(index, index + 1)
     sl = tuple(sl)
-    out = a.data[sl]
+    out, a_shape = a.data[sl], a.shape
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a_shape)
         full[sl] = g
         return (full,)
 
@@ -398,15 +430,15 @@ def select_index(a, axis: int, index: int) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out, a_shape = a.data.sum(axis=axis, keepdims=keepdims), a.shape
 
     def back(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return (np.broadcast_to(g, a_shape).copy(),)
         gg = g
         if not keepdims:
             gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(gg, a_shape).copy(),)
 
     return _make("sum", out, (a,), back)
 
@@ -446,13 +478,19 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make("softmax", y, (a,), back)
 
 
+def _sigmoid_silu(x: np.ndarray):
+    """(sigmoid(x), silu(x)), by the expressions `silu` and `swiglu` share."""
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return sig, _as_array(x * sig)
+
+
 def silu(a) -> Tensor:
     a = _wrap(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = a.data * sig
+    x = a.data
+    sig, out = _sigmoid_silu(x)
 
     def back(g):
-        return (g * sig * (1.0 + a.data * (1.0 - sig)),)
+        return (g * sig * (1.0 + x * (1.0 - sig)),)
 
     return _make("silu", out, (a,), back)
 
@@ -461,20 +499,22 @@ def swiglu(ug) -> Tensor:
     """silu(gate) * up as one tape node: the chain `mul(silu(gate), up)`.
 
     `ug` is (2, ..., d_ff): up and gate stacked, as the {up, gate} projection
-    node outputs them. The gradient is stacked the same way.
+    node outputs them. The gradient is stacked the same way. The node keeps
+    `ug` alone; its backward rebuilds sigmoid(gate) and silu(gate).
     """
     ug = _wrap(ug)
-    up, gate = ug.data
-    sig = 1.0 / (1.0 + np.exp(-gate))
-    act = _as_array(gate * sig)
+    stacked = ug.data
+    _, act = _sigmoid_silu(stacked[1])
 
     def back(g):
-        g_ug = np.empty_like(ug.data)
+        up, gate = stacked
+        sig, act = _sigmoid_silu(gate)
+        g_ug = np.empty_like(stacked)
         np.multiply(g, act, out=g_ug[0])
         np.multiply(g * up * sig, 1.0 + gate * (1.0 - sig), out=g_ug[1])
         return (g_ug,)
 
-    return _make("swiglu", act * up, (ug,), back)
+    return _make("swiglu", act * stacked[0], (ug,), back)
 
 
 def causal_attention(qkv, n_heads: int) -> Tensor:
@@ -489,7 +529,8 @@ def causal_attention(qkv, n_heads: int) -> Tensor:
     stacked as `qkv` is.
     """
     qkv = _wrap(qkv)
-    _, b, t, d = qkv.data.shape
+    shape = qkv.shape
+    _, b, t, d = shape
     hd = d // n_heads
     heads = (b, t, n_heads, hd)
     qh, kh, vh = (_as_array(np.swapaxes(a.reshape(heads), 1, 2)) for a in qkv.data)
@@ -503,7 +544,7 @@ def causal_attention(qkv, n_heads: int) -> Tensor:
 
     def back(g):
         g_ctx = np.ascontiguousarray(np.swapaxes(np.ascontiguousarray(g.reshape(heads)), 1, 2))
-        g_qkv = np.empty_like(qkv.data)
+        g_qkv = np.empty(shape)
         gq, gk, gv = (part.reshape(heads) for part in g_qkv)
         gv[...] = np.swapaxes(np.swapaxes(att, -1, -2) @ g_ctx, 1, 2)
         g_att = g_ctx @ np.swapaxes(vh, -1, -2)
@@ -526,20 +567,21 @@ def layer_norm(a, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
+    gd, lead = gamma.data, tuple(range(a.ndim - 1))
+    a_grad, gamma_grad, beta_grad = a.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def back(g):
         dx = dgamma = dbeta = None
-        if a.requires_grad:
-            dxhat = g * gamma.data
+        if a_grad:
+            dxhat = g * gd
             dx = inv * (
                 dxhat
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             )
-        lead = tuple(range(a.ndim - 1))
-        if gamma.requires_grad:
+        if gamma_grad:
             dgamma = (g * xhat).sum(axis=lead)
-        if beta.requires_grad:
+        if beta_grad:
             dbeta = g.sum(axis=lead)
         return dx, dgamma, dbeta
 
@@ -551,10 +593,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError("embedding ids out of range")
-    out = table.data[ids]
+    out, table_shape = table.data[ids], table.shape
 
     def back(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table_shape)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -584,9 +626,10 @@ def cross_entropy(logits, targets: np.ndarray, weights: np.ndarray | None = None
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(n), targets]
     out = np.float64((nll * w).sum() / wsum)
+    z = logits.data
 
     def back(g):
-        p = _softmax_rows(logits.data, 1)
+        p = _softmax_rows(z, 1)
         p[np.arange(n), targets] -= 1.0
         return (g * p * (w / wsum)[:, None],)
 
@@ -673,9 +716,9 @@ def _lora(x: Tensor, term: LoRA):
     leading adapter axis, which numpy computes slice by slice as separate
     calls do. `inputs` are (x, a, b, gate) once per adapter, in reverse order,
     so `backward` accumulates the gradients of x and the gate in the chain's
-    order. Keeps x, the masks, x_d @ A^T, A^T, B^T and the gate columns; the
-    backward rebuilds dropout(x) and the ungated delta from them with the
-    forward's own expressions.
+    order. Keeps x, the boolean masks, A^T, B^T and the gate; the backward
+    rebuilds dropout(x), x_d @ A^T, the gate columns and the ungated delta
+    from them with the forward's own expressions.
     """
     a, b, column, gate, p = term.a, term.b, term.column, term.gate, term.p
     single = isinstance(a, Tensor)
@@ -683,30 +726,33 @@ def _lora(x: Tensor, term: LoRA):
         a, b, column = (a,), (b,), (column,)
     n = len(a)
     s = _as_array(term.scale)
-    xd, keep = _drop(x.data, p, term.rng, None if single else n)
+    x_data, x_grad = x.data, x.requires_grad
+    a_grad, b_grad = [t.requires_grad for t in a], [t.requires_grad for t in b]
+    gate_data = None if gate is None else gate.data
+    gated = gate is not None and gate.requires_grad
+    xd, keep = _drop(x_data, p, term.rng, None if single else n)
+    at, bt = np.array([t.data.T for t in a]), np.array([t.data.T for t in b])  # C-contiguous, as `transpose` copies
     if single:
-        at, bt = _as_array(a[0].data.T), _as_array(b[0].data.T)
-        at_mm, bt_mm = at, bt
+        at_mm, bt_mm = at[0], bt[0]
     else:
-        at, bt = np.stack([t.data.T for t in a]), np.stack([t.data.T for t in b])
         lead = (n,) + (1,) * (x.ndim - 2)  # one adapter slice per batch of x
         at_mm, bt_mm = at.reshape(lead + at.shape[1:]), bt.reshape(lead + bt.shape[1:])
-    xa = _as_array(xd @ at_mm)
 
-    def ungated():
-        return _as_array(_as_array(xa @ bt_mm) * s)
+    def products(xd):  # (x_d @ A^T, the ungated delta)
+        xa = _as_array(xd @ at_mm)
+        return xa, _as_array(_as_array(xa @ bt_mm) * s)
+
+    def columns():  # the gate columns, stacked as the deltas are
+        if single:
+            return _as_array(gate_data[..., column[0]:column[0] + 1])
+        return np.stack([gate_data[..., c:c + 1] for c in column])
 
     def per_adapter(arr):
         return (arr,) if single else arr
 
-    out = ungated()
-    cols = None
-    if gate is not None:  # the gate columns, stacked as the deltas are
-        if single:
-            cols = _as_array(gate.data[..., column[0]:column[0] + 1])
-        else:
-            cols = np.stack([gate.data[..., c:c + 1] for c in column])
-        out = out * cols
+    out = products(xd)[1]
+    if gate is not None:
+        out = out * columns()
     if not single:
         terms, out = out, out[0]
         for t in terms[1:]:
@@ -716,34 +762,33 @@ def _lora(x: Tensor, term: LoRA):
         inputs += (x, a[e], b[e]) if gate is None else (x, a[e], b[e], gate)
 
     def back(g):
-        trains_a = any(t.requires_grad for t in a)
-        mask = _mask(keep, p) if keep is not None and (x.requires_grad or trains_a) else None
-        xds = per_adapter(_as_array(x.data * mask)) if mask is not None and trains_a else (x.data,) * n
-        gated = gate is not None and gate.requires_grad
-        deltas = per_adapter(ungated()) if gated else None
-        ats, bts, xas, gcols = per_adapter(at), per_adapter(bt), per_adapter(xa), per_adapter(cols)
+        mask = None if keep is None else _mask(keep, p)
+        xd = x_data if mask is None else _as_array(x_data * mask)
+        xas, deltas = (per_adapter(arr) for arr in products(xd)) if any(b_grad) or gated else (None, None)
+        xds = (x_data,) * n if mask is None else per_adapter(xd)
+        gcols = None if gate_data is None else per_adapter(columns())
         grads = []
         for e in reversed(range(n)):
             gx = ga = gb = None
-            if x.requires_grad or a[e].requires_grad or b[e].requires_grad:
-                g_xab = (g if cols is None else g * gcols[e]) * s
-                if b[e].requires_grad:
-                    g_bt = _unbroadcast(np.swapaxes(xas[e], -1, -2) @ g_xab, bts[e].shape)
+            if x_grad or a_grad[e] or b_grad[e]:
+                g_xab = (g if gcols is None else g * gcols[e]) * s
+                if b_grad[e]:
+                    g_bt = _unbroadcast(np.swapaxes(xas[e], -1, -2) @ g_xab, bt[e].shape)
                     gb = np.ascontiguousarray(g_bt.T)
-                if x.requires_grad or a[e].requires_grad:
-                    g_xa = g_xab @ np.swapaxes(bts[e], -1, -2)
-                    if x.requires_grad:
-                        gx = g_xa @ np.swapaxes(ats[e], -1, -2)
+                if x_grad or a_grad[e]:
+                    g_xa = g_xab @ np.swapaxes(bt[e], -1, -2)
+                    if x_grad:
+                        gx = g_xa @ np.swapaxes(at[e], -1, -2)
                         if mask is not None:
                             gx = gx * per_adapter(mask)[e]
-                    if a[e].requires_grad:
-                        g_at = _unbroadcast(np.swapaxes(xds[e], -1, -2) @ g_xa, ats[e].shape)
+                    if a_grad[e]:
+                        g_at = _unbroadcast(np.swapaxes(xds[e], -1, -2) @ g_xa, at[e].shape)
                         ga = np.ascontiguousarray(g_at.T)
             grads += (gx, ga, gb)
-            if gate is not None:
+            if gate_data is not None:
                 g_gate = None
                 if gated:
-                    g_gate = np.zeros_like(gate.data)
+                    g_gate = np.zeros_like(gate_data)
                     g_gate[..., column[e]:column[e] + 1] = _unbroadcast(g * deltas[e], gcols[e].shape)
                 grads.append(g_gate)
         return grads
@@ -761,8 +806,11 @@ def _propulsion(base: np.ndarray, base_grad: bool, term: Propulsion):
     dropout(base) and the ungated delta from them, as `_lora` does.
     """
     s, p, gate = term.s, term.p, term.gate
+    sd, s_grad = s.data, s.requires_grad
+    gate_shape = None if gate is None else gate.shape
+    gated = gate is not None and gate.requires_grad
     xd, keep = _drop(base, p, term.rng)
-    out = xd * s.data
+    out = xd * sd
     if gate is not None:
         sl = (Ellipsis, slice(term.column, term.column + 1))
         col = _as_array(gate.data[sl])
@@ -772,20 +820,20 @@ def _propulsion(base: np.ndarray, base_grad: bool, term: Propulsion):
         return base if keep is None else _as_array(base * _mask(keep, p))
 
     def back(g):
-        g_delta = g if gate is None else g * col
+        g_delta = g if gate_shape is None else g * col
         g_base = gs = None
         if base_grad:
-            g_base = _unbroadcast(g_delta * s.data, base.shape)
+            g_base = _unbroadcast(g_delta * sd, base.shape)
             if keep is not None:
                 g_base = g_base * _mask(keep, p)
-        if s.requires_grad:
-            gs = _unbroadcast(g_delta * dropped(), s.data.shape)
-        if gate is None:
+        if s_grad:
+            gs = _unbroadcast(g_delta * dropped(), sd.shape)
+        if gate_shape is None:
             return g_base, gs
         g_gate = None
-        if gate.requires_grad:
-            g_gate = np.zeros_like(gate.data)
-            g_gate[sl] = _unbroadcast(g * _as_array(dropped() * s.data), col.shape)
+        if gated:
+            g_gate = np.zeros(gate_shape)
+            g_gate[sl] = _unbroadcast(g * _as_array(dropped() * sd), col.shape)
         return g_base, gs, g_gate
 
     return out, (s,) if gate is None else (s, gate), back
@@ -834,12 +882,12 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
     per projection, and `x` is an input once per node of the chain, so
     `backward` adds its terms in the chain's order.
 
-    The node keeps x, the W^T, what each term keeps (a Propulsion term also
-    keeps its projection's frozen product) and nothing else: not the frozen
-    products, not the deltas. It checks its output once; only when that
-    fails does it find the first non-finite array in the chain's order, and
-    raises naming the chain's op ('linear', the term's op or 'add') and the
-    projection's label.
+    The node keeps the W^T, x only when a weight trains, what each term
+    keeps (a Propulsion term also keeps its projection's frozen product) and
+    nothing else: not the frozen products, not the deltas. It checks its
+    output once; only when that fails does it find the first non-finite
+    array in the chain's order, and raises naming the chain's op ('linear',
+    the term's op or 'add') and the projection's label.
     """
     x = _wrap(x)
     n = len(weights)
@@ -865,20 +913,23 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
         inputs = term_inputs + (x, w) + inputs
     if not np.isfinite(out).all():
         _name_non_finite(products(), deltas, out, terms, labels)
+    x_shape, x_grad, w_grad = x.shape, x.requires_grad, [w.requires_grad for w in weights]
+    xd = x.data if any(w_grad) else None
+    propulsion = [isinstance(term, Propulsion) for term in terms]
 
     def back(g):
         grads = ()
-        for i, (w, term, term_back) in enumerate(zip(weights, terms, backs)):
+        for i, term_back in enumerate(backs):
             g_i = g[i] if n > 1 else g
             t_grads = () if term_back is None else tuple(term_back(g_i))
-            if isinstance(term, Propulsion):
+            if propulsion[i]:
                 g_base, *t_grads = t_grads
                 if g_base is not None:
                     g_i = g_i + g_base
-            gx = _unbroadcast(g_i @ np.swapaxes(wt[i], -1, -2), x.data.shape) if x.requires_grad else None
+            gx = _unbroadcast(g_i @ np.swapaxes(wt[i], -1, -2), x_shape) if x_grad else None
             gw = None
-            if w.requires_grad:
-                gw = np.ascontiguousarray(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g_i, wt[i].shape).T)
+            if w_grad[i]:
+                gw = np.ascontiguousarray(_unbroadcast(np.swapaxes(xd, -1, -2) @ g_i, wt[i].shape).T)
             grads = tuple(t_grads) + (gx, gw) + grads
         return grads
 
@@ -1025,7 +1076,7 @@ def route_coefficients(h: Tensor, centers: np.ndarray, similarity: str, tau: flo
         m[np.arange(b * t), selected[:, 0]] = 1.0
         return Tensor(m.reshape(b, t, e)), z, p, m, selected
     mask, selected = topk_mask(p, top_k)
-    m = _as_array(p * mask)
+    m, h_shape = _as_array(p * mask), h.shape
     if granularity == "sequence":
         coefficients = np.broadcast_to(m.reshape(b, 1, e), (b, t, e))
     else:
@@ -1040,8 +1091,8 @@ def route_coefficients(h: Tensor, centers: np.ndarray, similarity: str, tau: flo
         g_z = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
         g_rows = back_similarity(g_z * s)
         if granularity != "sequence":
-            return (g_rows.reshape(h.data.shape),)
-        g_h = np.zeros_like(h.data)
+            return (g_rows.reshape(h_shape),)
+        g_h = np.zeros(h_shape)
         g_h[:, t - 1:t, :] = g_rows.reshape(b, 1, d)
         return (g_h,)
 

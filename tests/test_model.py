@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from mjlab.model import (
     pretrain_backbone,
 )
 
-from conftest import finite_difference_check
+from mjlab.train import ClassifierHead, build_method
+
+from conftest import finite_difference_check, small_config
 
 
 class TestProjectionId:
@@ -150,12 +153,12 @@ class TestForward:
 def retained_backward(loss, tape):
     """Backward that keeps every intermediate `.grad` and node until the tape
     is cleared: the reference for the leaf gradients of `tz.backward`."""
-    loss.grad = np.ones((), dtype=np.float64)
+    loss.slot.grad = np.ones((), dtype=np.float64)
     for node in reversed(tape.nodes):
         if node.output.grad is None:
             continue
         for inp, g in zip(node.inputs, node.backward_fn(node.output.grad)):
-            if g is None or not inp.requires_grad:
+            if g is None or inp is None:
                 continue
             inp.grad = np.ascontiguousarray(g, dtype=np.float64) if inp.grad is None else inp.grad + g
     tape.clear()
@@ -199,6 +202,70 @@ class TestBackwardMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * at_entry, (peak, at_entry)
+
+    @staticmethod
+    def residual_refs(monkeypatch) -> list:
+        """Weak references to the `.data` of every residual state of the
+        latest `Backbone._run_blocks` call."""
+        refs = []
+        run_blocks = Backbone._run_blocks
+
+        def recording(self, *args, **kwargs):
+            hidden = run_blocks(self, *args, **kwargs)
+            refs[:] = [weakref.ref(h.data) for h in hidden]
+            return hidden
+
+        monkeypatch.setattr(Backbone, "_run_blocks", recording)
+        return refs
+
+    def test_pretraining_step_frees_the_residual_states(self, tiny_cfg, monkeypatch):
+        refs, alive = self.residual_refs(monkeypatch), []
+        backward = tz.backward
+
+        def checking(loss):
+            alive.append(sum(ref() is not None for ref in refs))
+            backward(loss)
+
+        monkeypatch.setattr(tz, "backward", checking)
+        corpus = [np.random.default_rng(i).integers(0, 16, size=9) for i in range(8)]
+        pretrain_backbone(Backbone(tiny_cfg, seed=9), corpus, steps=2, lr=1e-3, batch_size=4, seed=0)
+        assert alive == [0, 0]
+
+    @staticmethod
+    def mj_step(refs, backward):
+        """(residual states alive at backward entry, final states, loss and
+        every trainable gradient) of one mj fine-tune step with dropout."""
+        cfg = small_config()
+        backbone = Backbone(cfg.model, seed=0)
+        backbone.freeze()
+        rng = np.random.default_rng(5)
+        states = {layer: cfg.router.router_state(rng.normal(size=(len(cfg.router.routed), cfg.model.d_model)), 10)
+                  for layer in range(cfg.model.n_layers)}
+        bank, hooks = build_method(cfg, 0, states)
+        head = ClassifierHead(cfg.model.d_model, 3)
+        tokens = rng.integers(0, cfg.model.vocab_size, size=(4, 10))
+        bank.begin_step(1)
+        hooks.set_batch()
+        with tz.Tape() as tape:
+            final = backbone.final_states(tokens, hooks)
+            loss = tz.cross_entropy(head.logits(final), rng.integers(0, 3, size=4))
+            alive = sum(ref() is not None for ref in refs)
+            backward(loss, tape)
+        params = {**{k: t for k, t in bank.named_tensors().items() if t.requires_grad},
+                  "head.w": head.w, "head.b": head.b}
+        return alive, final, loss, {name: t.grad for name, t in params.items()}
+
+    def test_mj_step_frees_the_residual_states(self, monkeypatch):
+        refs = self.residual_refs(monkeypatch)
+        alive, final, loss, grads = self.mj_step(refs, lambda loss, tape: tz.backward(loss))
+        assert len(refs) == 3 and alive == 0
+        assert final.grad is None and loss.grad is None
+        _, _, _, ref = self.mj_step(refs, retained_backward)
+        assert set(grads) == set(ref)
+        for name in ref:
+            assert ref[name] is not None and grads[name].tobytes() == ref[name].tobytes(), name
+        with tz.Tape(), pytest.raises(ValueError, match="detached"):
+            tz.backward(loss)  # the loss of a finished tape
 
 
 class TestFreezeAndPretrain:

@@ -208,11 +208,12 @@ class TestCheckpoint:
             bank.load_weights(tmp_path / "moe")
 
 
-def grouped_bank(n_experts: int, d_out: int = 5, dropout: float = 0.3, frozen_a: bool = False) -> MoEAdapterBank:
-    """One layer, one projection (d_in 6) of `n_experts` experts with drawn,
-    non-zero factors; `frozen_a` freezes every A, as LoRA-FA does."""
-    cfg = ModelConfig(d_model=6, d_ff=d_out, n_layers=1, n_heads=1, vocab_size=8, max_seq_len=8)
-    bank = MoEAdapterBank(cfg, MoEConfig(n_experts=n_experts, top_k=1, r=3, dropout=dropout),
+def grouped_bank(n_experts: int, d_out: int = 5, dropout: float = 0.3, frozen_a: bool = False,
+                 d_in: int = 6, r: int = 3) -> MoEAdapterBank:
+    """One layer, one projection (d_in by default 6) of `n_experts` experts
+    with drawn, non-zero factors; `frozen_a` freezes every A, as LoRA-FA does."""
+    cfg = ModelConfig(d_model=d_in, d_ff=d_out, n_layers=1, n_heads=1, vocab_size=8, max_seq_len=8)
+    bank = MoEAdapterBank(cfg, MoEConfig(n_experts=n_experts, top_k=1, r=r, dropout=dropout),
                           (ProjectionId.up,), seed=31)
     rng = np.random.default_rng(32)
     for expert in bank.experts[(0, ProjectionId.up)]:
@@ -226,12 +227,13 @@ class TestGroupedNode:
     against `unfused_moe_mix` byte for byte."""
 
     @staticmethod
-    def run(mix, n_experts, x_shape, dropout=True, x_grad=True, gate_grad=True, frozen_a=False, rounds=2):
+    def run(mix, n_experts, x_shape, dropout=True, x_grad=True, gate_grad=True, frozen_a=False, rounds=2,
+            d_in=6, r=3):
         """Values, node count and every gradient after each of `rounds`
         forward/backward passes that accumulate into the same `.grad`."""
-        bank = grouped_bank(n_experts, frozen_a=frozen_a)
+        bank = grouped_bank(n_experts, frozen_a=frozen_a, d_in=d_in, r=r)
         rng = np.random.default_rng(33)
-        x = Tensor(rng.normal(size=x_shape + (6,)), requires_grad=x_grad)
+        x = Tensor(rng.normal(size=x_shape + (d_in,)), requires_grad=x_grad)
         gate_values = rng.random(size=x_shape + (n_experts,))
         gate_values[..., 0, -1] = 0.0  # an unselected expert
         gates = Tensor(gate_values, requires_grad=gate_grad)
@@ -264,6 +266,18 @@ class TestGroupedNode:
     def test_bitwise_equal_to_unfused_chain(self, n_experts, x_shape, dropout, trainable):
         kwargs = {"all": {}, "layer0": {"x_grad": False}, "no_gate_grad": {"gate_grad": False},
                   "frozen_a": {"frozen_a": True}, "gate_only": {"x_grad": False, "frozen_a": True}}[trainable]
+        got = self.assert_equal_to_unfused_chain(n_experts, x_shape, dropout, **kwargs)
+        if trainable == "gate_only":
+            assert got[0][2]["e0.b"] is not None and got[0][2]["e0.a"] is None
+
+    @pytest.mark.parametrize("n_experts", [2, 4])
+    def test_stacked_factors_are_contiguous_per_expert(self, n_experts):
+        """At d_in = 16, r = 2 the product x A^T depends in its last bits on
+        the layout of A^T: each expert's stacked A^T and B^T must be the
+        C-contiguous copy the chain's `transpose` makes."""
+        self.assert_equal_to_unfused_chain(n_experts, (2, 4), True, d_in=16, r=2)
+
+    def assert_equal_to_unfused_chain(self, n_experts, x_shape, dropout, **kwargs):
         got = self.run(moe_mix, n_experts, x_shape, dropout, **kwargs)
         ref = self.run(unfused_moe_mix, n_experts, x_shape, dropout, **kwargs)
         for (y, nodes, grads), (ref_y, ref_nodes, ref_grads) in zip(got, ref):
@@ -274,8 +288,7 @@ class TestGroupedNode:
                     assert g is None and ref_grads[k] is None, k
                 else:
                     assert g.tobytes() == ref_grads[k].tobytes(), k
-        if trainable == "gate_only":
-            assert got[0][2]["e0.b"] is not None and got[0][2]["e0.a"] is None
+        return got
 
     def test_second_backward_accumulates(self):
         (_, _, first), (_, _, second) = self.run(moe_mix, 4, (2, 4))

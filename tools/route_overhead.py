@@ -8,13 +8,15 @@ the benchmark does: `data.seed` and the run seed), runs `prepare_world` once
 and then `run_pipeline` for methods mj, peft and moe on that world, timing
 each, with one BLAS thread. `--src` picks the mjlab sources to time, so one
 copy of this script measures a parent checkout and a change alike. After the
-timed runs, one more `run_pipeline` per method runs up to its first
-fine-tune step under tracemalloc and stops at that step's `backward` entry,
-to read the bytes its tape holds there; one more `prepare_backbone` does the
-same at its first pretraining step. Prints one JSON line: the world time,
-each method's fine-tune plus eval time, the mj - peft overhead, how many
-times faster mj is than moe, the tape nodes per backward and step tape bytes
-of each method and of pretraining, and the accuracies.
+timed runs, one more `run_pipeline` per method traces allocations with
+tracemalloc from each fine-tune step's tape entry to its `backward` entry,
+to read the bytes the step's tape holds there; one more `prepare_backbone`
+does the same for each pretraining step. Prints one JSON line: the world
+time, each method's fine-tune plus eval time, the mj - peft overhead, how
+many times faster mj is than moe, the tape nodes per backward, the step tape
+bytes (`*_step_tape_bytes`: the first step's; `*_peak_step_tape_bytes`: the
+largest step's, which is the one peak RSS follows) of each method and of
+pretraining, and the accuracies.
 """
 
 import os
@@ -33,10 +35,6 @@ ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("mj", "peft", "moe")
 
 
-class _AtBackward(Exception):
-    """Stops a measuring run at its first `backward` entry."""
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=1)
@@ -51,22 +49,35 @@ def main(argv=None) -> int:
     from workloads import BENCH_SCALE, make_config
 
     nodes: list[int] = []
+    tape_bytes: list[int] = []  # traced at each `backward` entry of a measuring run
     backward = tz.backward
     measuring = False
 
     def counting_backward(loss):
         nodes.append(len(tz._active_tape().nodes))
         if measuring:
-            raise _AtBackward(tracemalloc.get_traced_memory()[0])
+            tape_bytes.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.stop()
         return backward(loss)
 
     class StepTape(tz.Tape):
-        """Traces allocations from the first tape on, when measuring."""
+        """Traces allocations from each tape's entry on, when measuring."""
 
         def __enter__(self):
-            if measuring and not tracemalloc.is_tracing():
+            if measuring:
+                tracemalloc.stop()
                 tracemalloc.start()
             return super().__enter__()
+
+    def measure(name, build):
+        """`build()` with each step's tape traced: its first and largest step tape bytes."""
+        tape_bytes.clear()
+        try:
+            build()
+        finally:
+            tracemalloc.stop()
+        out[f"{name}_step_tape_bytes"] = tape_bytes[0]
+        out[f"{name}_peak_step_tape_bytes"] = max(tape_bytes)
 
     tz.backward = counting_backward
     tz.Tape = StepTape
@@ -84,19 +95,9 @@ def main(argv=None) -> int:
         out[f"{method}_accuracy"] = run["overall_accuracy"]
     measuring = True
     for method, cfg in cfgs.items():
-        try:
-            run_pipeline(cfg, args.seed, backbone=world[0], train_ds=world[1], val_ds=world[2])
-        except _AtBackward as stop:
-            out[f"{method}_step_tape_bytes"] = stop.args[0]
-        finally:
-            tracemalloc.stop()
+        measure(method, lambda: run_pipeline(cfg, args.seed, backbone=world[0], train_ds=world[1], val_ds=world[2]))
     nodes.clear()
-    try:
-        prepare_backbone(cfgs["mj"], args.seed, corpus=pretraining_corpus(world[1]))
-    except _AtBackward as stop:
-        out["pretrain_step_tape_bytes"] = stop.args[0]
-    finally:
-        tracemalloc.stop()
+    measure("pretrain", lambda: prepare_backbone(cfgs["mj"], args.seed, corpus=pretraining_corpus(world[1])))
     out["pretrain_nodes_per_backward"] = nodes[0]
     out["overhead_s"] = out["mj_s"] - out["peft_s"]
     out["mj_speedup_over_moe"] = out["moe_s"] / out["mj_s"]
