@@ -71,7 +71,7 @@ class Adapter:
                 raise ValueError(f"a scalar coefficient must be 0 or 1, got {m}")
             m = None
         if self.cfg.variant in ("lora", "lorafa"):
-            return tz.LoRA(self.a, self.b, self.cfg.alpha / self.cfg.r, self.cfg.dropout, drop_rng, m, column)
+            return tz.LoRA((self.a,), (self.b,), self.cfg.alpha / self.cfg.r, self.cfg.dropout, drop_rng, m, (column,))
         return tz.Propulsion(self.s, self.cfg.dropout, drop_rng, m, column)
 
     def apply(self, h: Tensor, m, base: Tensor | None = None,
@@ -82,11 +82,9 @@ class Adapter:
         term = self.term(m, drop_rng, column)
         if term is None:
             return tz.zeros(h.shape[:-1] + (self.d_out,))
-        if isinstance(term, tz.LoRA):
-            return tz.lora_delta(h, *term)
-        if base is None:
+        if isinstance(term, tz.Propulsion) and base is None:
             raise ValueError("propulsion needs the frozen projection output")
-        return tz.propulsion_delta(base, *term)
+        return tz.adapter_delta(h if isinstance(term, tz.LoRA) else base, term)
 
 
 class BankCore:

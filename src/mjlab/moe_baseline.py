@@ -104,7 +104,7 @@ def moe_term(bank: MoEAdapterBank, layer: int, proj: ProjectionId, gates: Tensor
 
 def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
     """Gate-weighted sum of expert LoRA outputs on input x, as one tape node."""
-    return tz.lora_delta(x, *moe_term(bank, layer, proj, gates))
+    return tz.adapter_delta(x, moe_term(bank, layer, proj, gates))
 
 
 class MoEHooks:

@@ -418,8 +418,8 @@ class MonkeyJumpHooks:
         if adapter is None:
             return None
         state = self.states.get(layer)
-        if state is None or proj in state.shared or proj not in state.routed:
-            # shared experts are always active; unrouted blocks/projections
-            # degrade to standard uniform PEFT
+        if state is None or proj not in state.routed:
+            # a block without a router and a shared projection (RouterState
+            # keeps it out of `routed`) apply uniformly: standard PEFT
             return adapter.term(1.0, self.bank.drop_rng)
         return adapter.term(self._coeff[layer], self.bank.drop_rng, column=state.routed.index(proj))

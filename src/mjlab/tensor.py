@@ -23,17 +23,18 @@ node's closure are freed as soon as the node has run. Only leaves keep a
 requires_grad=False; they return None in its place.
 
 Replay contract of the fused ops (`linear`, `adapted_projections`,
-`causal_attention`, `swiglu`, `lora_delta`, `propulsion_delta`,
-`route_coefficients`): each is one tape node that runs, in order, the numpy
-calls of the chain of simpler ops it replaces, including each contiguous
-copy those ops make (a copy changes the memory layout a later matmul reads,
-and so its result). Values and gradients are bitwise equal to the chain's;
-only the op named by a finite check differs. What each keeps, and what its
-backward rebuilds with the forward's own expressions:
+`causal_attention`, `swiglu`, `adapter_delta`, `route_coefficients`): each
+is one tape node that runs, in order, the numpy calls of the chain of
+simpler ops it replaces, including each contiguous copy those ops make (a
+copy changes the memory layout a later matmul reads, and so its result).
+Values and gradients are bitwise equal to the chain's; only the op named by
+a finite check differs. What each keeps, and what its backward rebuilds
+with the forward's own expressions:
 - `linear`, `adapted_projections`: W^T, and x only when a weight trains,
   plus what each adapter term keeps;
-- a `LoRA` term: x, the boolean masks, A^T, B^T and the gate; it rebuilds
-  dropout(x), x_d A^T, the gate columns and the ungated delta;
+- a `LoRA` term, always a stack of E >= 1 adapters: x, the boolean masks,
+  the stacked A^T and B^T and the gate; it rebuilds dropout(x), x_d A^T,
+  the gate columns and the ungated deltas;
 - a `Propulsion` term: its frozen product, the boolean mask and the gate
   column; it rebuilds dropout(W x) and the ungated delta;
 - `swiglu`: the stacked up|gate; it rebuilds sigmoid(gate) and silu(gate);
@@ -86,8 +87,7 @@ __all__ = [
     "dropout",
     "LoRA",
     "Propulsion",
-    "lora_delta",
-    "propulsion_delta",
+    "adapter_delta",
     "topk_mask",
     "route_coefficients",
     "l2_normalize_rows",
@@ -679,24 +679,25 @@ class LoRA(NamedTuple):
     scale * dropout(x) @ a_e^T @ b_e^T, each times gate[..., column_e] when
     `gate` is given.
 
-    `a` is (r, d_in) and `b` (d_out, r), or sequences of E of them with E
-    columns; `gate` is a (..., E') coefficient tensor. Dropout runs only when
-    `rng` is given and p > 0. The fields are `lora_delta`'s arguments after x.
+    `a`, `b` and `column` are sequences of E (r, d_in) factors, E (d_out, r)
+    factors and E columns: one adapter for mj and peft, a projection's
+    experts for the MoE baseline. `gate` is a (..., E') coefficient tensor.
+    Dropout runs only when `rng` is given and p > 0.
     """
 
-    a: Tensor | Sequence[Tensor]
-    b: Tensor | Sequence[Tensor]
+    a: Sequence[Tensor]
+    b: Sequence[Tensor]
     scale: float
     p: float
     rng: np.random.Generator | None
     gate: Tensor | None = None
-    column: int | Sequence[int] = 0
+    column: Sequence[int] = (0,)
 
 
 class Propulsion(NamedTuple):
     """A Propulsion adapter on one projection: dropout(W x) * s, times
-    gate[..., column] when `gate` is given; `s` is (d_out,). The fields are
-    `propulsion_delta`'s arguments after the frozen product."""
+    gate[..., column] when `gate` is given; `s` is (d_out,). It reads the
+    frozen product W x, not the projection input."""
 
     s: Tensor
     p: float
@@ -711,8 +712,8 @@ def _lora(x: Tensor, term: LoRA):
 
     Replays the numpy calls of the chain dropout, transpose, matmul,
     transpose, matmul, mul (and select_index, mul for the gate) of each
-    adapter, and `add` over adapters in order. E > 1 masks are one (E,) +
-    x.shape draw, the stream of E draws, and their matmuls run stacked on a
+    adapter, and `add` over adapters in order. The E masks are one (E,) +
+    x.shape draw, the stream of E draws, and the matmuls run stacked on a
     leading adapter axis, which numpy computes slice by slice as separate
     calls do. `inputs` are (x, a, b, gate) once per adapter, in reverse order,
     so `backward` accumulates the gradients of x and the gate in the chain's
@@ -721,42 +722,30 @@ def _lora(x: Tensor, term: LoRA):
     from them with the forward's own expressions.
     """
     a, b, column, gate, p = term.a, term.b, term.column, term.gate, term.p
-    single = isinstance(a, Tensor)
-    if single:
-        a, b, column = (a,), (b,), (column,)
     n = len(a)
     s = _as_array(term.scale)
     x_data, x_grad = x.data, x.requires_grad
     a_grad, b_grad = [t.requires_grad for t in a], [t.requires_grad for t in b]
     gate_data = None if gate is None else gate.data
     gated = gate is not None and gate.requires_grad
-    xd, keep = _drop(x_data, p, term.rng, None if single else n)
+    xd, keep = _drop(x_data, p, term.rng, n)
     at, bt = np.array([t.data.T for t in a]), np.array([t.data.T for t in b])  # C-contiguous, as `transpose` copies
-    if single:
-        at_mm, bt_mm = at[0], bt[0]
-    else:
-        lead = (n,) + (1,) * (x.ndim - 2)  # one adapter slice per batch of x
-        at_mm, bt_mm = at.reshape(lead + at.shape[1:]), bt.reshape(lead + bt.shape[1:])
+    lead = (n,) + (1,) * (x.ndim - 2)  # one adapter slice per batch of x
+    at_mm, bt_mm = at.reshape(lead + at.shape[1:]), bt.reshape(lead + bt.shape[1:])
 
     def products(xd):  # (x_d @ A^T, the ungated delta)
         xa = _as_array(xd @ at_mm)
         return xa, _as_array(_as_array(xa @ bt_mm) * s)
 
     def columns():  # the gate columns, stacked as the deltas are
-        if single:
-            return _as_array(gate_data[..., column[0]:column[0] + 1])
-        return np.stack([gate_data[..., c:c + 1] for c in column])
-
-    def per_adapter(arr):
-        return (arr,) if single else arr
+        return np.array([gate_data[..., c:c + 1] for c in column])
 
     out = products(xd)[1]
     if gate is not None:
         out = out * columns()
-    if not single:
-        terms, out = out, out[0]
-        for t in terms[1:]:
-            out = out + t
+    terms, out = out, out[0]
+    for t in terms[1:]:
+        out = out + t
     inputs = ()
     for e in reversed(range(n)):
         inputs += (x, a[e], b[e]) if gate is None else (x, a[e], b[e], gate)
@@ -764,9 +753,9 @@ def _lora(x: Tensor, term: LoRA):
     def back(g):
         mask = None if keep is None else _mask(keep, p)
         xd = x_data if mask is None else _as_array(x_data * mask)
-        xas, deltas = (per_adapter(arr) for arr in products(xd)) if any(b_grad) or gated else (None, None)
-        xds = (x_data,) * n if mask is None else per_adapter(xd)
-        gcols = None if gate_data is None else per_adapter(columns())
+        xas, deltas = products(xd) if any(b_grad) or gated else (None, None)
+        xds = (x_data,) * n if mask is None else xd
+        gcols = None if gate_data is None else columns()
         grads = []
         for e in reversed(range(n)):
             gx = ga = gb = None
@@ -780,7 +769,7 @@ def _lora(x: Tensor, term: LoRA):
                     if x_grad:
                         gx = g_xa @ np.swapaxes(at[e], -1, -2)
                         if mask is not None:
-                            gx = gx * per_adapter(mask)[e]
+                            gx = gx * mask[e]
                     if a_grad[e]:
                         g_at = _unbroadcast(np.swapaxes(xds[e], -1, -2) @ g_xa, at[e].shape)
                         ga = np.ascontiguousarray(g_at.T)
@@ -839,30 +828,20 @@ def _propulsion(base: np.ndarray, base_grad: bool, term: Propulsion):
     return out, (s,) if gate is None else (s, gate), back
 
 
-def lora_delta(x, a: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor], scale: float, p: float,
-               rng: np.random.Generator | None, gate: Tensor | None = None,
-               column: int | Sequence[int] = 0) -> Tensor:
-    """The `LoRA` term (a, b, scale, p, rng, gate, column) on `x` as one tape
-    node: scale * dropout(x) @ a^T @ b^T, times gate[..., column] when `gate`
-    is given, summed over the adapters when `a`, `b` and `column` are
-    sequences (one projection's MoE experts).
+def adapter_delta(x, term: LoRA | Propulsion) -> Tensor:
+    """The delta of an adapter term on its own, as one tape node named
+    'lora_delta' or 'propulsion_delta': a `LoRA` on the projection input `x`,
+    a `Propulsion` on the frozen projection output `x` (..., d_out).
 
-    Values and gradients are bitwise equal to the chain of single ops, and to
-    the chain of E single calls joined by `add`.
+    Values and gradients are bitwise equal to the chain of single ops, and a
+    LoRA of E adapters to the chain of E one-adapter nodes joined by `add`.
     """
     x = _wrap(x)
-    out, inputs, back = _lora(x, LoRA(a, b, scale, p, rng, gate, column))
+    if isinstance(term, Propulsion):
+        out, inputs, back = _propulsion(x.data, x.requires_grad, term)
+        return _make("propulsion_delta", out, (x, *inputs), back)
+    out, inputs, back = _lora(x, term)
     return _make("lora_delta", out, inputs, back)
-
-
-def propulsion_delta(x, s: Tensor, p: float, rng: np.random.Generator | None,
-                     gate: Tensor | None = None, column: int = 0) -> Tensor:
-    """The `Propulsion` term (s, p, rng, gate, column) on `x`, the frozen
-    projection output (..., d_out), as one tape node: dropout(x) * s, times
-    gate[..., column] when `gate` is given."""
-    x = _wrap(x)
-    out, inputs, back = _propulsion(x.data, x.requires_grad, Propulsion(s, p, rng, gate, column))
-    return _make("propulsion_delta", out, (x, *inputs), back)
 
 
 def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Propulsion | None],
@@ -874,12 +853,12 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
     `weights` are P (d_out, d_in) weights, `terms[i]` is projection i's
     `LoRA` or `Propulsion` term or None, and `labels[i]` names it in a
     diagnostic. The node replays, per projection in order, the chain
-    `linear`, the term's node (`lora_delta` or `propulsion_delta`) and `add`,
-    so dropout masks are drawn in projection order. The frozen products are
-    one matmul by the P W^T, stacked by one copy per call (a weight written
-    after `freeze()` is read as it is now), which numpy computes projection
-    by projection as the separate products. The input gradient is one matmul
-    per projection, and `x` is an input once per node of the chain, so
+    `linear`, the term's `adapter_delta` node and `add`, so dropout masks are
+    drawn in projection order. The frozen products are one matmul by the P
+    W^T, stacked by one copy per call (a weight written after `freeze()` is
+    read as it is now), which numpy computes projection by projection as the
+    separate products, for P = 1 too. The input gradient is one matmul per
+    projection, and `x` is an input once per node of the chain, so
     `backward` adds its terms in the chain's order.
 
     The node keeps the W^T, x only when a weight trains, what each term
@@ -896,8 +875,6 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
         raise ValueError(f"projection shape mismatch: {x.data.shape} @ {[w.data.shape for w in weights]}^T")
 
     def products():
-        if n == 1:
-            return (x.data @ wt[0])[None]
         return x.data @ wt.reshape((n,) + (1,) * (x.ndim - 2) + wt.shape[1:])  # one W^T per batch of x
 
     out = products()

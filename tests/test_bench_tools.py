@@ -1,4 +1,4 @@
-"""The paired-run claim rule of `tools/bench_pairs.py`."""
+"""The paired-run claim and no-regression rules of `tools/bench_pairs.py`."""
 
 import importlib.util
 from pathlib import Path
@@ -47,3 +47,35 @@ def test_claim_not_met_when_any_pair_is_faulty(bench_pairs, fault):
     runs = paired_runs(bench_pairs, {"train_moe": [11, 12]})
     claim = bench_pairs.claim_of(runs, "peak_rss_mb", "train_moe")
     assert not claim["met"] and claim["pairs_incorrect_or_digest_differs"] == 2
+
+
+def one_metric_runs(bench_pairs, name: str, parent: list[float], change: list[float]) -> dict:
+    """One workload's pairs of `name`, the parent's and the change's runs."""
+    pairs = [{f"parent_{name}": p, f"change_{name}": c} for p, c in zip(parent, change)]
+    return {"train_moe": {"pairs": pairs, "summary": {
+        "parent": {name: bench_pairs.quartiles(parent)}, "change": {name: bench_pairs.quartiles(change)}}}}
+
+
+TIGHT = [10.0, 10.1, 9.9, 10.0, 10.05, 9.95, 10.0, 10.1, 9.9, 10.0]  # spread 0.0125
+WIDE = [6.0, 14.0, 8.0, 12.0, 10.0, 7.0, 13.0, 9.0, 11.0, 10.0]  # spread 0.45
+
+
+@pytest.mark.parametrize("better,parent,change,verdict", [
+    ("lower", TIGHT, [v * 1.3 for v in TIGHT], "worse"),  # 30% slower, bound 25%
+    ("lower", TIGHT, [v * 1.2 for v in TIGHT], "ok"),  # within the bound
+    ("lower", WIDE, WIDE, "unresolved"),  # the parent's own spread exceeds the bound
+    ("lower", WIDE, [v * 0.2 for v in WIDE], "ok"),  # every change run beats every parent run
+    ("lower", WIDE, [v * 1.4 for v in WIDE], "worse"),  # worse by more than the bound, however noisy
+    ("higher", TIGHT, [v * 0.7 for v in TIGHT], "worse"),
+    ("higher", TIGHT, [v * 1.3 for v in TIGHT], "ok"),
+])
+def test_no_regression_verdicts(bench_pairs, better, parent, change, verdict):
+    end_to_end = [{"name": "wall_s", "better": better, "bound": 0.25}]
+    (row,) = bench_pairs.no_regression(one_metric_runs(bench_pairs, "wall_s", parent, change), end_to_end)
+    assert row["verdict"] == verdict, row
+    assert row["bound"] == 0.25 and row["workload"] == "train_moe" and row["metric"] == "wall_s"
+
+
+def test_claim_none_is_no_claim(bench_pairs):
+    assert bench_pairs.parse_claim("none") is None
+    assert bench_pairs.parse_claim("wall_s:ablate_beta") == ("wall_s", "ablate_beta")

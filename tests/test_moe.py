@@ -25,7 +25,10 @@ def moe_forward(bank: MoEAdapterBank, layer: int, proj: ProjectionId, h: Tensor)
 
 def unfused_moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
     """The chain `moe_mix` fuses: one `Adapter.apply` per expert, joined by
-    `add`; the bitwise reference."""
+    `add`; the bitwise reference. Each `Adapter.apply` is a one-adapter
+    `tz.LoRA` node, which runs the same stacked code as `moe_mix`; the
+    one-adapter node is tied to the chain of single ops by
+    `test_tensor.py`'s `TestLoraDelta.test_bitwise_equal_to_unfused_chain`."""
     drop_rng = bank.drop_rng
     out = None
     for n, expert in enumerate(bank.experts[(layer, proj)]):

@@ -199,7 +199,8 @@ class TestNode:
         adapters = [(Tensor(rng.normal(size=(2, d)), requires_grad=True), Tensor(rng.normal(size=(d, 2)),
                                                                                 requires_grad=True))
                     for _ in range(3)]
-        terms = [tz.LoRA(a, b, 2.5, 0.3, np.random.default_rng(8), gate, c) for c, (a, b) in enumerate(adapters)]
+        terms = [tz.LoRA((a,), (b,), 2.5, 0.3, np.random.default_rng(8), gate, (c,))
+                 for c, (a, b) in enumerate(adapters)]
         tracemalloc.start()
         try:
             with tz.Tape():

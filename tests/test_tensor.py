@@ -258,7 +258,8 @@ def test_float_dropout_mask_is_the_quotient(p):
 
 
 def unfused_lora_delta(x, a, b, scale, p, rng):
-    """The six-node chain `lora_delta` fuses; the bitwise reference."""
+    """The six-node chain a one-adapter `lora_delta` node fuses; the bitwise
+    reference."""
     if rng is not None and p > 0.0:
         x = tz.dropout(x, p, rng)
     return tz.mul(tz.matmul(tz.matmul(x, tz.transpose(a)), tz.transpose(b)), scale)
@@ -276,15 +277,20 @@ class TestLoraDelta:
 
         def build():
             drop = np.random.default_rng(5)  # identical mask on every eval
-            return tz.tsum(tz.mul(tz.lora_delta(x, a, b, 2.5, p, drop), w))
+            return tz.tsum(tz.mul(tz.adapter_delta(x, tz.LoRA((a,), (b,), 2.5, p, drop)), w))
 
         finite_difference_check(build, [x, a, b])
 
-    @pytest.mark.parametrize("x_shape", [(5, 6), (2, 4, 6)])
+    @pytest.mark.parametrize("x_shape", [(5, 6), (2, 4, 6), (2, 4, 16)])
     @pytest.mark.parametrize("trainable", ["xab", "ab", "b", "xb"])
     def test_bitwise_equal_to_unfused_chain(self, x_shape, trainable):
+        """At d_in = 16 the rank is 2, where x A^T depends in its last bits on
+        the layout of A^T (`test_moe.py`'s
+        `test_stacked_factors_are_contiguous_per_expert` guards it for E > 1)."""
+        d_in = x_shape[-1]
+        r = {6: 3, 16: 2}[d_in]
         rng = np.random.default_rng(22)
-        values = {"x": rng.normal(size=x_shape), "a": rng.normal(size=(3, 6)), "b": rng.normal(size=(7, 3))}
+        values = {"x": rng.normal(size=x_shape), "a": rng.normal(size=(r, d_in)), "b": rng.normal(size=(7, r))}
         w = rng.normal(size=x_shape[:-1] + (7,))
 
         def run(fn):
@@ -295,7 +301,8 @@ class TestLoraDelta:
                 tz.backward(tz.tsum(tz.mul(out, w)))
             return out.data, {k: t.grad for k, t in ts.items()}, n_nodes
 
-        fused, fused_grads, fused_nodes = run(tz.lora_delta)
+        fused, fused_grads, fused_nodes = run(lambda x, a, b, scale, p, rng: tz.adapter_delta(
+            x, tz.LoRA((a,), (b,), scale, p, rng)))
         ref, ref_grads, ref_nodes = run(unfused_lora_delta)
         assert fused_nodes == 1 and ref_nodes > 1
         assert np.array_equal(fused, ref)
@@ -308,12 +315,12 @@ class TestLoraDelta:
     def test_no_dropout_without_rng(self):
         rng = np.random.default_rng(23)
         x, a, b = (Tensor(rng.normal(size=s)) for s in [(4, 6), (2, 6), (5, 2)])
-        out = tz.lora_delta(x, a, b, 1.0, 0.5, None)
+        out = tz.adapter_delta(x, tz.LoRA((a,), (b,), 1.0, 0.5, None))
         assert np.array_equal(out.data, unfused_lora_delta(x, a, b, 1.0, 0.0, None).data)
 
 
 def unfused_propulsion_delta(x, s, p, rng):
-    """The two-node chain dropout, mul that `propulsion_delta` fuses."""
+    """The two-node chain dropout, mul that a `propulsion_delta` node fuses."""
     if rng is not None and p > 0.0:
         x = tz.dropout(x, p, rng)
     return tz.mul(x, s)
@@ -326,10 +333,12 @@ def unfused_gate(delta, gate, column):
 
 # op -> (fused, unfused chain, input shapes without the gate)
 ADAPTER_OPS = {
-    "lora_delta": (lambda x, a, b, rng, **gate: tz.lora_delta(x, a, b, 2.5, 0.3, rng, **gate),
+    "lora_delta": (lambda x, a, b, rng, gate=None, column=0: tz.adapter_delta(
+                       x, tz.LoRA((a,), (b,), 2.5, 0.3, rng, gate, (column,))),
                    lambda x, a, b, rng: unfused_lora_delta(x, a, b, 2.5, 0.3, rng),
                    {"x": (2, 4, 6), "a": (3, 6), "b": (7, 3)}),
-    "propulsion_delta": (lambda x, s, rng, **gate: tz.propulsion_delta(x, s, 0.3, rng, **gate),
+    "propulsion_delta": (lambda x, s, rng, gate=None, column=0: tz.adapter_delta(
+                             x, tz.Propulsion(s, 0.3, rng, gate, column)),
                          lambda x, s, rng: unfused_propulsion_delta(x, s, 0.3, rng),
                          {"x": (2, 4, 7), "s": (7,)}),
 }
@@ -360,7 +369,7 @@ class TestPropulsionDelta:
             delta = unfused_propulsion_delta(x, s, p, np.random.default_rng(9))
             return delta if gate is None else unfused_gate(delta, gate, 1)
 
-        out, grads = run(lambda x, s, gate: tz.propulsion_delta(x, s, p, np.random.default_rng(9), gate, 1))
+        out, grads = run(lambda x, s, gate: tz.adapter_delta(x, tz.Propulsion(s, p, np.random.default_rng(9), gate, 1)))
         ref, ref_grads = run(chain)
         assert out.tobytes() == ref.tobytes()
         for k in values:
@@ -386,7 +395,7 @@ class TestPropulsionDelta:
             finally:
                 tracemalloc.stop()
 
-        fused = held(lambda rng: tz.propulsion_delta(x, s, 0.3, rng, gate, 1))
+        fused = held(lambda rng: tz.adapter_delta(x, tz.Propulsion(s, 0.3, rng, gate, 1)))
         chain = held(lambda rng: unfused_gate(unfused_propulsion_delta(x, s, 0.3, rng), gate, 1))
         column = 8 * 16 * 24
         assert fused <= x.data.size + column + 4096, fused  # the mask and the gate column

@@ -1,8 +1,8 @@
 """The backbone forward as a chain of one node per projection: the bitwise and
 tape-memory reference for `tz.adapted_projections`.
 
-Per projection the chain records `linear`, the adapter term's own node
-(`lora_delta` or `propulsion_delta`) and `add`, and attention and SwiGLU take
+Per projection the chain records `linear`, the adapter term's own
+`tz.adapter_delta` node ('lora_delta' or 'propulsion_delta') and `add`, and attention and SwiGLU take
 q, k, v and gate, up as separate tensors. This is how `Backbone` ran before
 one node computed a block's projections on their shared input.
 """
@@ -70,14 +70,12 @@ def swiglu_of_parts(gate, up):
 
 
 def delta_of(term, x, base):
-    """The delta of an adapter term as its own node: `lora_delta` on the
-    projection input `x`, `propulsion_delta` on the frozen product `base`;
-    None for no term."""
+    """The delta of an adapter term as its own `tz.adapter_delta` node: a
+    LoRA on the projection input `x`, a Propulsion on the frozen product
+    `base`; None for no term."""
     if term is None:
         return None
-    if isinstance(term, tz.LoRA):
-        return tz.lora_delta(x, *term)
-    return tz.propulsion_delta(base, *term)
+    return tz.adapter_delta(x if isinstance(term, tz.LoRA) else base, term)
 
 
 class DeltaHooks:

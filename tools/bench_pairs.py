@@ -26,7 +26,15 @@ whether the change lowered the `--claim` metric on its workload
 (`peak_rss_mb:ablate_beta` by default) by the pairing rule: at least 9 wins
 in 10 and a median difference larger than the parent's interquartile range.
 A claim is never met while any pair of any workload reported `correct:
-false` or differed in its artifact digest.
+false` or differed in its artifact digest. `--claim none` claims no gain and
+writes `"claim": null`.
+
+Either way it writes the `no_regression` table: per workload and per
+end-to-end metric of `BENCHMARK.json`, both sides' medians, the relative
+change, the metric's bound and a verdict. `worse` when the change's median
+is worse than the parent's by more than the bound; else `unresolved` when
+the parent's spread, (Q3 - Q1) / median, exceeds the bound and not every
+change run is better than every parent run; else `ok`.
 """
 
 from __future__ import annotations
@@ -44,12 +52,10 @@ PAIRS = {workload: range(11, 21) for workload in ("ablate_beta", "train_moe", "a
 TRACED = ("ablate_beta", "train_moe")
 TRACE_KEYS = (
     "tensor.tape_nodes_per_backward", "tensor.backward.calls", "tensor.backward.s",
-    "tensor.op.matmul.calls", "tensor.op.transpose.calls", "tensor.op.swapaxes.calls",
-    "tensor.op.reshape.calls", "tensor.op.silu.calls", "tensor.op.mul.calls", "tensor.op.add.calls",
+    "tensor.op.reshape.calls", "tensor.op.mul.calls", "tensor.op.add.calls",
     "tensor.op.softmax.calls", "model.forward.calls", "router.route.s", "tensor.op.select_index.calls",
     "tensor.op.l2_normalize_rows.calls", "train.evaluate.s", "train.init_router_states.s",
-    "data.sample_init_tokens.s", "moe_baseline.mix.s", "moe_baseline.gates.s", "adapters.apply.calls",
-    "optim.step.s",
+    "data.sample_init_tokens.s", "moe_baseline.gates.s", "optim.step.s",
 )
 LEDGER_KEYS = ("overhead_s", "mj_s", "peft_s", "moe_s", "mj_speedup_over_moe", "mj_nodes_per_backward",
                "peft_nodes_per_backward", "moe_nodes_per_backward", "mj_step_tape_bytes", "peft_step_tape_bytes",
@@ -132,7 +138,35 @@ def claim_of(paired_runs: dict, metric: str, workload: str) -> dict:
             "met": faulty == 0 and wins * 10 >= 9 * n and diff > iqr}
 
 
-def parse_claim(text: str) -> tuple[str, str]:
+def no_regression(paired_runs: dict, end_to_end: list[dict]) -> list[dict]:
+    """One row per workload and end-to-end metric (`BENCHMARK.json`'s
+    `end_to_end` entries): the medians, the relative change, the bound and
+    the verdict of the module docstring."""
+    rows = []
+    for workload, runs in paired_runs.items():
+        for metric in end_to_end:
+            name, bound = metric["name"], metric["bound"]
+            sign = 1 if metric["better"] == "lower" else -1  # sign * value: lower is better
+            parent, change = runs["summary"]["parent"][name], runs["summary"]["change"][name]
+            relative = (change["median"] - parent["median"]) / parent["median"]
+            spread = (parent["q3"] - parent["q1"]) / parent["median"]
+            change_beats_all = (max(sign * p[f"change_{name}"] for p in runs["pairs"])
+                                < min(sign * p[f"parent_{name}"] for p in runs["pairs"]))
+            if sign * relative > bound:
+                verdict = "worse"
+            elif spread > bound and not change_beats_all:
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
+            rows.append({"workload": workload, "metric": name, "parent_median": parent["median"],
+                         "change_median": change["median"], "relative_change": relative, "bound": bound,
+                         "parent_spread": spread, "verdict": verdict})
+    return rows
+
+
+def parse_claim(text: str) -> tuple[str, str] | None:
+    if text == "none":
+        return None
     metric, _, workload = text.partition(":")
     if metric not in LOWER_IS_BETTER or workload not in PAIRS:
         raise argparse.ArgumentTypeError(f"expected METRIC:WORKLOAD with METRIC in {LOWER_IS_BETTER} "
@@ -145,17 +179,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repository root")
     parser.add_argument("--claim", type=parse_claim, default=("peak_rss_mb", "ablate_beta"),
-                        metavar="METRIC:WORKLOAD", help="the metric the change claims to lower")
+                        metavar="METRIC:WORKLOAD",
+                        help="the metric the change claims to lower, or none to claim no gain")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
-    metric, workload = args.claim
     baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
 
+    claim = "none" if args.claim is None else ":".join(args.claim)
     out = {"label": args.label, "command": "python3 tools/bench_pairs.py --parent <parent checkout> "
-                                           f"--label {args.label} --claim {metric}:{workload}",
+                                           f"--label {args.label} --claim {claim}",
            "env": {"OPENBLAS_NUM_THREADS": "1 (set by perfbench/run.py)", "cpus": len(os.sched_getaffinity(0))}}
     out["paired"] = {name: paired(parent, name, seeds) for name, seeds in PAIRS.items()}
-    out["claim"] = claim_of(out["paired"], metric, workload)
+    out["claim"] = None if args.claim is None else claim_of(out["paired"], *args.claim)
+    out["no_regression"] = no_regression(out["paired"], benchmark["end_to_end"])
 
     out["trace_counts_seed1"] = {}
     for name in TRACED:
@@ -182,7 +219,8 @@ def main(argv=None) -> int:
                    for side in ("parent", "change")}}
 
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(out["claim"]))
+    print(json.dumps({"claim": out["claim"], "verdicts": [
+        f"{row['workload']} {row['metric']} {row['verdict']}" for row in out["no_regression"]]}))
     return 0
 
 
