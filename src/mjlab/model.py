@@ -203,7 +203,8 @@ class Backbone:
         """
         hidden = self._run_blocks(tokens, hooks)
         final = tz.layer_norm(hidden[-1], self.ln_f_g, self.ln_f_b)
-        return ForwardResult(hidden=hidden, logits=tz.linear(final, self.lm_head), final=final)
+        logits = tz.adapted_projections(final, [self.lm_head], [None], ["lm_head"])
+        return ForwardResult(hidden=hidden, logits=logits, final=final)
 
     def final_states(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> Tensor:
         """LayerNormed last-block output (B, T, d), the classifier-head input;

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .tensor import Tensor
+from .tensor import Tensor, topk_mask
 from .model import ModelConfig, ProjectionId
 from .adapters import Adapter, AdapterConfig, BankCore
-from .router import topk_mask
 
 
 @dataclass
@@ -86,7 +85,7 @@ def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
     trains by gradient descent.
     """
     r = bank.routers[layer]
-    g = tz.softmax(tz.linear(h, r), axis=-1)
+    g = tz.softmax(tz.adapted_projections(h, [r], [None], [f"layer {layer}, router"]), axis=-1)
     mask, _ = topk_mask(g.data.reshape(-1, bank.cfg.n_experts), bank.cfg.top_k)
     kept = tz.mul(g, Tensor(mask.reshape(g.shape)))
     denom = tz.tsum(kept, axis=-1, keepdims=True)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import numeric_rank, softmax
+from .tensor import numeric_rank, softmax, topk_mask
 from .model import ModelConfig, PROJECTIONS
 from .adapters import AdapterBank, AdapterConfig, count_trainable
 from .moe_baseline import MoEAdapterBank, MoEConfig
-from .router import topk_mask
 
 
 @dataclass

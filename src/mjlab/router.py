@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as tz
-from .tensor import NORM_FLOOR, Tensor, topk_mask  # noqa: F401  (the one top-k, re-exported)
+from .tensor import NORM_FLOOR, Tensor
 from .model import ProjectionId
 from .adapters import AdapterBank
 

@@ -22,16 +22,16 @@ node's closure are freed as soon as the node has run. Only leaves keep a
 `.grad`. Backward functions compute no gradient for an input with
 requires_grad=False; they return None in its place.
 
-Replay contract of the fused ops (`linear`, `adapted_projections`,
-`causal_attention`, `swiglu`, `adapter_delta`, `route_coefficients`): each
-is one tape node that runs, in order, the numpy calls of the chain of
-simpler ops it replaces, including each contiguous copy those ops make (a
-copy changes the memory layout a later matmul reads, and so its result).
-Values and gradients are bitwise equal to the chain's; only the op named by
-a finite check differs. What each keeps, and what its backward rebuilds
-with the forward's own expressions:
-- `linear`, `adapted_projections`: W^T, and x only when a weight trains,
-  plus what each adapter term keeps;
+Replay contract of the fused ops (`adapted_projections`, `causal_attention`,
+`swiglu`, `adapter_delta`, `route_coefficients`): each is one tape node that
+runs, in order, the numpy calls of the chain of simpler ops it replaces,
+including each contiguous copy those ops make (a copy changes the memory
+layout a later matmul reads, and so its result). Values and gradients are
+bitwise equal to the chain's; only the op named by a finite check differs.
+What each keeps, and what its backward rebuilds with the forward's own
+expressions:
+- `adapted_projections`: W^T, and x only when a weight trains, plus what
+  each adapter term keeps;
 - a `LoRA` term, always a stack of E >= 1 adapters: x, the boolean masks,
   the stacked A^T and B^T and the gate; it rebuilds dropout(x), x_d A^T,
   the gate columns and the ungated deltas;
@@ -42,10 +42,11 @@ with the forward's own expressions:
   which would cost a second softmax to rebuild;
 - `route_coefficients`: the softmax, the top-k mask and what the
   similarity's backward reads.
-`adapted_projections` is a block's projections on one shared input, each
-with its adapter term (`LoRA` or `Propulsion`), and outputs them stacked on
-a leading axis; `causal_attention` takes the stacked q, k, v and `swiglu`
-the stacked up, gate.
+`adapted_projections` is every x W^T of the model. A block's projections on
+one shared input, each with its adapter term (`LoRA` or `Propulsion`), come
+out stacked on a leading axis: `causal_attention` takes the stacked q, k, v
+and `swiglu` the stacked up, gate. With one weight and no term it is the
+`lm_head` logits, the classifier head and the MoE router.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ __all__ = [
     "mul",
     "div",
     "matmul",
-    "linear",
     "adapted_projections",
     "transpose",
     "swapaxes",
@@ -349,33 +349,6 @@ def transpose(a) -> Tensor:
     if a.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
     return _make("transpose", a.data.T, (a,), lambda g: (np.ascontiguousarray(g.T),), check=False)
-
-
-def linear(x, w) -> Tensor:
-    """x @ w^T as one tape node: the chain `matmul(x, transpose(w))`.
-
-    `x` is (..., d_in) and `w` is (d_out, d_in). w^T is copied on every call,
-    as `transpose` does, so a weight written after `freeze()` is read as it
-    is now. The backward gives dW only when `w` requires grad.
-    """
-    x, w = _wrap(x), _wrap(w)
-    if w.ndim != 2:
-        raise ValueError("linear expects a 2-D weight")
-    if x.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
-        raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}^T")
-    wt = _as_array(w.data.T)
-    x_shape, x_grad = x.shape, x.requires_grad
-    xd = x.data if w.requires_grad else None
-
-    def back(g):
-        gx = _unbroadcast(g @ np.swapaxes(wt, -1, -2), x_shape) if x_grad else None
-        gw = None
-        if xd is not None:
-            g_wt = _unbroadcast(np.swapaxes(xd, -1, -2) @ g, wt.shape)
-            gw = np.ascontiguousarray(g_wt.T)
-        return gx, gw
-
-    return _make("linear", x.data @ wt, (x, w), back)
 
 
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
@@ -681,7 +654,8 @@ class LoRA(NamedTuple):
 
     `a`, `b` and `column` are sequences of E (r, d_in) factors, E (d_out, r)
     factors and E columns: one adapter for mj and peft, a projection's
-    experts for the MoE baseline. `gate` is a (..., E') coefficient tensor.
+    experts for the MoE baseline; unequal lengths raise ValueError (`column`
+    counts only when gated). `gate` is a (..., E') coefficient tensor.
     Dropout runs only when `rng` is given and p > 0.
     """
 
@@ -723,6 +697,9 @@ def _lora(x: Tensor, term: LoRA):
     """
     a, b, column, gate, p = term.a, term.b, term.column, term.gate, term.p
     n = len(a)
+    if len(b) != n or (gate is not None and len(column) != n):
+        raise ValueError(f"a LoRA term needs one b and, when gated, one column per a: "
+                         f"got {n} a, {len(b)} b, {len(column)} column")
     s = _as_array(term.scale)
     x_data, x_grad = x.data, x.requires_grad
     a_grad, b_grad = [t.requires_grad for t in a], [t.requires_grad for t in b]
@@ -849,17 +826,20 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
     """The P projections that read one input `x` (..., d_in), each its frozen
     product x W^T plus its adapter term, stacked on a new leading axis
     (P, ..., d_out), as one tape node; for P = 1 the one sum (..., d_out).
+    Every x W^T of the model runs here: with one weight and no term it is
+    the product alone (`lm_head`, the classifier head, the MoE router).
 
     `weights` are P (d_out, d_in) weights, `terms[i]` is projection i's
     `LoRA` or `Propulsion` term or None, and `labels[i]` names it in a
     diagnostic. The node replays, per projection in order, the chain
-    `linear`, the term's `adapter_delta` node and `add`, so dropout masks are
-    drawn in projection order. The frozen products are one matmul by the P
-    W^T, stacked by one copy per call (a weight written after `freeze()` is
-    read as it is now), which numpy computes projection by projection as the
-    separate products, for P = 1 too. The input gradient is one matmul per
-    projection, and `x` is an input once per node of the chain, so
-    `backward` adds its terms in the chain's order.
+    `matmul(x, transpose(w))` (named 'linear' in a diagnostic), the term's
+    `adapter_delta` node and `add`, so dropout masks are drawn in projection
+    order. The frozen products are one matmul by the P W^T, stacked by one
+    copy per call (a weight written after `freeze()` is read as it is now),
+    which numpy computes projection by projection as the separate products,
+    for P = 1 too. The input gradient is one matmul per projection, and `x`
+    is an input once per node of the chain, so `backward` adds its terms in
+    the chain's order.
 
     The node keeps the W^T, x only when a weight trains, what each term
     keeps (a Propulsion term also keeps its projection's frozen product) and
@@ -870,7 +850,7 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
     """
     x = _wrap(x)
     n = len(weights)
-    wt = np.array([w.data.T for w in weights])  # each W^T C-contiguous, as `linear` copies it
+    wt = np.array([w.data.T for w in weights])  # each W^T C-contiguous, as `transpose` copies it
     if wt.ndim != 3 or x.ndim < 2 or x.data.shape[-1] != wt.shape[1]:
         raise ValueError(f"projection shape mismatch: {x.data.shape} @ {[w.data.shape for w in weights]}^T")
 
@@ -963,9 +943,9 @@ def _neg_l1(x: np.ndarray, c: np.ndarray):
 
 def _similarity(rows: np.ndarray, c: np.ndarray, similarity: str):
     """The routing similarity of `rows` (N, d) to the constant centers `c`
-    (E, d), with its backward: the chain `linear` of the normalized rows and
-    centers for "cosine", `matmul` by a copy of c^T for "dot", and
-    `neg_l2_distance` or `neg_l1_distance`."""
+    (E, d), with its backward: the chain `matmul(x, transpose(w))` of the
+    normalized rows x and centers w for "cosine", `matmul` by a copy of c^T
+    for "dot", and `neg_l2_distance` or `neg_l1_distance`."""
     if similarity == "cosine":
         xn, back = _normalize_rows(rows)
         wt = _as_array(_normalize_rows(c)[0].T)

@@ -113,7 +113,7 @@ class ClassifierHead:
     def logits(self, final_states: Tensor) -> Tensor:
         b, t, d = final_states.shape
         last = tz.reshape(tz.select_index(final_states, 1, t - 1), (b, d))
-        return tz.add(tz.linear(last, self.w), self.b)
+        return tz.add(tz.adapted_projections(last, [self.w], [None], ["head"]), self.b)
 
     def trainable_tensors(self) -> list[Tensor]:
         return [self.w, self.b]

@@ -34,8 +34,8 @@ from mjlab.router import (
     ema_update,
     kmeans_init,
     route,
-    topk_mask,
 )
+from mjlab.tensor import topk_mask
 from mjlab.train import ClassifierHead, make_datasets, prepare_backbone, run_pipeline, shared_vs_specific
 
 _BACKBONES: dict[int, Backbone] = {}

@@ -1,6 +1,7 @@
 """The paired-run claim and no-regression rules of `tools/bench_pairs.py`."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,10 @@ def test_no_regression_verdicts(bench_pairs, better, parent, change, verdict):
 def test_claim_none_is_no_claim(bench_pairs):
     assert bench_pairs.parse_claim("none") is None
     assert bench_pairs.parse_claim("wall_s:ablate_beta") == ("wall_s", "ablate_beta")
+
+
+def test_src_lines_is_the_wc_total(bench_pairs):
+    root = BENCH_PAIRS.parent.parent
+    wc = subprocess.run(["wc", "-l", *sorted(str(p) for p in (root / "src" / "mjlab").glob("*.py"))],
+                        capture_output=True, text=True, check=True)
+    assert bench_pairs.src_lines(root) == int(wc.stdout.splitlines()[-1].split()[0])

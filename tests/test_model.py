@@ -310,6 +310,15 @@ class TestFreezeAndPretrain:
         with pytest.raises(RuntimeError, match="diverged"):
             pretrain_backbone(model, corpus, steps=3, lr=1e-3, seed=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_lm_head(self, tiny_cfg):
+        model = Backbone(tiny_cfg, seed=2)
+        model.lm_head.data[:] = 1e308  # the blocks stay finite; the logits overflow
+        corpus = [np.array([1, 2, 3, 4, 5])] * 8
+        with pytest.raises(RuntimeError, match=r"diverged at holdout evaluation: "
+                                               r"non-finite values produced by 'linear' at lm_head$"):
+            pretrain_backbone(model, corpus, steps=3, lr=1e-3, seed=0)
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tiny_cfg, tmp_path):

@@ -21,10 +21,10 @@ from mjlab.router import (
     load_router,
     route,
     save_router,
-    topk_mask,
     usage_report,
     write_usage_csv,
 )
+from mjlab.tensor import topk_mask
 
 from conftest import finite_difference_check
 from unfused_model import delta_of, unfused_final_states
@@ -512,7 +512,7 @@ def unfused_route(state: RouterState, h, task_expert=None) -> RoutingDecision:
 
     c = state.permuted_centers()
     if state.similarity == "cosine":
-        z = tz.linear(tz.l2_normalize_rows(rows), tz.l2_normalize_rows(c))
+        z = tz.adapted_projections(tz.l2_normalize_rows(rows), [tz.l2_normalize_rows(c)], [None], ["centers"])
     elif state.similarity == "dot":
         z = tz.matmul(rows, tz.Tensor(c.T))
     elif state.similarity == "euclidean":
@@ -732,4 +732,4 @@ class TestFusedRoute:
             assert len(tape.nodes) == 1
             tape.clear()
             unfused_route(state, h)
-            assert len(tape.nodes) == 7  # reshape, normalize, linear, mul, softmax, mask mul, reshape
+            assert len(tape.nodes) == 7  # reshape, normalize, x W^T, mul, softmax, mask mul, reshape

@@ -312,6 +312,21 @@ class TestLoraDelta:
             else:
                 assert fused_grads[k] is None and ref_grads[k] is None, k
 
+    @pytest.mark.parametrize("n_b,columns", [(1, None), (2, (0,)), (2, (0, 1, 2))])
+    def test_unequal_lengths_raise(self, n_b, columns):
+        """One b per a and, when gated, one column per a: a gated two-adapter
+        term left at the default column (0,) would gate both by column 0."""
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.normal(size=(2, 3, 6)))
+        a = [Tensor(rng.normal(size=(2, 6))) for _ in range(2)]
+        b = [Tensor(rng.normal(size=(5, 2))) for _ in range(n_b)]
+        gate = None if columns is None else Tensor(rng.random(size=(2, 3, 3)))
+        term = tz.LoRA(a, b, 1.0, 0.0, None, gate, columns or (0,))
+        with pytest.raises(ValueError, match=f"2 a, {n_b} b, {len(columns or (0,))} column"):
+            tz.adapter_delta(x, term)
+        if columns is None:  # an ungated term reads no column
+            tz.adapter_delta(x, term._replace(b=b * 2))
+
     def test_no_dropout_without_rng(self):
         rng = np.random.default_rng(23)
         x, a, b = (Tensor(rng.normal(size=s)) for s in [(4, 6), (2, 6), (5, 2)])
@@ -493,8 +508,15 @@ class TestGatedAdapterOps:
             fused(*ts, None, gate=gate, column=0)
 
 
+def one_weight(x, w):
+    """x W^T as the model computes it for the `lm_head`, the classifier head
+    and the MoE router: the projection node with one weight and no term."""
+    return tz.adapted_projections(x, [w], [None], ["w"])
+
+
 def unfused_linear(x, w):
-    """The two-node chain `linear` fuses; the bitwise reference."""
+    """The two-node chain the one-weight projection node replays (its finite
+    check names it 'linear'); the bitwise reference."""
     return tz.matmul(x, tz.transpose(w))
 
 
@@ -525,10 +547,11 @@ def stacked(*parts):
     return tz._make("stack", np.stack([part.data for part in parts]), parts, tuple, check=False)
 
 
-# op name -> (fused, unfused chain, input shapes, nodes in the chain); swiglu
-# and causal_attention get their inputs through `stacked`, one more node
+# op named by a finite check -> (fused, unfused chain, input shapes, nodes in
+# the chain); swiglu and causal_attention get their inputs through `stacked`,
+# one more node
 FUSED = {
-    "linear": (tz.linear, unfused_linear, {"x": (2, 5, 6), "w": (7, 6)}, 2),
+    "linear": (one_weight, unfused_linear, {"x": (2, 5, 6), "w": (7, 6)}, 2),
     "swiglu": (lambda gate, up: tz.swiglu(stacked(up, gate)), unfused_swiglu,
                {"gate": (3, 4, 5), "up": (3, 4, 5)}, 2),
     "causal_attention": (lambda q, k, v: tz.causal_attention(stacked(q, k, v), 2),
@@ -544,7 +567,8 @@ TRAINABLE_MIXES = [
 
 
 class TestFusedOps:
-    """`linear`, `swiglu` and `causal_attention` against their unfused chains."""
+    """The one-weight projection node, `swiglu` and `causal_attention` against
+    their unfused chains."""
 
     @pytest.mark.parametrize("op", sorted(FUSED))
     def test_finite_difference(self, op):
@@ -558,9 +582,10 @@ class TestFusedOps:
 
         finite_difference_check(build, ts)
 
-    @pytest.mark.parametrize("op,trainable", TRAINABLE_MIXES)
-    def test_bitwise_equal_to_unfused_chain(self, op, trainable):
-        fused, chain, shapes, chain_nodes = FUSED[op]
+    @staticmethod
+    def assert_bitwise_equal(fused, chain, shapes, trainable, fused_nodes):
+        """`fused` against `chain` on one draw of inputs of `shapes`, of which
+        `trainable` require grad; returns the chain's node count."""
         rng = np.random.default_rng(42)
         values = {k: rng.normal(size=s) for k, s in shapes.items()}
 
@@ -575,15 +600,27 @@ class TestFusedOps:
 
         out, grads, n_nodes = run(fused)
         ref, ref_grads, ref_nodes = run(chain)
-        assert n_nodes == (1 if op == "linear" else 2)  # the op, after `stacked`
-        if trainable == tuple(shapes):
-            assert ref_nodes == chain_nodes
+        assert n_nodes == fused_nodes
         assert np.array_equal(out, ref)
         for k in values:
             if k in trainable:
                 assert np.array_equal(grads[k], ref_grads[k]), k
             else:
                 assert grads[k] is None and ref_grads[k] is None, k
+        return ref_nodes
+
+    @pytest.mark.parametrize("op,trainable", TRAINABLE_MIXES)
+    def test_bitwise_equal_to_unfused_chain(self, op, trainable):
+        fused, chain, shapes, chain_nodes = FUSED[op]
+        ref_nodes = self.assert_bitwise_equal(fused, chain, shapes, trainable,
+                                              1 if op == "linear" else 2)  # the op, after `stacked`
+        if trainable == tuple(shapes):
+            assert ref_nodes == chain_nodes
+
+    @pytest.mark.parametrize("trainable", [("x", "w"), ("x",), ("w",)])
+    def test_one_weight_node_on_a_2d_input(self, trainable):
+        """The classifier head's (B, d) input."""
+        self.assert_bitwise_equal(one_weight, unfused_linear, {"x": (5, 6), "w": (7, 6)}, trainable, 1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("op,position", [(op, i) for op in sorted(FUSED) for i in range(len(FUSED[op][2]))])
@@ -597,9 +634,9 @@ class TestFusedOps:
 
     def test_linear_reads_the_weight_as_it_is_now(self):
         x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
-        assert np.array_equal(tz.linear(x, w).data, np.full((2, 4), 3.0))
+        assert np.array_equal(one_weight(x, w).data, np.full((2, 4), 3.0))
         w.data[:] = 2.0  # a write after freeze() must be seen: W^T is not cached
-        assert np.array_equal(tz.linear(x, w).data, np.full((2, 4), 6.0))
+        assert np.array_equal(one_weight(x, w).data, np.full((2, 4), 6.0))
 
 
 class TestFrozenOperands:

@@ -217,6 +217,21 @@ class TestPipeline:
                                                r"at layer 2, projection v$"):
             run_pipeline(cfg, 9, backbone=poisoned, train_ds=train_ds, val_ds=val_ds)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_moe_router(self, small_world, monkeypatch):
+        backbone, train_ds, val_ds = small_world
+        real = train_module.build_method
+
+        def poison_router(cfg, seed, states=None):
+            bank, hooks = real(cfg, seed, states)
+            bank.routers[1].data[:] = 1e308  # layer 0's router stays finite
+            return bank, hooks
+
+        monkeypatch.setattr(train_module, "build_method", poison_router)
+        with pytest.raises(RuntimeError, match=r"diverged at step 0: non-finite values produced by 'linear' "
+                                               r"at layer 1, router$"):
+            run_pipeline(small_config(method="moe"), 9, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
+
     @pytest.mark.parametrize("variant", ["lora", "lorafa", "propulsion"])
     def test_routing_only_init_pass_matches_the_adapted_pass(self, small_world, variant):
         backbone, train_ds, val_ds = small_world

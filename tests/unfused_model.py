@@ -1,10 +1,12 @@
 """The backbone forward as a chain of one node per projection: the bitwise and
 tape-memory reference for `tz.adapted_projections`.
 
-Per projection the chain records `linear`, the adapter term's own
-`tz.adapter_delta` node ('lora_delta' or 'propulsion_delta') and `add`, and attention and SwiGLU take
-q, k, v and gate, up as separate tensors. This is how `Backbone` ran before
-one node computed a block's projections on their shared input.
+Per projection the chain records its frozen product as a one-weight,
+term-free `tz.adapted_projections` node (as the `lm_head` runs), the adapter
+term's own `tz.adapter_delta` node ('lora_delta' or 'propulsion_delta') and
+`add`, and attention and SwiGLU take q, k, v and gate, up as separate
+tensors. This is how `Backbone` ran before one node computed a block's
+projections on their shared input.
 """
 
 import numpy as np
@@ -97,7 +99,8 @@ def unfused_run_blocks(model, tokens, hooks=None, n_blocks=None):
     x, base)` gives a delta tensor to add to `base`, or None."""
 
     def project(layer, proj, x):
-        base = tz.linear(x, model.blocks[layer].w[proj])
+        base = tz.adapted_projections(x, [model.blocks[layer].w[proj]], [None],
+                                      [f"layer {layer}, projection {proj.name}"])
         extra = None if hooks is None else hooks.contribution(layer, proj, x, base)
         return base if extra is None else tz.add(base, extra)
 
@@ -127,7 +130,7 @@ def unfused_final_states(model, tokens, hooks=None):
 def unfused_next_token_loss(model, tokens):
     """`next_token_loss` as the chain."""
     b, t = tokens.shape
-    logits = tz.linear(unfused_final_states(model, tokens), model.lm_head)
+    logits = tz.adapted_projections(unfused_final_states(model, tokens), [model.lm_head], [None], ["lm_head"])
     targets = np.zeros((b, t), dtype=np.int64)
     targets[:, :-1] = tokens[:, 1:]
     weights = np.ones((b, t), dtype=np.float64)

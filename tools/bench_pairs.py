@@ -19,6 +19,9 @@ after another and nothing else alongside:
   on the parent's sources and on the change's, in the same alternating
   order.
 
+It also records `src_lines`, the total of `wc -l src/mjlab/*.py`, of each
+checkout.
+
 Then it writes `BENCH_<label>.json`: every run, each side's median and
 quartiles (`statistics.quantiles(values, n=4)`, as `perfbench/baseline.py`),
 the wins per metric, the routing overhead and MoE ledger per seed, and
@@ -65,6 +68,12 @@ LEDGER_KEYS = ("overhead_s", "mj_s", "peft_s", "moe_s", "mj_speedup_over_moe", "
 OVERHEAD_SEEDS = (1, 2, 3)
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "val_accuracy")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
+
+
+def src_lines(root: Path) -> int:
+    """The total of `wc -l src/mjlab/*.py` in the checkout at `root`: the
+    newlines of its sources."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "mjlab").glob("*.py"))
 
 
 def run(root: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
@@ -189,7 +198,8 @@ def main(argv=None) -> int:
     claim = "none" if args.claim is None else ":".join(args.claim)
     out = {"label": args.label, "command": "python3 tools/bench_pairs.py --parent <parent checkout> "
                                            f"--label {args.label} --claim {claim}",
-           "env": {"OPENBLAS_NUM_THREADS": "1 (set by perfbench/run.py)", "cpus": len(os.sched_getaffinity(0))}}
+           "env": {"OPENBLAS_NUM_THREADS": "1 (set by perfbench/run.py)", "cpus": len(os.sched_getaffinity(0))},
+           "src_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)}}
     out["paired"] = {name: paired(parent, name, seeds) for name, seeds in PAIRS.items()}
     out["claim"] = None if args.claim is None else claim_of(out["paired"], *args.claim)
     out["no_regression"] = no_regression(out["paired"], benchmark["end_to_end"])

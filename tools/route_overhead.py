@@ -5,18 +5,20 @@
 
 Builds the `BENCH_SCALE` config of `perfbench/workloads.py` at `--seed` (as
 the benchmark does: `data.seed` and the run seed), runs `prepare_world` once
-and then `run_pipeline` for methods mj, peft and moe on that world, timing
-each, with one BLAS thread. `--src` picks the mjlab sources to time, so one
-copy of this script measures a parent checkout and a change alike. After the
-timed runs, one more `run_pipeline` per method traces allocations with
-tracemalloc from each fine-tune step's tape entry to its `backward` entry,
-to read the bytes the step's tape holds there; one more `prepare_backbone`
-does the same for each pretraining step. Prints one JSON line: the world
-time, each method's fine-tune plus eval time, the mj - peft overhead, how
-many times faster mj is than moe, the tape nodes per backward, the step tape
-bytes (`*_step_tape_bytes`: the first step's; `*_peak_step_tape_bytes`: the
-largest step's, which is the one peak RSS follows) of each method and of
-pretraining, and the accuracies.
+and then times `run_pipeline` for methods mj, peft and moe on that world, with
+one BLAS thread, in `ROUNDS` interleaved rounds that rotate which method runs
+first. `<method>_s` is the median of a method's rounds and
+`<method>_rounds_s` keeps every round's time. `--src` picks the mjlab sources
+to time, so one copy of this script measures a parent checkout and a change
+alike. After the timed runs, one more `run_pipeline` per method traces
+allocations with tracemalloc from each fine-tune step's tape entry to its
+`backward` entry, to read the bytes the step's tape holds there; one more
+`prepare_backbone` does the same for each pretraining step. Prints one JSON
+line: the world time, each method's fine-tune plus eval times, the mj - peft
+overhead, how many times faster mj is than moe, the tape nodes per backward,
+the step tape bytes (`*_step_tape_bytes`: the first step's;
+`*_peak_step_tape_bytes`: the largest step's, which is the one peak RSS
+follows) of each method and of pretraining, and the accuracies.
 """
 
 import os
@@ -26,6 +28,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -33,6 +36,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("mj", "peft", "moe")
+ROUNDS = 3  # timed rounds per method; round r starts with METHODS[r]
 
 
 def main(argv=None) -> int:
@@ -86,13 +90,18 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     world = prepare_world(cfgs["mj"], args.seed)
     out["prepare_world_s"] = time.perf_counter() - start
-    for method, cfg in cfgs.items():
-        nodes.clear()
-        start = time.perf_counter()
-        run = run_pipeline(cfg, args.seed, backbone=world[0], train_ds=world[1], val_ds=world[2])
-        out[f"{method}_s"] = time.perf_counter() - start
-        out[f"{method}_nodes_per_backward"] = sum(nodes) / len(nodes)
-        out[f"{method}_accuracy"] = run["overall_accuracy"]
+    rounds = {method: [] for method in METHODS}
+    for r in range(ROUNDS):
+        for method in METHODS[r:] + METHODS[:r]:
+            nodes.clear()
+            start = time.perf_counter()
+            run = run_pipeline(cfgs[method], args.seed, backbone=world[0], train_ds=world[1], val_ds=world[2])
+            rounds[method].append(time.perf_counter() - start)
+            out[f"{method}_nodes_per_backward"] = sum(nodes) / len(nodes)
+            out[f"{method}_accuracy"] = run["overall_accuracy"]
+    for method, times in rounds.items():
+        out[f"{method}_s"] = statistics.median(times)
+        out[f"{method}_rounds_s"] = times
     measuring = True
     for method, cfg in cfgs.items():
         measure(method, lambda: run_pipeline(cfg, args.seed, backbone=world[0], train_ds=world[1], val_ds=world[2]))
