@@ -1,16 +1,17 @@
 """Small causal Transformer backbone with named per-block projections.
 
 Blocks are pre-LN with multi-head causal attention and a gated FFN, so each
-block exposes exactly the seven projection sites {q, k, v, o, up, gate, down}
-to which adapters and routing attach via hooks. After `freeze()` the backbone
-participates in forward passes only; no gradient buffers remain.
+block exposes exactly the seven projection sites {q, k, v, o, up, gate, down}.
+Adapters and routing attach through hooks: once per block, the hooks map the
+block's input to the adapter terms its projection nodes add. After `freeze()`
+the backbone participates in forward passes only; no gradient buffers remain.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, asdict
-from typing import NamedTuple, Protocol
+from typing import Mapping, Protocol
 
 import numpy as np
 
@@ -64,26 +65,18 @@ class ModelConfig:
 
 
 class ForwardHooks(Protocol):
-    """Adapter/routing callbacks consulted during the block forward pass."""
+    """The adapters and routing of a hooked pass, consulted once per block."""
 
-    def begin_block(self, layer: int, h: Tensor) -> None:
-        """Called once per block with the residual-stream input (B, T, d)."""
+    def begin_block(self, layer: int, h: Tensor) -> Mapping[ProjectionId, tz.LoRA | tz.Propulsion]:
+        """The adapter terms of block `layer` from its residual-stream input
+        `h` (B, T, d): for each projection with an adapter, the term its
+        projection node adds to the frozen product W x. A term is the LoRA
+        factors of E >= 1 adapters or the Propulsion scale `s`, with the
+        scale, the dropout rate and stream, and the gate with its columns.
+        A projection missing from the mapping runs frozen.
 
-    def contribution(self, layer: int, proj: ProjectionId) -> tz.LoRA | tz.Propulsion | None:
-        """The adapter term that projection `proj` of block `layer` adds to
-        its frozen product W x, or None for no effect: the LoRA factors of
-        E >= 1 adapters or the Propulsion scale `s`, the scale, the dropout
-        rate and stream, and the gate with its columns.
-
-        Asked once per projection and forward, in projection order, after
-        `begin_block`; the block's projection node applies the terms.
+        Called once per block and pass, before the block's projections.
         """
-
-
-class ForwardResult(NamedTuple):
-    hidden: list[Tensor]  # length n_layers + 1; hidden[l] is the input of block l
-    logits: Tensor  # (B, T, vocab)
-    final: Tensor  # (B, T, d) final-LayerNormed last-block output
 
 
 class BlockWeights:
@@ -158,13 +151,12 @@ class Backbone:
 
     # -- forward ----------------------------------------------------------------
 
-    def _project(self, layer: int, projs: tuple[ProjectionId, ...], x: Tensor, hooks) -> Tensor:
+    def _project(self, layer: int, projs: tuple[ProjectionId, ...], x: Tensor, terms) -> Tensor:
         """The projections `projs` of block `layer` on their shared input
-        `x`, each with its hooks' term, as one node: stacked on a leading
+        `x`, each with its term in `terms`, as one node: stacked on a leading
         axis, or the one output of a single projection."""
         w = self.blocks[layer].w
-        terms = [None if hooks is None else hooks.contribution(layer, proj) for proj in projs]
-        return tz.adapted_projections(x, [w[proj] for proj in projs], terms,
+        return tz.adapted_projections(x, [w[proj] for proj in projs], [terms.get(proj) for proj in projs],
                                       [f"layer {layer}, projection {proj.name}" for proj in projs])
 
     def _run_blocks(self, tokens: np.ndarray, hooks: ForwardHooks | None,
@@ -184,37 +176,30 @@ class Backbone:
         hidden = [x]
         for layer in range(self.cfg.n_layers if n_blocks is None else n_blocks):
             blk = self.blocks[layer]
-            if hooks is not None:
-                hooks.begin_block(layer, x)
-            qkv = self._project(layer, QKV, tz.layer_norm(x, blk.ln1_g, blk.ln1_b), hooks)
+            terms = {} if hooks is None else hooks.begin_block(layer, x)
+            qkv = self._project(layer, QKV, tz.layer_norm(x, blk.ln1_g, blk.ln1_b), terms)
             attn = tz.causal_attention(qkv, self.cfg.n_heads)
-            x = tz.add(x, self._project(layer, (ProjectionId.o,), attn, hooks))
-            up_gate = self._project(layer, UP_GATE, tz.layer_norm(x, blk.ln2_g, blk.ln2_b), hooks)
-            x = tz.add(x, self._project(layer, (ProjectionId.down,), tz.swiglu(up_gate), hooks))
+            x = tz.add(x, self._project(layer, (ProjectionId.o,), attn, terms))
+            up_gate = self._project(layer, UP_GATE, tz.layer_norm(x, blk.ln2_g, blk.ln2_b), terms)
+            x = tz.add(x, self._project(layer, (ProjectionId.down,), tz.swiglu(up_gate), terms))
             hidden.append(x)
         return hidden
 
-    def forward(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> ForwardResult:
-        """Causal forward pass; returns all residual-stream states and logits.
-
-        hidden[l] is the representation entering block l (hidden[0] is the
-        embedding output, hidden[n_layers] the final block output), which is
-        what routing and probes consume.
-        """
-        hidden = self._run_blocks(tokens, hooks)
-        final = tz.layer_norm(hidden[-1], self.ln_f_g, self.ln_f_b)
-        logits = tz.adapted_projections(final, [self.lm_head], [None], ["lm_head"])
-        return ForwardResult(hidden=hidden, logits=logits, final=final)
+    def forward(self, tokens: np.ndarray) -> Tensor:
+        """Next-token logits (B, T, vocab) of a causal pass without hooks,
+        the pretraining objective's input."""
+        final = tz.layer_norm(self._run_blocks(tokens, None)[-1], self.ln_f_g, self.ln_f_b)
+        return tz.adapted_projections(final, [self.lm_head], [None], ["lm_head"])
 
     def final_states(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> Tensor:
-        """LayerNormed last-block output (B, T, d), the classifier-head input;
-        the same pass as `forward` without the `lm_head` logits."""
+        """LayerNormed last-block output (B, T, d), the classifier-head input,
+        of a pass with the `hooks`' adapter terms (none by default)."""
         return tz.layer_norm(self._run_blocks(tokens, hooks)[-1], self.ln_f_g, self.ln_f_b)
 
     def hidden_states(self, tokens: np.ndarray, n_blocks: int | None = None) -> list[Tensor]:
-        """`forward(tokens).hidden[:n_blocks + 1]` without hooks: the same
-        pass through the first `n_blocks` blocks (all by default), with no
-        final LayerNorm and no `lm_head` logits."""
+        """Residual-stream states of a pass without hooks through the first
+        `n_blocks` blocks (all by default): hidden[l] is the input of block l,
+        hidden[0] the embedding output. k-means samples and probes read them."""
         return self._run_blocks(tokens, None, n_blocks)
 
     # -- checkpointing ------------------------------------------------------------
@@ -248,7 +233,7 @@ class Backbone:
 def next_token_loss(model: Backbone, tokens: np.ndarray) -> Tensor:
     """Mean cross entropy of predicting token t+1 from the prefix."""
     b, t = tokens.shape
-    logits = model.forward(tokens).logits
+    logits = model.forward(tokens)
     flat = tz.reshape(logits, (b * t, model.cfg.vocab_size))
     targets = np.zeros((b, t), dtype=np.int64)
     targets[:, :-1] = tokens[:, 1:]

@@ -112,16 +112,10 @@ class MoEHooks:
 
     def __init__(self, bank: MoEAdapterBank):
         self.bank = bank
-        self._gates: dict[int, Tensor] = {}
 
     def set_batch(self, task_experts=None) -> None:
-        self._gates = {}
+        """A no-op: the learned router needs no per-batch input."""
 
-    def begin_block(self, layer: int, h: Tensor) -> None:
-        if layer in self.bank.routers:
-            self._gates[layer] = moe_gates(self.bank, layer, h)
-
-    def contribution(self, layer: int, proj: ProjectionId):
-        if (layer, proj) not in self.bank.experts:
-            return None
-        return moe_term(self.bank, layer, proj, self._gates[layer])
+    def begin_block(self, layer: int, h: Tensor) -> dict[ProjectionId, tz.LoRA]:
+        gates = moe_gates(self.bank, layer, h)
+        return {proj: moe_term(self.bank, layer, proj, gates) for proj in self.bank.projections}

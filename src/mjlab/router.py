@@ -233,14 +233,14 @@ def _plus_plus_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def ema_update(state: RouterState, decision: RoutingDecision, H: np.ndarray, step: int) -> bool:
+def ema_update(state: RouterState, selected: np.ndarray, H: np.ndarray, step: int) -> bool:
     """c_e <- beta * c_e + (1 - beta) * mean(tokens routed to e).
 
     Fires only when step % update_every == 0 and step < stop_step. A token
-    is routed to e when e is in its row of `decision.selected` (the membership
-    rule of this module). Experts with no routed tokens keep a
-    bitwise-identical center; beta = 1 is an exact no-op. Means use the raw
-    (unnormalized) hidden states. Returns whether an update fired. Single
+    is routed to e when e is in its row of `selected`, the (N, k) expert
+    indices of a decision (the membership rule of this module). Experts with
+    no routed tokens keep a bitwise-identical center; beta = 1 is an exact
+    no-op. Means use the raw (unnormalized) hidden states. Returns whether an update fired. Single
     writer per state: order after the step's route() reads.
     """
     if step % state.update_every != 0 or step >= state.stop_step:
@@ -250,7 +250,7 @@ def ema_update(state: RouterState, decision: RoutingDecision, H: np.ndarray, ste
     H = np.asarray(H, dtype=np.float64)
     perm = np.asarray(state.permutation)
     for e in range(state.n_experts):
-        members = (decision.selected == e).any(axis=1)
+        members = (selected == e).any(axis=1)
         if not members.any():
             continue
         mean = H[members].mean(axis=0)
@@ -383,43 +383,40 @@ def load_router(directory, d_model: int) -> dict[int, RouterState]:
 
 
 class MonkeyJumpHooks:
-    """Wires routing coefficients into the adapter contributions.
+    """Forward hooks that route each block's tokens once and gate the
+    block's adapters with the coefficients.
 
-    Coefficients are differentiable with respect to the hidden states (the
-    similarity and softmax run on the tape), while the centers enter as
-    constants, so backward passes can never touch them. Blocks without a
-    RouterState fall back to uniform application, so `MonkeyJumpHooks(bank,
-    {})` is standard PEFT.
+    A routed projection's adapter is gated by its column of the block's
+    coefficients, which are differentiable with respect to the hidden
+    states (the similarity and softmax run on the tape), while the centers
+    enter as constants, so backward passes can never touch them. A shared
+    projection, and every adapter of a block without a RouterState, applies
+    uniformly, so `MonkeyJumpHooks(bank, {})` is standard PEFT.
     """
 
     def __init__(self, bank: AdapterBank, states: dict[int, RouterState]):
         self.bank = bank
         self.states = states
         self.collected: list[tuple[int, RoutingDecision, np.ndarray]] = []
-        self._coeff: dict[int, Tensor] = {}
         self._task_experts: np.ndarray | None = None
 
     def set_batch(self, task_experts: np.ndarray | None = None) -> None:
         """Per-sequence expert indices, required for task granularity."""
         self._task_experts = task_experts
         self.collected = []
-        self._coeff = {}
 
-    def begin_block(self, layer: int, h: Tensor) -> None:
+    def begin_block(self, layer: int, h: Tensor) -> dict[ProjectionId, tz.LoRA | tz.Propulsion]:
         state = self.states.get(layer)
-        if state is None:
-            return
-        decision = route(state, h, self._task_experts)
-        self._coeff[layer] = decision.coefficients
-        self.collected.append((layer, decision, h.data.reshape(-1, h.shape[-1]).copy()))
-
-    def contribution(self, layer: int, proj: ProjectionId):
-        adapter = self.bank.get(layer, proj)
-        if adapter is None:
-            return None
-        state = self.states.get(layer)
-        if state is None or proj not in state.routed:
-            # a block without a router and a shared projection (RouterState
-            # keeps it out of `routed`) apply uniformly: standard PEFT
-            return adapter.term(1.0, self.bank.drop_rng)
-        return adapter.term(self._coeff[layer], self.bank.drop_rng, column=state.routed.index(proj))
+        coefficients = None
+        if state is not None:
+            decision = route(state, h, self._task_experts)
+            coefficients = decision.coefficients
+            self.collected.append((layer, decision, h.data.reshape(-1, h.shape[-1]).copy()))
+        terms = {}
+        for proj in self.bank.projections:
+            adapter = self.bank.adapters[(layer, proj)]
+            if state is not None and proj in state.routed:
+                terms[proj] = adapter.term(coefficients, self.bank.drop_rng, column=state.routed.index(proj))
+            else:
+                terms[proj] = adapter.term(1.0, self.bank.drop_rng)
+        return terms

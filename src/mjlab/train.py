@@ -383,12 +383,11 @@ def _apply_ema(states: dict[int, RouterState], decisions, step: int) -> bool:
     stacked to one row per token."""
     fired = False
     for layer, state in states.items():
-        rows = [(decision, flat) for seen, decision, flat in decisions if seen == layer]
+        rows = [(decision.selected, flat) for seen, decision, flat in decisions if seen == layer]
         if not rows:
             continue
-        pooled = RoutingDecision(*(np.vstack([getattr(d, name) for d, _ in rows])
-                                   for name in ("z", "p", "m", "selected")))
-        fired = ema_update(state, pooled, np.vstack([flat for _, flat in rows]), step) or fired
+        selected, flats = zip(*rows)
+        fired = ema_update(state, np.vstack(selected), np.vstack(flats), step) or fired
     return fired
 
 
@@ -498,7 +497,8 @@ def _ablate_one(payload: tuple) -> dict:
 
 
 def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | None = None) -> list[dict]:
-    """Sweep one knob over `values` x `seeds`; MJLAB_THREADS>1 parallelizes.
+    """Sweep one knob over `values` x `seeds`; MJLAB_THREADS>1 parallelizes
+    over at most one worker process per run.
 
     No axis touches the model, pretrain or data sections, so every run of a
     seed shares that seed's world: one pretrained backbone and one pair of
@@ -507,7 +507,7 @@ def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | No
     seeds = seeds if seeds is not None else cfg.seeds
     runs = [(apply_axis(cfg, axis, value), value) for value in values]
     unique_seeds = list(dict.fromkeys(seeds))
-    workers = worker_count()
+    workers = min(worker_count(), len(runs) * len(seeds))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run_all = map if pool is None else pool.map
         worlds = dict(zip(unique_seeds, run_all(prepare_world, [cfg] * len(unique_seeds), unique_seeds)))

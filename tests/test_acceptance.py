@@ -29,7 +29,6 @@ from mjlab.probe import ProbeSpec, position_sweep
 from mjlab.router import (
     MonkeyJumpHooks,
     RouterState,
-    RoutingDecision,
     UsageRecorder,
     ema_update,
     kmeans_init,
@@ -198,7 +197,7 @@ def test_criterion_04_gradient_isolation_and_correctness():
                 tz.backward(loss)
             opt.step()
             for layer, dec, flat in hooks.collected:
-                ema_update(states[layer], dec, flat, step=0)
+                ema_update(states[layer], dec.selected, flat, step=0)
             for layer in states:
                 assert not isinstance(states[layer].centers, tz.Tensor)
             opt.zero_grad()
@@ -242,14 +241,13 @@ def test_criterion_05_ema_contract():
         rng = np.random.default_rng(50)
         routed = tuple(PROJECTIONS[:2])
 
-        def decision(m):
+        def selected(m):
             m = np.asarray(m, dtype=np.float64)
-            return RoutingDecision(z=np.zeros_like(m), p=np.zeros_like(m), m=m,
-                                   selected=np.argwhere(m > 0)[:, 1].reshape(m.shape[0], -1))
+            return np.argwhere(m > 0)[:, 1].reshape(m.shape[0], -1)
 
         c0 = rng.normal(size=(2, 4))
         h = rng.normal(size=(3, 4))
-        full = decision([[0.9, 0.0], [0.0, 0.8], [0.7, 0.0]])
+        full = selected([[0.9, 0.0], [0.0, 0.8], [0.7, 0.0]])
 
         s = RouterState(centers=c0.copy(), routed=routed, shared=(), top_k=1, beta=1.0,
                         update_every=1, stop_step=10)
@@ -264,7 +262,7 @@ def test_criterion_05_ema_contract():
 
         s = RouterState(centers=c0.copy(), routed=routed, shared=(), top_k=1, beta=0.5,
                         update_every=1, stop_step=10)
-        ema_update(s, decision([[0.9, 0.0]]), h[:1], 0)
+        ema_update(s, selected([[0.9, 0.0]]), h[:1], 0)
         assert np.array_equal(s.centers[1], c0[1])  # empty cluster untouched, bitwise
 
         s = RouterState(centers=c0.copy(), routed=routed, shared=(), top_k=1, beta=0.5,
@@ -315,7 +313,8 @@ def test_criterion_07_zero_init_equivalence():
         model.freeze()
         rng = np.random.default_rng(71)
         toks = rng.integers(0, 16, size=(3, 9))
-        plain = model.forward(toks)
+        plain = model.hidden_states(toks)
+        plain_final = model.final_states(toks)
         routed = (ProjectionId.q, ProjectionId.k, ProjectionId.v)
         targeted = routed + (ProjectionId.o, ProjectionId.gate)
         centers = kmeans_init(rng.normal(size=(60, 8)), 3, seed=72).centers
@@ -331,9 +330,9 @@ def test_criterion_07_zero_init_equivalence():
                 }
                 hooks = MonkeyJumpHooks(bank, states)
                 hooks.set_batch(np.array([0, 1, 2]))
-                adapted = model.forward(toks, hooks)
-                assert np.array_equal(adapted.logits.data, plain.logits.data), (variant, granularity)
-                for x, y in zip(adapted.hidden, plain.hidden):
+                adapted = model.final_states(toks, hooks)
+                assert np.array_equal(adapted.data, plain_final.data), (variant, granularity)
+                for x, y in zip(model._run_blocks(toks, hooks), plain, strict=True):
                     assert np.array_equal(x.data, y.data)
 
 

@@ -108,10 +108,9 @@ class TestZeroInit:
         bank = AdapterBank(tiny_cfg, AdapterConfig(variant=variant), QKVOG, seed=9)
         bank.eval()
         toks = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
-        plain = tiny_frozen.forward(toks)
-        adapted = tiny_frozen.forward(toks, MonkeyJumpHooks(bank, {}))
-        assert np.array_equal(plain.logits.data, adapted.logits.data)
-        for a, b in zip(plain.hidden, adapted.hidden):
+        hooks = MonkeyJumpHooks(bank, {})
+        assert np.array_equal(tiny_frozen.final_states(toks).data, tiny_frozen.final_states(toks, hooks).data)
+        for a, b in zip(tiny_frozen.hidden_states(toks), tiny_frozen._run_blocks(toks, hooks), strict=True):
             assert np.array_equal(a.data, b.data)
 
 
@@ -160,16 +159,16 @@ class TestDropout:
         hooks = MonkeyJumpHooks(bank, {})
         bank.train()
         bank.begin_step(77)
-        out1 = tiny_frozen.forward(toks, hooks).logits.data
+        out1 = tiny_frozen.final_states(toks, hooks).data
         bank.begin_step(77)
-        out2 = tiny_frozen.forward(toks, hooks).logits.data
+        out2 = tiny_frozen.final_states(toks, hooks).data
         bank.begin_step(78)
-        out3 = tiny_frozen.forward(toks, hooks).logits.data
+        out3 = tiny_frozen.final_states(toks, hooks).data
         assert np.array_equal(out1, out2)
         assert not np.array_equal(out1, out3)
         bank.eval()
-        eval1 = tiny_frozen.forward(toks, hooks).logits.data
-        eval2 = tiny_frozen.forward(toks, hooks).logits.data
+        eval1 = tiny_frozen.final_states(toks, hooks).data
+        eval2 = tiny_frozen.final_states(toks, hooks).data
         assert np.array_equal(eval1, eval2)
 
 

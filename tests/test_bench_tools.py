@@ -1,4 +1,5 @@
-"""The paired-run claim and no-regression rules of `tools/bench_pairs.py`."""
+"""The paired-run claim and no-regression rules of `tools/bench_pairs.py`,
+and the pair summary of `tools/suite_pairs.py`."""
 
 import importlib.util
 import subprocess
@@ -9,12 +10,16 @@ import pytest
 BENCH_PAIRS = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
 
-@pytest.fixture(scope="module")
-def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+def load_tool(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    return load_tool(BENCH_PAIRS)
 
 
 def paired_runs(bench_pairs, broken: dict[str, list[int]] | None = None) -> dict:
@@ -87,3 +92,23 @@ def test_src_lines_is_the_wc_total(bench_pairs):
     wc = subprocess.run(["wc", "-l", *sorted(str(p) for p in (root / "src" / "mjlab").glob("*.py"))],
                         capture_output=True, text=True, check=True)
     assert bench_pairs.src_lines(root) == int(wc.stdout.splitlines()[-1].split()[0])
+
+
+def test_suite_pairs_summary():
+    suite_pairs = load_tool(BENCH_PAIRS.parent / "suite_pairs.py")
+    first, second, third = suite_pairs.TESTS
+
+    def side(a, b, c):
+        return {first: {"s": a}, second: {"s": b}, third: {"s": c}, "total": {"s": a + b + c}}
+
+    pairs = [{"parent": side(10.0, 4.0, 6.0), "change": side(9.0, 4.0, 7.0)},
+             {"parent": side(12.0, 5.0, 6.0), "change": side(8.0, 5.0, 5.0)},
+             {"parent": side(11.0, 3.0, 6.0), "change": side(13.0, 2.0, 6.0)}]
+    got = suite_pairs.summary(pairs)
+    assert set(got) == {first, second, third, "total"}
+    assert got[first] == {"parent_median_s": 11.0, "change_median_s": 9.0, "change_wins": 2,
+                          "relative_change": -2.0 / 11.0}
+    assert got[second]["change_wins"] == 1  # a tie counts for neither side
+    assert got[third]["change_median_s"] == 6.0 and got[third]["change_wins"] == 1
+    assert got["total"]["parent_median_s"] == 20.0 and got["total"]["change_median_s"] == 20.0
+    assert got["total"]["change_wins"] == 1 and got["total"]["relative_change"] == 0.0

@@ -202,7 +202,7 @@ class TestSampleInitTokens:
         ds = generate(specs, 5, seed=16, vocab=16)
         out = sample_init_tokens(ds, 10, seed=1, model=tiny_frozen)
         for row, (si, pos, _task) in enumerate(out["meta"]):
-            hidden = tiny_frozen.forward(ds.examples[si].tokens[None, :]).hidden
+            hidden = tiny_frozen.hidden_states(ds.examples[si].tokens[None, :])
             for layer in range(tiny_frozen.cfg.n_layers):
                 assert np.array_equal(out["features"][layer][row], hidden[layer].data[0, pos])
 
@@ -218,7 +218,7 @@ class TestSampleInitTokens:
         chosen = [pairs[int(c)] for c in np.random.default_rng(3).choice(len(pairs), size=150, replace=False)]
         assert out["meta"].tolist() == [[si, pos, ds.examples[si].task] for si, pos in chosen]
         for row, (si, pos) in enumerate(chosen):
-            hidden = tiny_frozen.forward(ds.examples[si].tokens[None, :]).hidden
+            hidden = tiny_frozen.hidden_states(ds.examples[si].tokens[None, :])
             for layer in range(tiny_frozen.cfg.n_layers):
                 assert np.array_equal(out["features"][layer][row], hidden[layer].data[0, pos])
 

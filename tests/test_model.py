@@ -17,6 +17,7 @@ from mjlab.model import (
 from mjlab.train import ClassifierHead, build_method
 
 from conftest import finite_difference_check, small_config
+from unfused_model import DeltaHooks, unfused_final_states
 
 
 class TestProjectionId:
@@ -48,33 +49,51 @@ class TestForward:
 
         class NullHooks:
             def begin_block(self, layer, h):
-                pass
+                return {}
 
-            def contribution(self, layer, proj):
-                return None
+        plain = tiny_frozen.final_states(toks)
+        hooked = tiny_frozen.final_states(toks, NullHooks())
+        assert plain.data.tobytes() == hooked.data.tobytes()
 
-        plain = tiny_frozen.forward(toks)
-        hooked = tiny_frozen.forward(toks, NullHooks())
-        assert np.array_equal(plain.logits.data, hooked.logits.data)
+    def test_hooks_are_asked_once_per_block(self, tiny_cfg):
+        """A hooks object is `begin_block` alone, asked once per block and
+        pass; the one term it returns is the chain's term, byte for byte."""
+
+        class HalfQ:
+            def __init__(self):
+                self.calls = []
+
+            def begin_block(self, layer, h):  # base + base * -0.5: half of q
+                self.calls.append(layer)
+                return {ProjectionId.q: tz.Propulsion(tz.Tensor(np.full(tiny_cfg.d_model, -0.5)), 0.0, None)}
+
+        model = Backbone(tiny_cfg, seed=6)
+        toks = np.random.default_rng(1).integers(0, 16, size=(3, 7))
+        hooks = HalfQ()
+        got = model.final_states(toks, hooks)
+        assert hooks.calls == list(range(tiny_cfg.n_layers))
+        assert not np.array_equal(got.data, model.final_states(toks).data)
+        ref = unfused_final_states(model, toks, DeltaHooks(HalfQ()))
+        assert got.data.tobytes() == ref.data.tobytes()
 
     def test_causality_bitwise(self, tiny_frozen):
         rng = np.random.default_rng(0)
         toks = rng.integers(0, 16, size=(3, 8))
-        base = tiny_frozen.forward(toks)
+        base = tiny_frozen.hidden_states(toks)
         for t in range(1, 8):
             mutated = toks.copy()
             mutated[:, t] = (mutated[:, t] + 3) % 16
-            out = tiny_frozen.forward(mutated)
-            for layer_states_a, layer_states_b in zip(base.hidden, out.hidden):
+            out = tiny_frozen.hidden_states(mutated)
+            for layer_states_a, layer_states_b in zip(base, out):
                 assert np.array_equal(layer_states_a.data[:, :t], layer_states_b.data[:, :t])
 
     def test_hidden_count_and_shapes(self, tiny_frozen, tiny_cfg):
         toks = np.array([[0, 1, 2]])
-        res = tiny_frozen.forward(toks)
-        assert len(res.hidden) == tiny_cfg.n_layers + 1
-        for h in res.hidden:
+        hidden = tiny_frozen.hidden_states(toks)
+        assert len(hidden) == tiny_cfg.n_layers + 1
+        for h in hidden:
             assert h.shape == (1, 3, tiny_cfg.d_model)
-        assert res.logits.shape == (1, 3, tiny_cfg.vocab_size)
+        assert tiny_frozen.forward(toks).shape == (1, 3, tiny_cfg.vocab_size)
 
     def test_input_validation(self, tiny_frozen):
         with pytest.raises(ValueError, match="vocab"):
@@ -87,7 +106,7 @@ class TestForward:
         cfg = ModelConfig(d_model=4, d_ff=8, n_layers=1, n_heads=1, vocab_size=6, max_seq_len=4)
         model = Backbone(cfg, seed=3)
         toks = np.array([[2]])  # single token: attention is the v-o path
-        got = model.forward(toks).logits.data[0, 0]
+        got = model.forward(toks).data[0, 0]
 
         def ln(x, g, b, eps=1e-5):
             mu = x.mean()
@@ -120,34 +139,36 @@ class TestForward:
         finite_difference_check(build, probe, rel_tol=1e-6)
 
     def test_final_states_is_forward_final(self, tiny_cfg):
-        class HalfQ:
-            def begin_block(self, layer, h):
-                pass
-
-            def contribution(self, layer, proj):  # base + base * -0.5: half of q
-                half = tz.Tensor(np.full(tiny_cfg.d_model, -0.5))
-                return tz.Propulsion(half, 0.0, None) if proj is ProjectionId.q else None
-
         model = Backbone(tiny_cfg, seed=6)  # trainable, so every op is on the tape
         toks = np.random.default_rng(1).integers(0, 16, size=(3, 7))
-        for hooks in (None, HalfQ()):
-            with tz.Tape() as tape:
-                full = model.forward(toks, hooks)
-                forward_nodes = len(tape.nodes)
-                tape.clear()
-                final = model.final_states(toks, hooks)
-                assert len(tape.nodes) == forward_nodes - 1  # no lm_head logits
-            assert np.array_equal(final.data, full.final.data)
+        with tz.Tape() as tape:
+            logits = model.forward(toks)
+            forward_nodes = len(tape.nodes)
+            tape.clear()
+            final = model.final_states(toks)
+            assert len(tape.nodes) == forward_nodes - 1  # no lm_head logits
+        assert np.array_equal(lm_head_logits(model, final).data, logits.data)
 
 
     @pytest.mark.parametrize("n_blocks", [None, 0, 1])
     def test_hidden_states_is_forward_hidden(self, tiny_cfg, tiny_frozen, n_blocks):
         toks = np.random.default_rng(2).integers(0, 16, size=(3, 7))
-        full = tiny_frozen.forward(toks).hidden
+        full = tiny_frozen.hidden_states(toks)
         hidden = tiny_frozen.hidden_states(toks, n_blocks)
         assert len(hidden) == (tiny_cfg.n_layers if n_blocks is None else n_blocks) + 1
         for got, ref in zip(hidden, full):
             assert got.data.tobytes() == ref.data.tobytes()
+
+
+def lm_head_logits(model, final):
+    return tz.adapted_projections(final, [model.lm_head], [None], ["lm_head"])
+
+
+def forward_parts(model, toks):
+    """`Backbone.forward` as its parts: (hidden states, final, logits)."""
+    hidden = model._run_blocks(toks, None)
+    final = tz.layer_norm(hidden[-1], model.ln_f_g, model.ln_f_b)
+    return hidden, final, lm_head_logits(model, final)
 
 
 def retained_backward(loss, tape):
@@ -170,18 +191,18 @@ class TestBackwardMemory:
             t.grad = None
         weights = np.random.default_rng(2).normal(size=(*toks.shape, model.cfg.vocab_size))
         with tz.Tape() as tape:
-            res = model.forward(toks)
-            loss = tz.tsum(tz.mul(res.logits, weights))
+            hidden, final, logits = forward_parts(model, toks)
+            loss = tz.tsum(tz.mul(logits, weights))
             backward(loss, tape)
             assert tape.nodes == []
-        return res, loss, {name: t.grad for name, t in model.named_parameters().items()}
+        return [*hidden, final, logits], loss, {name: t.grad for name, t in model.named_parameters().items()}
 
     def test_backward_frees_intermediates_and_keeps_leaf_gradients(self, tiny_cfg):
         model = Backbone(tiny_cfg, seed=8)
         toks = np.random.default_rng(3).integers(0, 16, size=(2, 6))
         _, _, ref = self._step(model, toks, retained_backward)
-        res, loss, grads = self._step(model, toks, lambda loss, tape: tz.backward(loss))
-        for t in [*res.hidden, res.final, res.logits, loss]:
+        states, loss, grads = self._step(model, toks, lambda loss, tape: tz.backward(loss))
+        for t in [*states, loss]:
             assert t.grad is None
         assert set(grads) == set(ref)
         for name in ref:
@@ -331,7 +352,7 @@ class TestCheckpoint:
         assert set(orig) == set(back)
         assert all(np.array_equal(orig[k], back[k]) for k in orig)
         toks = np.array([[3, 1, 4]])
-        assert np.array_equal(model.forward(toks).logits.data, loaded.forward(toks).logits.data)
+        assert np.array_equal(model.forward(toks).data, loaded.forward(toks).data)
 
     def test_truncated_or_wrong_shape_rejected(self, tiny_cfg, tmp_path):
         model = Backbone(tiny_cfg, seed=13)

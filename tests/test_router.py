@@ -27,7 +27,7 @@ from mjlab.router import (
 from mjlab.tensor import topk_mask
 
 from conftest import finite_difference_check
-from unfused_model import delta_of, unfused_final_states
+from unfused_model import DeltaHooks, unfused_final_states
 
 R5 = tuple(ProjectionId)[:5]  # q k v o up as routed slots
 
@@ -201,15 +201,14 @@ def unit_rows(x):
 
 
 class TestEMA:
-    def _decision(self, m):
-        m = np.asarray(m, dtype=np.float64)
-        return RoutingDecision(z=np.zeros_like(m), p=np.zeros_like(m), m=m, selected=support(m))
+    def _selected(self, m):
+        return support(np.asarray(m, dtype=np.float64))
 
     def test_beta_one_is_noop(self):
         rng = np.random.default_rng(0)
         centers = rng.normal(size=(2, 3))
         state = make_state(centers.copy(), beta=1.0, update_every=1, stop_step=10)
-        fired = ema_update(state, self._decision([[1.0, 0.0], [0.0, 1.0]]), rng.normal(size=(2, 3)), step=0)
+        fired = ema_update(state, self._selected([[1.0, 0.0], [0.0, 1.0]]), rng.normal(size=(2, 3)), step=0)
         assert fired
         assert np.array_equal(state.centers, centers)
 
@@ -218,14 +217,14 @@ class TestEMA:
         state = make_state(rng.normal(size=(2, 3)), beta=0.0, update_every=1, stop_step=10)
         h = rng.normal(size=(4, 3))
         m = np.array([[0.7, 0.0], [0.6, 0.0], [0.0, 0.9], [0.5, 0.0]])
-        ema_update(state, self._decision(m), h, step=0)
+        ema_update(state, self._selected(m), h, step=0)
         assert np.allclose(state.centers[0], h[[0, 1, 3]].mean(axis=0), atol=1e-15)
         assert np.allclose(state.centers[1], h[2], atol=1e-15)
 
     def test_half_beta_hand_example(self):
         state = make_state(np.array([[1.0, 0.0]]), routed=(ProjectionId.q,), top_k=1,
                            beta=0.5, update_every=1, stop_step=10)
-        ema_update(state, self._decision([[1.0]]), np.array([[0.0, 1.0]]), step=0)
+        ema_update(state, self._selected([[1.0]]), np.array([[0.0, 1.0]]), step=0)
         assert np.array_equal(state.centers[0], [0.5, 0.5])
 
     def test_empty_cluster_bitwise_unchanged(self):
@@ -233,7 +232,7 @@ class TestEMA:
         centers = rng.normal(size=(2, 3))
         state = make_state(centers.copy(), beta=0.25, update_every=1, stop_step=10)
         m = np.array([[0.8, 0.0], [0.6, 0.0]])  # nothing routed to expert 1
-        ema_update(state, self._decision(m), rng.normal(size=(2, 3)), step=0)
+        ema_update(state, self._selected(m), rng.normal(size=(2, 3)), step=0)
         assert np.array_equal(state.centers[1], centers[1])
         assert not np.array_equal(state.centers[0], centers[0])
 
@@ -241,17 +240,17 @@ class TestEMA:
         rng = np.random.default_rng(3)
         state = make_state(rng.normal(size=(2, 3)), beta=0.5, update_every=2, stop_step=5)
         h = rng.normal(size=(2, 3))
-        dec = self._decision([[1.0, 0.0], [0.0, 1.0]])
-        fired = [ema_update(state, dec, h, step=s) for s in range(10)]
+        selected = self._selected([[1.0, 0.0], [0.0, 1.0]])
+        fired = [ema_update(state, selected, h, step=s) for s in range(10)]
         assert fired == [True, False, True, False, True, False, False, False, False, False]
 
     def test_never_fires_at_or_after_stop(self):
         rng = np.random.default_rng(4)
         centers = rng.normal(size=(2, 3))
         state = make_state(centers.copy(), beta=0.0, update_every=1, stop_step=3)
-        dec = self._decision([[1.0, 1.0]])
+        selected = self._selected([[1.0, 1.0]])
         for s in range(3, 20):
-            assert not ema_update(state, dec, rng.normal(size=(1, 3)), step=s)
+            assert not ema_update(state, selected, rng.normal(size=(1, 3)), step=s)
         assert np.array_equal(state.centers, centers)
 
     def test_permutation_respected_in_updates(self):
@@ -260,7 +259,7 @@ class TestEMA:
         state = make_state(centers.copy(), routed=(ProjectionId.q, ProjectionId.k), top_k=1,
                            beta=0.0, update_every=1, stop_step=10, permutation=(1, 0))
         h = rng.normal(size=(1, 3))
-        ema_update(state, self._decision([[1.0, 0.0]]), h, step=0)  # slot 0 -> center 1
+        ema_update(state, self._selected([[1.0, 0.0]]), h, step=0)  # slot 0 -> center 1
         assert np.array_equal(state.centers[1], h[0])
         assert np.array_equal(state.centers[0], centers[0])
 
@@ -356,7 +355,7 @@ class TestGradientIsolation:
         hooks = MonkeyJumpHooks(bank, states)
         hooks.set_batch(None)
         toks = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
-        tiny_frozen.forward(toks, hooks)
+        tiny_frozen.final_states(toks, hooks)
         (layer, decision, flat) = hooks.collected[0]
         oracle = route(states[0], flat)
         assert np.array_equal(decision.m, oracle.m)
@@ -385,7 +384,7 @@ class TestShared:
 
         bank.get(0, ProjectionId.o).term = spy
         hooks.set_batch(None)
-        tiny_frozen.forward(np.array([[1, 2, 3]]), hooks)
+        tiny_frozen.final_states(np.array([[1, 2, 3]]), hooks)
         assert calls and all(m == 1.0 for m in calls)
 
 
@@ -478,7 +477,7 @@ class TestMembershipRule:
         assert rec.fractions()[0].sum() == pytest.approx(k, abs=1e-12)
 
         before = state.centers.copy()
-        assert ema_update(state, dec, h, step=0)
+        assert ema_update(state, dec.selected, h, step=0)
         for e in range(n_experts):
             members = (dec.selected == e).any(axis=1)
             if members.any():
@@ -543,23 +542,30 @@ class UnfusedHooks(MonkeyJumpHooks):
     """The hooks before the fusion: `unfused_route`, then one `select_index`
     and one `mul` per routed projection on top of the ungated adapter op.
     They answer the chain's `contribution(layer, proj, x, base)`, so they run
-    with `unfused_final_states`."""
+    with `unfused_final_states`; an ungated adapter's term comes from the
+    real hooks without routers."""
+
+    def __init__(self, bank, states):
+        super().__init__(bank, states)
+        self.coefficients = {}
+        self.uniform = DeltaHooks(MonkeyJumpHooks(bank, {}))
 
     def begin_block(self, layer, h):
+        self.uniform.begin_block(layer, h)
         state = self.states.get(layer)
         if state is None:
             return
         decision = unfused_route(state, h, self._task_experts)
-        self._coeff[layer] = decision.coefficients
+        self.coefficients[layer] = decision.coefficients
         self.collected.append((layer, decision, h.data.reshape(-1, h.shape[-1]).copy()))
 
     def contribution(self, layer, proj, x, base):
         adapter = self.bank.get(layer, proj)
         state = self.states.get(layer)
         if adapter is None or state is None or proj not in state.routed:
-            return delta_of(super().contribution(layer, proj), x, base)
+            return self.uniform.contribution(layer, proj, x, base)
         delta = adapter.apply(x, 1.0, base=base, drop_rng=self.bank.drop_rng)
-        return tz.mul(delta, tz.select_index(self._coeff[layer], 2, state.routed.index(proj)))
+        return tz.mul(delta, tz.select_index(self.coefficients[layer], 2, state.routed.index(proj)))
 
 
 def same_bytes(a, b) -> bool:

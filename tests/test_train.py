@@ -58,6 +58,30 @@ class TestWorkers:
         monkeypatch.setenv("MJLAB_THREADS", "junk")
         assert worker_count() == 1
 
+    def test_sweep_asks_for_no_more_workers_than_runs(self, monkeypatch):
+        # an in-process pool: a real one forks every worker it is asked for
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(train_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(train_module, "prepare_world", lambda cfg, seed: seed)
+        monkeypatch.setattr(train_module, "_ablate_one", lambda payload: payload[2:])
+        monkeypatch.setenv("MJLAB_THREADS", "1000")
+        rows = ablate(small_config(), "beta", [0.2, 0.9], seeds=[1, 2])
+        assert asked == [4]
+        assert rows == [(0.2, 1, 1), (0.2, 2, 2), (0.9, 1, 1), (0.9, 2, 2)]
+
 
 class TestOptim:
     def test_adamw_matches_reference_formula(self):
@@ -329,10 +353,10 @@ class TestRunOutput:
         seen = []
         real = train.ema_update
 
-        def checking(state, decision, hidden, step):
-            seen.append({name: getattr(decision, name).shape[0] for name in ("z", "p", "m", "selected")})
-            assert set(seen[-1].values()) == {hidden.shape[0]}
-            return real(state, decision, hidden, step)
+        def checking(state, selected, hidden, step):
+            seen.append(selected.shape[0])
+            assert selected.shape[0] == hidden.shape[0]
+            return real(state, selected, hidden, step)
 
         monkeypatch.setattr(train, "ema_update", checking)
         backbone, train_ds, val_ds = small_world
@@ -412,7 +436,7 @@ class TestAblate:
         hooks = MonkeyJumpHooks(run["bank"], run["router_states"])
         hooks.set_batch(None)
         tokens, _, _ = batch_arrays(val_ds, length_buckets(val_ds, 8)[0])
-        backbone.forward(tokens, hooks)
+        backbone.final_states(tokens, hooks)
         assert sorted(layer for layer, _, _ in hooks.collected) == sorted(run["router_states"])
         for _, decision, _ in hooks.collected:
             assert (decision.selected == np.arange(n_routed)).all()

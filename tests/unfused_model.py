@@ -81,17 +81,19 @@ def delta_of(term, x, base):
 
 
 class DeltaHooks:
-    """Hooks that answer `contribution(layer, proj)` with a term, asked as the
-    chain asks: `contribution(layer, proj, x, base)` gives the term's delta."""
+    """Forward hooks asked as the chain asks: the block's terms come from
+    the hooks' `begin_block`, and `contribution(layer, proj, x, base)` gives
+    a term's delta."""
 
     def __init__(self, hooks):
         self.hooks = hooks
+        self.terms = {}
 
     def begin_block(self, layer, h):
-        self.hooks.begin_block(layer, h)
+        self.terms = self.hooks.begin_block(layer, h)
 
     def contribution(self, layer, proj, x, base):
-        return delta_of(self.hooks.contribution(layer, proj), x, base)
+        return delta_of(self.terms.get(proj), x, base)
 
 
 def unfused_run_blocks(model, tokens, hooks=None, n_blocks=None):
