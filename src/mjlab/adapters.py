@@ -1,7 +1,8 @@
 """Trainable PEFT adapters attached per projection.
 
-Three variants share one contract: contribution(h) = m * delta(h), where
-delta is zero at initialization so a fresh adapter never perturbs the frozen
+Three variants share one contract: an adapter is a term, gated by m, that
+its projection node adds to the frozen product W x (`Adapter.term`). Its
+delta is zero at initialization, so a fresh adapter never perturbs the frozen
 forward pass. Trainable sizes per projection (square d x d case):
 LoRA 2dr, LoRA-FA dr, Propulsion d.
 """
@@ -124,7 +125,10 @@ class BankCore:
         return self._drop_rng if self.training else None
 
     def save(self, directory) -> None:
+        """Write the tensors to `directory`; a bank with none (frozen) writes nothing."""
         named = self.named_tensors()
+        if not named:
+            return
         tz.save_named(directory, {name: t.data for name, t in named.items()}, {
             self.manifest_key: asdict(self.cfg),
             "projections": [p.name for p in self.projections],
@@ -134,6 +138,8 @@ class BankCore:
 
     def load_weights(self, directory) -> None:
         named = self.named_tensors()
+        if not named:
+            return
         _, arrays = tz.load_named(directory, lambda _manifest: {name: t.shape for name, t in named.items()})
         for name, t in named.items():
             t.data = arrays[name]

@@ -127,9 +127,8 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
     _, val_ds = make_datasets(cfg)
     states = load_router(run_dir / "router", cfg.model.d_model) if cfg.method == "mj" else {}
     bank, hooks = build_method(cfg, seed, states)
-    if bank is not None:
-        bank.load_weights(run_dir / "adapters")
-        bank.eval()
+    bank.load_weights(run_dir / "adapters")
+    bank.eval()
     head = ClassifierHead(cfg.model.d_model, val_ds.n_global_classes)
     head.w.data = tz.load_tensor(run_dir / "head_w.bin", shape=head.w.shape)
     head.b.data = tz.load_tensor(run_dir / "head_b.bin", shape=head.b.shape)
@@ -191,11 +190,13 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_probe(cfg: ExperimentConfig, args) -> int:
+    layer = cfg.model.n_layers if args.layer is None else args.layer
+    if not 0 <= layer <= cfg.model.n_layers:
+        raise ConfigError(f"--layer {layer} outside [0, {cfg.model.n_layers}]")
     out = _out_dir(cfg)
     specs = cfg.data.task_specs()[:1]  # single-task probe dataset
     dataset = generate(specs, cfg.data.n_per_task, cfg.data.seed, vocab=cfg.model.vocab_size)
     model = prepare_backbone(cfg, cfg.seeds[0], corpus=pretraining_corpus(dataset))
-    layer = cfg.model.n_layers if args.layer is None else args.layer
     min_len = min(len(ex.tokens) for ex in dataset.examples)
     offsets = sorted({int(round(f * (min_len - 1))) for f in (0.75, 0.5, 0.25, 0.1, 0.0)}, reverse=True)
     probe_specs = [probe.ProbeSpec(layer=layer, mode="offset", value=o) for o in offsets]

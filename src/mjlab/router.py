@@ -280,18 +280,8 @@ class UsageRecorder:
         self.counts[layer] += sel
         self.tokens[layer] += decision.selected.shape[0]
 
-    @property
-    def empty(self) -> bool:
-        return not self.counts
-
     def fractions(self) -> dict[int, np.ndarray]:
         return {layer: self.counts[layer] / self.tokens[layer] for layer in sorted(self.counts)}
-
-
-@dataclass
-class RoutingHistory:
-    init: UsageRecorder = field(default_factory=UsageRecorder)
-    final: UsageRecorder = field(default_factory=UsageRecorder)
 
 
 @dataclass
@@ -302,12 +292,12 @@ class UsageStats:
     rho: np.ndarray  # (E,) init-vs-final correlation per expert across layers
 
 
-def usage_report(history: RoutingHistory) -> UsageStats:
-    if history.init.empty or history.final.empty:
+def usage_report(init_usage: UsageRecorder, final_usage: UsageRecorder) -> UsageStats:
+    if not init_usage.counts or not final_usage.counts:
         raise ValueError("usage_report needs at least one recorded decision per phase")
-    layers = sorted(history.init.counts)
-    init = np.stack([history.init.fractions()[l] for l in layers])
-    final = np.stack([history.final.fractions()[l] for l in layers])
+    layers = sorted(init_usage.counts)
+    init = np.stack([init_usage.fractions()[l] for l in layers])
+    final = np.stack([final_usage.fractions()[l] for l in layers])
     n_exp = init.shape[1]
     rho = np.empty(n_exp)
     for e in range(n_exp):
@@ -391,7 +381,8 @@ class MonkeyJumpHooks:
     states (the similarity and softmax run on the tape), while the centers
     enter as constants, so backward passes can never touch them. A shared
     projection, and every adapter of a block without a RouterState, applies
-    uniformly, so `MonkeyJumpHooks(bank, {})` is standard PEFT.
+    uniformly, so `MonkeyJumpHooks(bank, {})` is standard PEFT; on the
+    frozen method's bank, which has no adapters, it returns no terms.
     """
 
     def __init__(self, bank: AdapterBank, states: dict[int, RouterState]):

@@ -28,7 +28,6 @@ from .router import (
     MonkeyJumpHooks,
     RouterState,
     RoutingDecision,
-    RoutingHistory,
     UsageRecorder,
     ema_update,
     export_embeddings,
@@ -127,11 +126,10 @@ def build_method(
     """(bank, hooks) for the configured method.
 
     `states` are the router states of an mj run; without them the adapters
-    apply uniformly (m = 1), which is standard PEFT.
+    apply uniformly (m = 1), which is standard PEFT. `frozen` gets a bank
+    that targets no projection: no tensors, no terms, the hook-free pass.
     """
-    targeted = cfg.router.targeted_projections()
-    if cfg.method == "frozen":
-        return None, None
+    targeted = () if cfg.method == "frozen" else cfg.router.targeted_projections()
     if cfg.method == "moe":
         bank = MoEAdapterBank(cfg.model, cfg.moe, targeted, seed=_derive(seed, 3))
         return bank, MoEHooks(bank)
@@ -185,8 +183,7 @@ def evaluate(
     captured: dict[int, tuple[np.ndarray, RoutingDecision]] = {}
     for idx in length_buckets(dataset, cfg.train.batch_size):
         tokens, labels, tasks = batch_arrays(dataset, idx)
-        if hooks is not None:
-            hooks.set_batch(_task_expert_row(cfg, tasks))
+        hooks.set_batch(_task_expert_row(cfg, tasks))
         final = model.final_states(tokens, hooks)
         pred = np.argmax(head.logits(final).data, axis=1)
         for task, y, yhat in zip(tasks, labels, pred):
@@ -263,16 +260,15 @@ def run_pipeline(
     bank, hooks = build_method(cfg, seed, states)
 
     head = ClassifierHead(cfg.model.d_model, train_ds.n_global_classes)
-    params = head.trainable_tensors() + (bank.trainable_tensors() if bank is not None else [])
+    params = head.trainable_tensors() + bank.trainable_tensors()
     opt = AdamW(params, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
 
-    history = RoutingHistory()
+    usage_init, usage_final = UsageRecorder(), UsageRecorder()
     if states:
         with _diverged("the initial usage pass"):
-            init_usage(cfg, backbone, states, val_ds, history.init)
+            init_usage(cfg, backbone, states, val_ds, usage_init)
 
-    if bank is not None:
-        bank.train()
+    bank.train()
     metrics: list[dict] = []
     order_rng = np.random.default_rng(_derive(seed, 6))
     accum = cfg.train.grad_accum
@@ -284,10 +280,8 @@ def run_pipeline(
             step_decisions: list[tuple[int, RoutingDecision, np.ndarray]] = []
             for micro, bi in enumerate(epoch_order[start:start + accum]):
                 tokens, labels, tasks = batch_arrays(train_ds, batches[bi])
-                if bank is not None:
-                    bank.begin_step(_derive(seed, 7, step * 10000 + micro))
-                if hooks is not None:
-                    hooks.set_batch(_task_expert_row(cfg, tasks))
+                bank.begin_step(_derive(seed, 7, step * 10000 + micro))
+                hooks.set_batch(_task_expert_row(cfg, tasks))
                 with tz.Tape(), _diverged(f"step {step}"):
                     final = backbone.final_states(tokens, hooks)
                     loss = tz.cross_entropy(head.logits(final), labels)
@@ -306,10 +300,9 @@ def run_pipeline(
             metrics.append(row)
             step += 1
 
-    if bank is not None:
-        bank.eval()
+    bank.eval()
     with _diverged("the final evaluation"):
-        result = evaluate(cfg, backbone, hooks, head, val_ds, usage=history.final if states else None)
+        result = evaluate(cfg, backbone, hooks, head, val_ds, usage=usage_final if states else None)
 
     report = {
         "config_hash": config_hash(cfg),
@@ -321,9 +314,8 @@ def run_pipeline(
         "overall_accuracy": result["overall_accuracy"],
         "trainable_params": int(sum(p.data.size for p in params)),
     }
-    stats = None
-    if states and not history.init.empty and not history.final.empty:
-        stats = usage_report(history)
+    if states:
+        stats = usage_report(usage_init, usage_final)
         report["usage_rho"] = [float(r) for r in stats.rho]
 
     if out_dir is not None:
@@ -334,15 +326,12 @@ def run_pipeline(
                     fh.write(json.dumps(row, sort_keys=True) + "\n")
             (staged / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
             backbone.save(staged / "backbone")
-            if bank is not None:
-                bank.save(staged / "adapters")
+            bank.save(staged / "adapters")
             tz.save_tensor(staged / "head_w.bin", head.w.data)
             tz.save_tensor(staged / "head_b.bin", head.b.data)
             if states:
                 save_router(staged / "router", states)
-            if stats is not None:
                 write_usage_csv(stats, staged / "usage.csv")
-            if result.get("embeddings"):
                 export_embeddings(staged / "embeddings.csv", result["embeddings"])
 
     report["metrics"] = metrics

@@ -87,6 +87,13 @@ def test_claim_none_is_no_claim(bench_pairs):
     assert bench_pairs.parse_claim("wall_s:ablate_beta") == ("wall_s", "ablate_beta")
 
 
+def test_ledger_summary_leaves_out_absolute_times(bench_pairs):
+    """Each side and seed of the ledger runs in its own process, so only
+    counts, bytes and the within-process ratio are summarized."""
+    assert not {"overhead_s", "mj_s", "peft_s", "moe_s"} & set(bench_pairs.LEDGER_KEYS)
+    assert "mj_speedup_over_moe" in bench_pairs.LEDGER_KEYS and "moe_nodes_per_backward" in bench_pairs.LEDGER_KEYS
+
+
 def test_src_lines_is_the_wc_total(bench_pairs):
     root = BENCH_PAIRS.parent.parent
     wc = subprocess.run(["wc", "-l", *sorted(str(p) for p in (root / "src" / "mjlab").glob("*.py"))],

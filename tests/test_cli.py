@@ -122,6 +122,7 @@ class TestRoutingConfigFailsFast:
 
 
 TASK_0, TASK_1 = SMALL_RAW["data"]["tasks"]
+NAN, INF = float("nan"), float("inf")  # JSON parses NaN and Infinity, and json.dumps writes them
 # Per field of SMALL_RAW's config, values that make it invalid: out of range,
 # of the wrong kind, or inconsistent with another section.
 INVALID_VALUES = {
@@ -136,14 +137,14 @@ INVALID_VALUES = {
     ("model", "max_seq_len"): [0, 8],  # the tasks' sequences go up to 16
     ("adapter", "variant"): ["dora", None],
     ("adapter", "r"): [0, "2"],
-    ("adapter", "alpha"): [0.0, -1.0],
+    ("adapter", "alpha"): [0.0, -1.0, NAN, INF],
     ("adapter", "dropout"): [1.0, -0.1],
     ("moe", "n_experts"): [0],
     ("moe", "top_k"): [0, 5],
     ("moe", "r"): [0],
-    ("moe", "alpha"): [0.0],
+    ("moe", "alpha"): [0.0, NAN, INF],
     ("moe", "dropout"): [1.0],
-    ("router", "tau"): [0.0, -1.0, "1", None],
+    ("router", "tau"): [0.0, -1.0, "1", None, NAN, INF],
     ("router", "top_k"): [0, 4],
     ("router", "beta"): [-0.1, 1.5],
     ("router", "update_every"): [0, True],
@@ -157,14 +158,14 @@ INVALID_VALUES = {
     ("router", "kmeans_samples"): [0],
     ("router", "kmeans_iters"): [0],
     ("router", "task_experts"): [[0], [0, 3], [0.0, 1.0]],
-    ("train", "lr"): [-1.0],
+    ("train", "lr"): [-1.0, NAN, INF],
     ("train", "warmup_ratio"): [1.0, -0.1],
     ("train", "epochs"): [0, 2.5],
     ("train", "batch_size"): [0],
     ("train", "grad_accum"): [0],
-    ("train", "weight_decay"): [-0.1],
+    ("train", "weight_decay"): [-0.1, NAN, INF],
     ("pretrain", "steps"): [-1],
-    ("pretrain", "lr"): [0.0],
+    ("pretrain", "lr"): [0.0, NAN, INF],
     ("pretrain", "holdout_fraction"): [-0.5, 1.0],
     ("data", "n_per_task"): [0],
     ("data", "n_val_per_task"): [0],
@@ -284,7 +285,7 @@ class TestEndToEnd:
         eval_out = json.loads(capsys.readouterr().out)
         assert eval_out["per_task_accuracy"] == raw_report["per_task_accuracy"]
 
-    @pytest.mark.parametrize("method", ["moe", "peft"])
+    @pytest.mark.parametrize("method", ["moe", "peft", "frozen"])
     def test_eval_round_trip_of_baseline_runs(self, tmp_path, fast_config_path, capsys, method):
         raw = json.loads(fast_config_path.read_text())
         raw["method"] = method
@@ -338,6 +339,15 @@ class TestEndToEnd:
         assert lines[0] == "layer,selector,seed,train_acc,val_acc"
         assert len(lines) > 1
 
+    def test_probe_layer_out_of_range_exits_1_before_compute(self, tmp_path, fast_config_path, capsys,
+                                                             monkeypatch):
+        _no_pretraining(monkeypatch)
+        out = tmp_path / "probe"
+        assert main(["probe", "--layer", "99", "--config", str(fast_config_path), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--layer 99" in err
+        assert not out.exists()
+
     def test_ablate_csv(self, tmp_path, fast_config_path, capsys):
         out = tmp_path / "ablate"
         code = main(["ablate", "tau", "--values", "0.5,1.0", "--config", str(fast_config_path),
@@ -354,12 +364,14 @@ class TestEndToEnd:
 
 def _no_pretraining(monkeypatch):
     """Make any pretraining fail the test: the command must stop before compute."""
+    import mjlab.cli as cli
     import mjlab.train as train
 
     def refuse(*args, **kwargs):
         raise AssertionError("pretrained a backbone")
 
     monkeypatch.setattr(train, "prepare_backbone", refuse)
+    monkeypatch.setattr(cli, "prepare_backbone", refuse)  # cli imports it by name (`mjlab probe`)
 
 
 def _csv_values(path) -> list[str]:
@@ -445,6 +457,7 @@ class TestAblateValues:
         ("update_every", "2.5"),
         ("permutation", "0,1,2.5;2,1,0"),
         ("routed_layers", "0.5;1"),
+        ("tau", "nan"),
     ])
     def test_malformed_values_exit_1_before_compute(self, axis, values, tmp_path, fast_config_path, capsys,
                                                     monkeypatch):

@@ -14,7 +14,6 @@ from mjlab.router import (
     MonkeyJumpHooks,
     RouterState,
     RoutingDecision,
-    RoutingHistory,
     UsageRecorder,
     ema_update,
     kmeans_init,
@@ -273,13 +272,13 @@ class TestUsage:
         assert np.array_equal(rec.fractions()[0], [1.0, 0.0])
 
     def test_identical_phases_give_rho_one(self):
-        history = RoutingHistory()
+        init, final = UsageRecorder(), UsageRecorder()
         m = np.array([[0.6, 0.0], [0.0, 0.7], [0.8, 0.0]])
         dec = RoutingDecision(z=m, p=m, m=m, selected=support(m))
         for layer in range(3):
-            history.init.add(layer, dec)
-            history.final.add(layer, dec)
-        stats = usage_report(history)
+            init.add(layer, dec)
+            final.add(layer, dec)
+        stats = usage_report(init, final)
         assert np.array_equal(stats.rho, [1.0, 1.0])
 
     def test_fractions_sum_to_top_k(self):
@@ -303,15 +302,15 @@ class TestUsage:
 
     def test_requires_recorded_decisions(self):
         with pytest.raises(ValueError, match="recorded"):
-            usage_report(RoutingHistory())
+            usage_report(UsageRecorder(), UsageRecorder())
 
     def test_csv_export(self, tmp_path):
-        history = RoutingHistory()
+        init, final = UsageRecorder(), UsageRecorder()
         m = np.array([[0.6, 0.0], [0.0, 0.7]])
         dec = RoutingDecision(z=m, p=m, m=m, selected=support(m))
-        history.init.add(0, dec)
-        history.final.add(0, dec)
-        stats = usage_report(history)
+        init.add(0, dec)
+        final.add(0, dec)
+        stats = usage_report(init, final)
         write_usage_csv(stats, tmp_path / "usage.csv")
         lines = (tmp_path / "usage.csv").read_text().splitlines()
         assert lines[0] == "layer,expert,phase,fraction,rho"

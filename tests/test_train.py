@@ -113,6 +113,29 @@ class TestOptim:
         assert all(b <= a + 1e-12 for a, b in zip(lrs[9:], lrs[10:]))
 
 
+class TestBuildMethod:
+    @pytest.mark.parametrize("method", ["mj", "peft", "moe", "frozen"])
+    def test_every_method_has_a_bank_and_hooks(self, method):
+        bank, hooks = build_method(small_config(method=method), 0)
+        assert bank is not None and hooks.bank is bank
+
+    def test_frozen_is_the_bank_without_adapters(self, tmp_path):
+        """No tensors, no terms, a pass bitwise the hook-free one, and a
+        checkpoint that writes and reads nothing."""
+        cfg = small_config(method="frozen")
+        bank, hooks = build_method(cfg, 0)
+        assert bank.projections == () and bank.named_tensors() == {} and count_trainable(bank) == 0
+        model = Backbone(cfg.model, seed=1)
+        model.freeze()
+        tokens = np.random.default_rng(2).integers(0, cfg.model.vocab_size, size=(3, 7))
+        hooks.set_batch(np.zeros(3, dtype=np.int64))
+        assert hooks.begin_block(0, tz.Tensor(np.ones((3, 7, cfg.model.d_model)))) == {}
+        assert model.final_states(tokens, hooks).data.tobytes() == model.final_states(tokens).data.tobytes()
+        bank.save(tmp_path / "adapters")
+        assert not (tmp_path / "adapters").exists()
+        bank.load_weights(tmp_path / "adapters")  # no manifest to read
+
+
 class TestPipeline:
     def test_zero_lr_leaves_adapters_at_init_and_matches_frozen(self, small_world):
         backbone, train_ds, val_ds = small_world

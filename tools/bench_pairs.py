@@ -19,6 +19,15 @@ after another and nothing else alongside:
   on the parent's sources and on the change's, in the same alternating
   order.
 
+Its ledger summary (the printed line per seed and the medians) keeps the
+deterministic node counts and tape bytes and `mj_speedup_over_moe`, a ratio
+of two times taken in one process. It leaves out the absolute times
+(`overhead_s`, `mj_s`, `peft_s`, `moe_s`): each side and seed runs in its
+own process, and a time compared across processes reads the drift between
+them as a code effect: for code that built the same terms, `peft_s` once
+read slower at all three seeds (median 2.38 -> 3.08 s) and faster on a
+rerun. The per-seed rows keep every value the tool printed.
+
 It also records `src_lines`, the total of `wc -l src/mjlab/*.py`, of each
 checkout.
 
@@ -60,11 +69,10 @@ TRACE_KEYS = (
     "tensor.op.l2_normalize_rows.calls", "train.evaluate.s", "train.init_router_states.s",
     "data.sample_init_tokens.s", "moe_baseline.gates.s", "optim.step.s",
 )
-LEDGER_KEYS = ("overhead_s", "mj_s", "peft_s", "moe_s", "mj_speedup_over_moe", "mj_nodes_per_backward",
-               "peft_nodes_per_backward", "moe_nodes_per_backward", "mj_step_tape_bytes", "peft_step_tape_bytes",
-               "moe_step_tape_bytes", "pretrain_nodes_per_backward", "pretrain_step_tape_bytes",
-               "mj_peak_step_tape_bytes", "peft_peak_step_tape_bytes", "moe_peak_step_tape_bytes",
-               "pretrain_peak_step_tape_bytes")
+LEDGER_KEYS = ("mj_speedup_over_moe", "mj_nodes_per_backward", "peft_nodes_per_backward", "moe_nodes_per_backward",
+               "mj_step_tape_bytes", "peft_step_tape_bytes", "moe_step_tape_bytes", "pretrain_nodes_per_backward",
+               "pretrain_step_tape_bytes", "mj_peak_step_tape_bytes", "peft_peak_step_tape_bytes",
+               "moe_peak_step_tape_bytes", "pretrain_peak_step_tape_bytes")
 OVERHEAD_SEEDS = (1, 2, 3)
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "val_accuracy")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
@@ -223,10 +231,9 @@ def main(argv=None) -> int:
                                     "all_match_baseline": all(per_seed[k] == recorded["digests"][k] for k in per_seed)}
 
     rows = [route_overhead(parent, seed) for seed in OVERHEAD_SEEDS]
-    out["route_overhead"] = {"rows": rows, "median_s": {
-        side: statistics.median(row[side]["overhead_s"] for row in rows) for side in ("parent", "change")},
-        "median": {side: {key: statistics.median(row[side][key] for row in rows) for key in LEDGER_KEYS}
-                   for side in ("parent", "change")}}
+    out["route_overhead"] = {"rows": rows, "median": {
+        side: {key: statistics.median(row[side][key] for row in rows) for key in LEDGER_KEYS}
+        for side in ("parent", "change")}}
 
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"claim": out["claim"], "verdicts": [
