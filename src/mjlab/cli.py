@@ -1,9 +1,9 @@
 """Single executable exposing the whole lab.
 
 Subcommands: gen-data, pretrain, init-centers, train, eval, ablate, oracle,
-probe, report. Everything reads one JSON config (--config), honors --seed and
---out, and is idempotent with respect to the output directory. Exit codes:
-0 success, 1 validation error, 2 runtime failure.
+probe, report, compare. Everything reads one JSON config (--config), honors
+--seed and --out, and is idempotent with respect to the output directory.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     results = {}
     for seed in cfg.seeds:
         run_dir = out / f"run-{config_hash(cfg)}-s{seed}"
-        report = run_pipeline(cfg, seed, out_dir=run_dir)
+        backbone, train_ds, val_ds = prepare_world(cfg, seed)
+        report = run_pipeline(cfg, seed, out_dir=run_dir, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
         results[str(seed)] = {
             "run_dir": str(run_dir),
             "overall_accuracy": report["overall_accuracy"],
@@ -238,14 +239,19 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
-    table = shared_vs_specific(cfg)
+    table = shared_vs_specific(cfg, ((seed, prepare_world(cfg, seed)) for seed in cfg.seeds))
     (_out_dir(cfg) / "shared_vs_specific.json").write_text(json.dumps(table, indent=2, sort_keys=True))
     _emit(args, table)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers share the class
+    def error(self, message):  # a usage error exits 1, as a validation error, not argparse's 2
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mjlab", description=__doc__)
+    parser = _Parser(prog="mjlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="JSON config path")
     common.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
@@ -279,9 +285,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         if args.dump_config:
             print(cfg.to_json())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -239,7 +239,7 @@ def _check_fields(cls, raw: dict, path: str) -> None:
 
 def _fits(value, hint) -> bool:
     """Whether a config value fits an annotation: a list or tuple for either, an
-    object for a section, an int or finite float for a float, never a bool for a number."""
+    object for a section, an int or float within float range for a float, never a bool for a number."""
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
         return any(_fits(value, h) for h in args)
@@ -249,7 +249,7 @@ def _fits(value, hint) -> bool:
         return isinstance(value, dict)
     if hint in (int, float):
         return (isinstance(value, (int, float) if hint is float else int) and not isinstance(value, bool)
-                and (not isinstance(value, float) or math.isfinite(value)))
+                and (hint is int or abs(value) <= sys.float_info.max))  # False for NaN
     return isinstance(value, hint)
 
 

@@ -228,27 +228,15 @@ def _diverged(stage: str):
         raise RuntimeError(f"training diverged at {stage}: {err}") from err
 
 
-def run_pipeline(
-    cfg: ExperimentConfig,
-    seed: int,
-    out_dir=None,
-    backbone: Backbone | None = None,
-    train_ds: Dataset | None = None,
-    val_ds: Dataset | None = None,
-) -> dict:
-    """Full fine-tuning run; deterministic given (cfg, seed).
-
-    Pass the backbone and both datasets, or none of them to build them with
-    `prepare_world`. With `out_dir` the artifacts are written to a hidden
-    sibling directory that is renamed to `out_dir` once complete.
-    """
-    world = (backbone, train_ds, val_ds)
-    if all(part is None for part in world):
-        backbone, train_ds, val_ds = prepare_world(cfg, seed)
-    elif any(part is None for part in world):
-        raise ValueError("run_pipeline takes backbone, train_ds and val_ds together or none of them")
+def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
+                 backbone: Backbone, train_ds: Dataset, val_ds: Dataset) -> dict:
+    """Full fine-tuning run on a world from `prepare_world`; deterministic
+    given (cfg, seed) and the world. With `out_dir` the artifacts go to a
+    hidden sibling directory, renamed to `out_dir` once complete."""
     if not backbone.frozen:
         raise ValueError("run_pipeline requires a frozen backbone")
+    if backbone.cfg != cfg.model:
+        raise ValueError(f"run_pipeline got a backbone for {backbone.cfg}, not for the config's {cfg.model}")
 
     batches = length_buckets(train_ds, cfg.train.batch_size)
     total_steps = optimizer_steps(cfg, train_ds)
@@ -385,8 +373,11 @@ def _apply_ema(states: dict[int, RouterState], decisions, step: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def shared_vs_specific(cfg: ExperimentConfig, seeds: list[int] | None = None) -> dict:
+def shared_vs_specific(cfg: ExperimentConfig, worlds) -> dict:
     """One bank on the task mixture vs per-task banks at the same total budget.
+
+    One row per `(seed, (backbone, train_ds, val_ds))` of `worlds`, taken only
+    after the config checks, so a lazy `worlds` builds none for a bad config.
 
     The adapter rank is partitioned: the shared arm trains one bank at the
     configured rank on the mixture; the specific arm gives each task its own
@@ -395,7 +386,6 @@ def shared_vs_specific(cfg: ExperimentConfig, seeds: list[int] | None = None) ->
     the epochs so every bank sees the same optimizer budget as the shared
     one (comparisons are at parameter parity, not compute parity).
     """
-    seeds = seeds if seeds is not None else cfg.seeds
     specs = cfg.data.task_specs()
     n_tasks = len(specs)
     if cfg.adapter.variant not in ("lora", "lorafa"):
@@ -408,8 +398,7 @@ def shared_vs_specific(cfg: ExperimentConfig, seeds: list[int] | None = None) ->
     specific_cfg = replace(shared_cfg, adapter=replace(cfg.adapter, r=cfg.adapter.r // n_tasks),
                            train=replace(cfg.train, epochs=cfg.train.epochs * n_tasks))
     rows = []
-    for seed in seeds:
-        backbone, train_ds, val_ds = prepare_world(cfg, seed)
+    for seed, (backbone, train_ds, val_ds) in worlds:
         shared_run = run_pipeline(shared_cfg, seed, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
         shared_count = count_trainable(shared_run["bank"])
         specific_accs = {}

@@ -35,7 +35,14 @@ from mjlab.router import (
     route,
 )
 from mjlab.tensor import topk_mask
-from mjlab.train import ClassifierHead, make_datasets, prepare_backbone, run_pipeline, shared_vs_specific
+from mjlab.train import (
+    ClassifierHead,
+    make_datasets,
+    prepare_backbone,
+    prepare_world,
+    run_pipeline,
+    shared_vs_specific,
+)
 
 _BACKBONES: dict[int, Backbone] = {}
 
@@ -384,7 +391,11 @@ def test_criterion_09_training_direction():
             "adapter": {"variant": "lora", "r": 3, "alpha": 5.0, "dropout": 0.05},
             "router": {"routed": ["q", "k", "v"], "shared": []},
         })
-        table = shared_vs_specific(compare_cfg, seeds=[0, 1, 2])
+        # the same model, pretrain and data sections: each seed's world is its desk world
+        for section in ("model", "pretrain", "data"):
+            assert getattr(compare_cfg, section) == getattr(cfg, section), section
+        worlds = ((seed, (desk_backbone(seed), train_ds, val_ds)) for seed in (0, 1, 2))
+        table = shared_vs_specific(compare_cfg, worlds)
         assert table["parity"]
         wins = sum(
             table["median_specific"][task] >= table["median_shared"][task] for task in (0, 1, 2)
@@ -396,8 +407,9 @@ def test_criterion_10_determinism(tmp_path):
     with _Budget(10, 300.0, "identical config+seed reproduces checkpoints and metrics bitwise"):
         cfg = ExperimentConfig()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_pipeline(cfg, 0, out_dir=out_a)
-        run_pipeline(cfg, 0, out_dir=out_b)
+        for out in (out_a, out_b):  # a world per run: the second run pretrains again
+            backbone, train_ds, val_ds = prepare_world(cfg, 0)
+            run_pipeline(cfg, 0, out_dir=out, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
         files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
         files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
         assert files_a == files_b and files_a

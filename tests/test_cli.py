@@ -82,6 +82,17 @@ class TestExitCodes:
         assert main(["oracle", "soft", "--quiet"]) == 0
         assert main(["oracle", "params", "--quiet"]) == 0
 
+    @pytest.mark.parametrize("argv", [["oracle", "bogus"], ["train", "--seed", "x"], ["ablate"], []])
+    def test_usage_error_is_validation_error(self, argv, capsys):
+        assert main(argv) == 1  # not argparse's 2, the runtime-failure code
+        assert capsys.readouterr().err.startswith("error: mjlab")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["train", "--help"])
+        assert exited.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
 
 class TestRoutingConfigFailsFast:
     """Bad routing configs exit 1 at parse time, before any compute."""
@@ -123,6 +134,7 @@ class TestRoutingConfigFailsFast:
 
 TASK_0, TASK_1 = SMALL_RAW["data"]["tasks"]
 NAN, INF = float("nan"), float("inf")  # JSON parses NaN and Infinity, and json.dumps writes them
+HUGE = 10**400  # a JSON integer no float can hold
 # Per field of SMALL_RAW's config, values that make it invalid: out of range,
 # of the wrong kind, or inconsistent with another section.
 INVALID_VALUES = {
@@ -137,14 +149,14 @@ INVALID_VALUES = {
     ("model", "max_seq_len"): [0, 8],  # the tasks' sequences go up to 16
     ("adapter", "variant"): ["dora", None],
     ("adapter", "r"): [0, "2"],
-    ("adapter", "alpha"): [0.0, -1.0, NAN, INF],
+    ("adapter", "alpha"): [0.0, -1.0, NAN, INF, HUGE],
     ("adapter", "dropout"): [1.0, -0.1],
     ("moe", "n_experts"): [0],
     ("moe", "top_k"): [0, 5],
     ("moe", "r"): [0],
-    ("moe", "alpha"): [0.0, NAN, INF],
+    ("moe", "alpha"): [0.0, NAN, INF, HUGE],
     ("moe", "dropout"): [1.0],
-    ("router", "tau"): [0.0, -1.0, "1", None, NAN, INF],
+    ("router", "tau"): [0.0, -1.0, "1", None, NAN, INF, HUGE],
     ("router", "top_k"): [0, 4],
     ("router", "beta"): [-0.1, 1.5],
     ("router", "update_every"): [0, True],
@@ -158,14 +170,14 @@ INVALID_VALUES = {
     ("router", "kmeans_samples"): [0],
     ("router", "kmeans_iters"): [0],
     ("router", "task_experts"): [[0], [0, 3], [0.0, 1.0]],
-    ("train", "lr"): [-1.0, NAN, INF],
+    ("train", "lr"): [-1.0, NAN, INF, HUGE],
     ("train", "warmup_ratio"): [1.0, -0.1],
     ("train", "epochs"): [0, 2.5],
     ("train", "batch_size"): [0],
     ("train", "grad_accum"): [0],
-    ("train", "weight_decay"): [-0.1, NAN, INF],
+    ("train", "weight_decay"): [-0.1, NAN, INF, HUGE],
     ("pretrain", "steps"): [-1],
-    ("pretrain", "lr"): [0.0, NAN, INF],
+    ("pretrain", "lr"): [0.0, NAN, INF, HUGE],
     ("pretrain", "holdout_fraction"): [-0.5, 1.0],
     ("data", "n_per_task"): [0],
     ("data", "n_val_per_task"): [0],
@@ -458,6 +470,7 @@ class TestAblateValues:
         ("permutation", "0,1,2.5;2,1,0"),
         ("routed_layers", "0.5;1"),
         ("tau", "nan"),
+        ("tau", "1" + "0" * 400),
     ])
     def test_malformed_values_exit_1_before_compute(self, axis, values, tmp_path, fast_config_path, capsys,
                                                     monkeypatch):

@@ -26,6 +26,7 @@ from mjlab.train import (
     make_datasets,
     optimizer_steps,
     prepare_backbone,
+    prepare_world,
     run_pipeline,
     shared_vs_specific,
 )
@@ -344,8 +345,16 @@ class TestPipeline:
 class TestRunOutput:
     def test_partial_world_rejected(self, small_world):
         backbone, train_ds, _ = small_world
-        with pytest.raises(ValueError, match="together or none"):
+        with pytest.raises(TypeError, match="val_ds"):
             run_pipeline(small_config(), 0, backbone=backbone, train_ds=train_ds)
+
+    def test_backbone_of_another_model_rejected(self, small_world):
+        # one layer of a two-layer config's adapters would never train, yet count as trainable
+        _, train_ds, val_ds = small_world
+        shallow = Backbone(small_config(model={"n_layers": 1}).model, seed=0)
+        shallow.freeze()
+        with pytest.raises(ValueError, match=r"n_layers=1.*n_layers=2"):
+            run_pipeline(small_config(method="peft"), 0, backbone=shallow, train_ds=train_ds, val_ds=val_ds)
 
     def test_failed_write_leaves_no_run_dir(self, tmp_path, small_world, monkeypatch):
         from mjlab.adapters import BankCore
@@ -390,22 +399,28 @@ class TestRunOutput:
 class TestSharedVsSpecific:
     def test_parity_and_structure(self, small_world):
         cfg = small_config(adapter={"r": 2})  # 2 tasks: rank splits evenly
-        table = shared_vs_specific(cfg, seeds=[0])
+        table = shared_vs_specific(cfg, [(0, small_world)])
         assert table["parity"]
         assert set(table["median_shared"]) == {0, 1}
         assert set(table["median_specific"]) == {0, 1}
         row = table["rows"][0]
         assert row["shared_params"] == row["specific_params"]
 
+    @staticmethod
+    def _no_worlds():
+        """Worlds for a config that must be rejected before the first is taken."""
+        raise AssertionError("took a world before the config checks")
+        yield
+
     def test_indivisible_budget_rejected(self):
         cfg = small_config(adapter={"r": 3})  # 3 ranks over 2 tasks
-        with pytest.raises(ValueError, match="divisible"):
-            shared_vs_specific(cfg, seeds=[0])
+        with pytest.raises(ConfigError, match="divisible"):
+            shared_vs_specific(cfg, self._no_worlds())
 
     def test_rankless_variant_rejected(self):
         cfg = small_config(adapter={"variant": "propulsion"})
-        with pytest.raises(ValueError, match="LoRA-family"):
-            shared_vs_specific(cfg, seeds=[0])
+        with pytest.raises(ConfigError, match="LoRA-family"):
+            shared_vs_specific(cfg, self._no_worlds())
 
     def test_identical_tasks_make_arms_indistinguishable(self):
         # three clones of one easy rule (own marker slices): both arms saturate,
@@ -421,7 +436,7 @@ class TestSharedVsSpecific:
             "data": {"tasks": tasks, "n_per_task": 600, "n_val_per_task": 200},
             "train": {"epochs": 3},
         })
-        table = shared_vs_specific(cfg, seeds=[0, 1, 2])
+        table = shared_vs_specific(cfg, ((seed, prepare_world(cfg, seed)) for seed in (0, 1, 2)))
         for t in (0, 1, 2):
             gap = table["median_specific"][t] - table["median_shared"][t]
             assert abs(gap) <= 0.01 + 1e-9, f"task {t}: arm gap {gap:+.3f}"
@@ -494,7 +509,9 @@ class TestAblate:
         assert sorted(calls) == [0, 1]
         monkeypatch.setattr(train, "prepare_backbone", real)
         for row in rows:
-            run = run_pipeline(apply_axis(cfg, "beta", row["value"]), row["seed"])
+            backbone, train_ds, val_ds = prepare_world(cfg, row["seed"])
+            run = run_pipeline(apply_axis(cfg, "beta", row["value"]), row["seed"],
+                               backbone=backbone, train_ds=train_ds, val_ds=val_ds)
             assert row["per_task_accuracy"] == run["per_task_accuracy"]
             assert row["overall_accuracy"] == run["overall_accuracy"]
             assert row["usage_rho_mean"] == float(np.mean(run["usage_rho"]))
