@@ -58,7 +58,7 @@ class Adapter:
             return {"a": self.a, "b": self.b}
         return {"s": self.s}
 
-    def term(self, m, drop_rng: np.random.Generator | None = None,
+    def term(self, m, rng: np.random.Generator | None = None,
              column: int = 0) -> tz.LoRA | tz.Propulsion | None:
         """This adapter times `m`, as the term a projection node adds.
 
@@ -72,15 +72,15 @@ class Adapter:
                 raise ValueError(f"a scalar coefficient must be 0 or 1, got {m}")
             m = None
         if self.cfg.variant in ("lora", "lorafa"):
-            return tz.LoRA((self.a,), (self.b,), self.cfg.alpha / self.cfg.r, self.cfg.dropout, drop_rng, m, (column,))
-        return tz.Propulsion(self.s, self.cfg.dropout, drop_rng, m, column)
+            return tz.LoRA((self.a,), (self.b,), self.cfg.alpha / self.cfg.r, self.cfg.dropout, rng, m, (column,))
+        return tz.Propulsion(self.s, self.cfg.dropout, rng, m, column)
 
     def apply(self, h: Tensor, m, base: Tensor | None = None,
-              drop_rng: np.random.Generator | None = None, column: int = 0) -> Tensor:
+              rng: np.random.Generator | None = None, column: int = 0) -> Tensor:
         """m * delta(h) on its own, as one tape node; `base` is the frozen
         projection output Propulsion reads. m == 0 short-circuits off the
         tape entirely."""
-        term = self.term(m, drop_rng, column)
+        term = self.term(m, rng, column)
         if term is None:
             return tz.zeros(h.shape[:-1] + (self.d_out,))
         if isinstance(term, tz.Propulsion) and base is None:
@@ -89,8 +89,8 @@ class Adapter:
 
 
 class BankCore:
-    """What every adapter bank shares: its targets, train/eval mode, the
-    per-step dropout stream and a checkpoint of `named_tensors()`.
+    """What every adapter bank shares, parameters only: its targets and a checkpoint
+    of `named_tensors()`. A pass's dropout stream comes with its batch (`set_batch`).
 
     A subclass builds its tensors, implements `named_tensors` and names the
     manifest entry that holds its config in `manifest_key`.
@@ -103,26 +103,9 @@ class BankCore:
         self.cfg = cfg
         self.projections = tuple(projections)
         self.layers = list(range(model_cfg.n_layers))
-        self.training = True
-        self._drop_rng: np.random.Generator | None = None
 
     def trainable_tensors(self) -> list[Tensor]:
         return [t for t in self.named_tensors().values() if t.requires_grad]
-
-    def begin_step(self, seed: int) -> None:
-        """Re-seed the dropout stream; one seed per optimizer step."""
-        self._drop_rng = np.random.default_rng(seed)
-
-    def train(self) -> None:
-        self.training = True
-
-    def eval(self) -> None:
-        self.training = False
-        self._drop_rng = None
-
-    @property
-    def drop_rng(self) -> np.random.Generator | None:
-        return self._drop_rng if self.training else None
 
     def save(self, directory) -> None:
         """Write the tensors to `directory`; a bank with none (frozen) writes nothing."""

@@ -21,6 +21,7 @@ from .model import Backbone
 from .router import load_router, save_router
 from .train import (
     ClassifierHead,
+    _staged,
     ablate,
     build_method,
     evaluate,
@@ -129,7 +130,6 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
     states = load_router(run_dir / "router", cfg.model.d_model) if cfg.method == "mj" else {}
     bank, hooks = build_method(cfg, seed, states)
     bank.load_weights(run_dir / "adapters")
-    bank.eval()
     head = ClassifierHead(cfg.model.d_model, val_ds.n_global_classes)
     head.w.data = tz.load_tensor(run_dir / "head_w.bin", shape=head.w.shape)
     head.b.data = tz.load_tensor(run_dir / "head_b.bin", shape=head.b.shape)
@@ -240,7 +240,8 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
     table = shared_vs_specific(cfg, ((seed, prepare_world(cfg, seed)) for seed in cfg.seeds))
-    (_out_dir(cfg) / "shared_vs_specific.json").write_text(json.dumps(table, indent=2, sort_keys=True))
+    with _staged(_out_dir(cfg) / "shared_vs_specific.json") as staged:
+        staged.write_text(json.dumps(table, indent=2, sort_keys=True))
     _emit(args, table)
     return 0
 

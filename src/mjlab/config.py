@@ -23,7 +23,7 @@ from .model import ModelConfig, ProjectionId
 from .adapters import AdapterConfig
 from .moe_baseline import MoEConfig
 from .data import TaskSpec, check_disjoint_markers, default_task_specs
-from .router import RouterState, RoutingRules
+from .router import DEFAULT_ROUTED, DEFAULT_SHARED, RouterState, RoutingRules
 
 METHODS = ("mj", "peft", "moe", "frozen")
 
@@ -35,8 +35,8 @@ class ConfigError(ValueError):
 @dataclass
 class RouterSection(RoutingRules):
     stop_frac: float = 0.6
-    routed: list[str] = field(default_factory=lambda: ["q", "k", "v"])
-    shared: list[str] = field(default_factory=lambda: ["o", "gate"])
+    routed: list[str] = field(default_factory=lambda: [p.name for p in DEFAULT_ROUTED])
+    shared: list[str] = field(default_factory=lambda: [p.name for p in DEFAULT_SHARED])
     routed_layers: list[int] | None = None
     kmeans_samples: int = 5000
     kmeans_iters: int = 50
@@ -124,7 +124,7 @@ class DataSection:
         if self.tasks == []:
             raise ConfigError("data.tasks must not be empty")
         if self.seed < 0:
-            raise ConfigError(f"data.seed must be >= 0, not {self.seed}")
+            raise ConfigError(f"data.seed must be >= 0, not {_shown(self.seed)}")
 
     def task_specs(self) -> list[TaskSpec]:
         if self.tasks is None:
@@ -165,7 +165,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
         if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, not {self.seeds}")
+            raise ConfigError(f"seeds must be >= 0, not {_shown(self.seeds)}")
         specs = self.data.task_specs()  # validates task definitions
         task_ids = [spec.task_id for spec in specs]
         top_symbol = max(max(spec.markers + (spec.filler_hi,)) for spec in specs)
@@ -232,9 +232,15 @@ def _check_fields(cls, raw: dict, path: str) -> None:
         hint = hints[key]
         if not _fits(value, hint):
             raise ConfigError(f"{path}.{key} must be {hint.__name__ if isinstance(hint, type) else hint}, "
-                              f"not {value!r}")
+                              f"not {_shown(value)}")
         if dataclasses.is_dataclass(hint):
             _check_fields(hint, value, f"{path}.{key}")
+
+
+def _shown(value) -> str:
+    """The repr of a rejected value, cut to its first 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _fits(value, hint) -> bool:

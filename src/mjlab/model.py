@@ -10,6 +10,7 @@ the backbone participates in forward passes only; no gradient buffers remain.
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from typing import Mapping, Protocol
 
@@ -242,6 +243,15 @@ def next_token_loss(model: Backbone, tokens: np.ndarray) -> Tensor:
     return tz.cross_entropy(flat, targets.reshape(-1), weights.reshape(-1))
 
 
+@contextmanager
+def diverged(phase: str, stage: str):
+    """Re-raises a non-finite value in `stage` of `phase` as a RuntimeError naming both."""
+    try:
+        yield
+    except FloatingPointError as err:
+        raise RuntimeError(f"{phase} diverged at {stage}: {err}") from err
+
+
 def pretrain_backbone(
     model: Backbone,
     corpus: list[np.ndarray],
@@ -278,10 +288,8 @@ def pretrain_backbone(
         for batch in batches(hold_idx):
             b, t = batch.shape
             n_pred = b * (t - 1)
-            try:
+            with diverged("pretraining", "holdout evaluation"):
                 total += float(next_token_loss(model, batch).data) * n_pred
-            except FloatingPointError as err:
-                raise RuntimeError(f"pretraining diverged at holdout evaluation: {err}") from err
             count += n_pred
         return total / count
 
@@ -295,10 +303,8 @@ def pretrain_backbone(
             if step >= steps:
                 break
             with tz.Tape():
-                try:
+                with diverged("pretraining", f"step {step}"):
                     loss = next_token_loss(model, train_batches[bi])
-                except FloatingPointError as err:
-                    raise RuntimeError(f"pretraining diverged at step {step}: {err}") from err
                 tz.backward(loss)
             opt.step()
             opt.zero_grad()

@@ -92,18 +92,18 @@ def moe_gates(bank: MoEAdapterBank, layer: int, h: Tensor) -> Tensor:
     return tz.div(kept, denom)
 
 
-def moe_term(bank: MoEAdapterBank, layer: int, proj: ProjectionId, gates: Tensor) -> tz.LoRA:
+def moe_term(bank: MoEAdapterBank, layer: int, proj: ProjectionId, gates: Tensor, drop_rng=None) -> tz.LoRA:
     """A projection's experts as one LoRA term, expert n gated by column n
-    of `gates`."""
+    of `gates`, drawing dropout masks from `drop_rng` (None: no dropout)."""
     experts = bank.experts[(layer, proj)]
     cfg = experts[0].cfg
     return tz.LoRA([e.a for e in experts], [e.b for e in experts], cfg.alpha / cfg.r, cfg.dropout,
-                   bank.drop_rng, gates, range(len(experts)))
+                   drop_rng, gates, range(len(experts)))
 
 
-def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
-    """Gate-weighted sum of expert LoRA outputs on input x, as one tape node."""
-    return tz.adapter_delta(x, moe_term(bank, layer, proj, gates))
+def moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor, drop_rng=None) -> Tensor:
+    """Gate-weighted sum of expert LoRA outputs on input x, as one tape node (`moe_term`)."""
+    return tz.adapter_delta(x, moe_term(bank, layer, proj, gates, drop_rng))
 
 
 class MoEHooks:
@@ -112,10 +112,12 @@ class MoEHooks:
 
     def __init__(self, bank: MoEAdapterBank):
         self.bank = bank
+        self._drop_rng: np.random.Generator | None = None
 
-    def set_batch(self, task_experts=None) -> None:
-        """A no-op: the learned router needs no per-batch input."""
+    def set_batch(self, task_experts=None, drop_rng: np.random.Generator | None = None) -> None:
+        """The next pass's dropout stream (None: no dropout); the learned router needs no experts."""
+        self._drop_rng = drop_rng
 
     def begin_block(self, layer: int, h: Tensor) -> dict[ProjectionId, tz.LoRA]:
         gates = moe_gates(self.bank, layer, h)
-        return {proj: moe_term(self.bank, layer, proj, gates) for proj in self.bank.projections}
+        return {proj: moe_term(self.bank, layer, proj, gates, self._drop_rng) for proj in self.bank.projections}

@@ -382,7 +382,8 @@ class MonkeyJumpHooks:
     enter as constants, so backward passes can never touch them. A shared
     projection, and every adapter of a block without a RouterState, applies
     uniformly, so `MonkeyJumpHooks(bank, {})` is standard PEFT; on the
-    frozen method's bank, which has no adapters, it returns no terms.
+    frozen method's bank, which has no adapters, it returns no terms. Every
+    term draws its dropout masks from the generator of the last `set_batch`.
     """
 
     def __init__(self, bank: AdapterBank, states: dict[int, RouterState]):
@@ -390,10 +391,13 @@ class MonkeyJumpHooks:
         self.states = states
         self.collected: list[tuple[int, RoutingDecision, np.ndarray]] = []
         self._task_experts: np.ndarray | None = None
+        self._drop_rng: np.random.Generator | None = None
 
-    def set_batch(self, task_experts: np.ndarray | None = None) -> None:
-        """Per-sequence expert indices, required for task granularity."""
+    def set_batch(self, task_experts: np.ndarray | None = None, drop_rng: np.random.Generator | None = None) -> None:
+        """The next pass's inputs: per-sequence expert indices, required for
+        task granularity, and the dropout stream, None for no dropout."""
         self._task_experts = task_experts
+        self._drop_rng = drop_rng
         self.collected = []
 
     def begin_block(self, layer: int, h: Tensor) -> dict[ProjectionId, tz.LoRA | tz.Propulsion]:
@@ -407,7 +411,7 @@ class MonkeyJumpHooks:
         for proj in self.bank.projections:
             adapter = self.bank.adapters[(layer, proj)]
             if state is not None and proj in state.routed:
-                terms[proj] = adapter.term(coefficients, self.bank.drop_rng, column=state.routed.index(proj))
+                terms[proj] = adapter.term(coefficients, self._drop_rng, column=state.routed.index(proj))
             else:
-                terms[proj] = adapter.term(1.0, self.bank.drop_rng)
+                terms[proj] = adapter.term(1.0, self._drop_rng)
         return terms

@@ -8,6 +8,7 @@ hosts the shared-vs-task-specific comparison and the ablation sweep driver.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import tensor as tz
 from .tensor import Tensor
-from .model import Backbone, pretrain_backbone
+from .model import Backbone, diverged, pretrain_backbone
 from .adapters import AdapterBank, count_trainable
 from .moe_baseline import MoEAdapterBank, MoEHooks
 from .router import (
@@ -219,15 +220,6 @@ def init_usage(cfg: ExperimentConfig, model: Backbone, states: dict[int, RouterS
             usage.add(layer, route(state, hidden[layer], experts))
 
 
-@contextmanager
-def _diverged(stage: str):
-    """Re-raises a non-finite value in `stage` as a RuntimeError naming it."""
-    try:
-        yield
-    except FloatingPointError as err:
-        raise RuntimeError(f"training diverged at {stage}: {err}") from err
-
-
 def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
                  backbone: Backbone, train_ds: Dataset, val_ds: Dataset) -> dict:
     """Full fine-tuning run on a world from `prepare_world`; deterministic
@@ -243,7 +235,7 @@ def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
 
     states = {}
     if cfg.method == "mj":
-        with _diverged("router initialization (k-means token sample)"):
+        with diverged("training", "router initialization (k-means token sample)"):
             states = init_router_states(cfg, backbone, train_ds, seed, total_steps)
     bank, hooks = build_method(cfg, seed, states)
 
@@ -253,10 +245,9 @@ def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
 
     usage_init, usage_final = UsageRecorder(), UsageRecorder()
     if states:
-        with _diverged("the initial usage pass"):
+        with diverged("training", "the initial usage pass"):
             init_usage(cfg, backbone, states, val_ds, usage_init)
 
-    bank.train()
     metrics: list[dict] = []
     order_rng = np.random.default_rng(_derive(seed, 6))
     accum = cfg.train.grad_accum
@@ -268,9 +259,9 @@ def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
             step_decisions: list[tuple[int, RoutingDecision, np.ndarray]] = []
             for micro, bi in enumerate(epoch_order[start:start + accum]):
                 tokens, labels, tasks = batch_arrays(train_ds, batches[bi])
-                bank.begin_step(_derive(seed, 7, step * 10000 + micro))
-                hooks.set_batch(_task_expert_row(cfg, tasks))
-                with tz.Tape(), _diverged(f"step {step}"):
+                drop_rng = np.random.default_rng(_derive(seed, 7, step * 10000 + micro))
+                hooks.set_batch(_task_expert_row(cfg, tasks), drop_rng)
+                with tz.Tape(), diverged("training", f"step {step}"):
                     final = backbone.final_states(tokens, hooks)
                     loss = tz.cross_entropy(head.logits(final), labels)
                     scaled = tz.mul(loss, 1.0 / accum)
@@ -288,8 +279,7 @@ def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
             metrics.append(row)
             step += 1
 
-    bank.eval()
-    with _diverged("the final evaluation"):
+    with diverged("training", "the final evaluation"):
         result = evaluate(cfg, backbone, hooks, head, val_ds, usage=usage_final if states else None)
 
     report = {
@@ -307,7 +297,8 @@ def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
         report["usage_rho"] = [float(r) for r in stats.rho]
 
     if out_dir is not None:
-        with _staged_dir(Path(out_dir)) as staged:
+        with _staged(Path(out_dir)) as staged:
+            staged.mkdir()
             (staged / "config.json").write_text(cfg.to_json())
             with open(staged / "metrics.jsonl", "w") as fh:
                 for row in metrics:
@@ -330,21 +321,28 @@ def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
 
 
 @contextmanager
-def _staged_dir(out_dir: Path):
-    """A hidden sibling of `out_dir` to write into, renamed to `out_dir`
-    (replacing it) on success and removed on failure; its leading '.' keeps
-    `run-*` globs from seeing a half-written run."""
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staged = out_dir.with_name(f".{out_dir.name}.{os.getpid()}.tmp")
-    shutil.rmtree(staged, ignore_errors=True)
-    staged.mkdir()
+def _staged(target: Path):
+    """A hidden sibling path of `target` to write a file or a directory to,
+    moved onto `target` (replacing it) on success and removed on failure; its
+    leading '.' keeps `run-*` globs and the target's own name from matching it."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staged = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    _remove(staged)
     try:
         yield staged
     except BaseException:
-        shutil.rmtree(staged, ignore_errors=True)
+        _remove(staged)
         raise
-    shutil.rmtree(out_dir, ignore_errors=True)
-    staged.rename(out_dir)
+    if staged.is_dir():
+        shutil.rmtree(target, ignore_errors=True)
+    os.replace(staged, target)
+
+
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink(missing_ok=True)
 
 
 def _step_usage(decisions) -> dict:
@@ -493,10 +491,8 @@ def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | No
 
 
 def write_ablation_csv(rows: list[dict], path) -> None:
-    import csv
-
     tasks = sorted({t for row in rows for t in row["per_task_accuracy"]})
-    with open(path, "w", newline="") as fh:
+    with _staged(Path(path)) as staged, open(staged, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "seed", "task", "accuracy", "usage_rho_mean"])
         for row in rows:

@@ -328,7 +328,6 @@ def test_criterion_07_zero_init_equivalence():
         for variant in ("lora", "lorafa", "propulsion"):
             for granularity in ("token", "sequence", "task"):
                 bank = AdapterBank(cfg, AdapterConfig(variant=variant), targeted, seed=73)
-                bank.eval()
                 states = {
                     layer: RouterState(centers=centers.copy(), routed=routed,
                                        shared=(ProjectionId.o, ProjectionId.gate),

@@ -5,7 +5,8 @@ import mjlab.tensor as tz
 from mjlab.tensor import Tensor
 from mjlab.adapters import Adapter, AdapterBank, AdapterConfig, count_trainable
 from mjlab.model import Backbone, ModelConfig, ProjectionId
-from mjlab.router import MonkeyJumpHooks
+from mjlab.moe_baseline import MoEAdapterBank, MoEConfig, MoEHooks
+from mjlab.router import MonkeyJumpHooks, RouterState
 
 from conftest import finite_difference_check
 
@@ -106,7 +107,6 @@ class TestZeroInit:
     @pytest.mark.parametrize("variant", ["lora", "lorafa", "propulsion"])
     def test_forward_equals_frozen_bitwise(self, variant, tiny_cfg, tiny_frozen):
         bank = AdapterBank(tiny_cfg, AdapterConfig(variant=variant), QKVOG, seed=9)
-        bank.eval()
         toks = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
         hooks = MonkeyJumpHooks(bank, {})
         assert np.array_equal(tiny_frozen.final_states(toks).data, tiny_frozen.final_states(toks, hooks).data)
@@ -120,7 +120,6 @@ class TestGradients:
         bank = AdapterBank(
             tiny_cfg, AdapterConfig(variant=variant, dropout=0.0), (ProjectionId.q, ProjectionId.gate), seed=10
         )
-        bank.eval()
         rng = np.random.default_rng(11)
         for t in bank.trainable_tensors():
             t.data = rng.normal(size=t.data.shape) * 0.2
@@ -139,7 +138,6 @@ class TestGradients:
 
     def test_backbone_stays_gradient_free(self, tiny_cfg, tiny_frozen):
         bank = AdapterBank(tiny_cfg, AdapterConfig(dropout=0.0), QKVOG, seed=12)
-        bank.eval()
         hooks = MonkeyJumpHooks(bank, {})
         toks = np.array([[1, 2, 3]])
         with tz.Tape():
@@ -157,19 +155,49 @@ class TestDropout:
             t.data = rng.normal(size=t.data.shape) * 0.3
         toks = np.array([[1, 2, 3, 4]])
         hooks = MonkeyJumpHooks(bank, {})
-        bank.train()
-        bank.begin_step(77)
+        hooks.set_batch(None, np.random.default_rng(77))
         out1 = tiny_frozen.final_states(toks, hooks).data
-        bank.begin_step(77)
+        hooks.set_batch(None, np.random.default_rng(77))
         out2 = tiny_frozen.final_states(toks, hooks).data
-        bank.begin_step(78)
+        hooks.set_batch(None, np.random.default_rng(78))
         out3 = tiny_frozen.final_states(toks, hooks).data
         assert np.array_equal(out1, out2)
         assert not np.array_equal(out1, out3)
-        bank.eval()
+        hooks.set_batch(None)
         eval1 = tiny_frozen.final_states(toks, hooks).data
         eval2 = tiny_frozen.final_states(toks, hooks).data
         assert np.array_equal(eval1, eval2)
+
+    @pytest.mark.parametrize("method", ["mj", "moe"])
+    def test_batch_without_stream_equals_fresh_hooks(self, method, tiny_cfg, tiny_frozen):
+        """`set_batch(experts)` right after a dropout batch runs the pass of a
+        fresh hooks object: no dropout outlives the batch it came with."""
+
+        def make_hooks():
+            if method == "moe":
+                bank = MoEAdapterBank(tiny_cfg, MoEConfig(dropout=0.3), QKVOG, seed=5)
+                hooks = MoEHooks(bank)
+            else:
+                bank = AdapterBank(tiny_cfg, AdapterConfig(dropout=0.3), QKVOG, seed=5)
+                states = {layer: RouterState(centers=np.random.default_rng(6 + layer).normal(size=(3, tiny_cfg.d_model)))
+                          for layer in bank.layers}
+                hooks = MonkeyJumpHooks(bank, states)
+            rng = np.random.default_rng(7)
+            for t in bank.trainable_tensors():
+                t.data = rng.normal(size=t.shape) * 0.3
+            return hooks
+
+        toks = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+        experts = np.array([0, 2])
+        hooks = make_hooks()
+        hooks.set_batch(experts, np.random.default_rng(8))
+        dropped = tiny_frozen.final_states(toks, hooks).data
+        hooks.set_batch(experts)
+        after = tiny_frozen.final_states(toks, hooks).data
+        fresh = make_hooks()
+        fresh.set_batch(experts)
+        assert after.tobytes() == tiny_frozen.final_states(toks, fresh).data.tobytes()
+        assert not np.array_equal(dropped, after)  # the dropout batch did drop
 
 
 class TestCheckpoint:

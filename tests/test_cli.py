@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mjlab.cli import _parse_values, main
 from mjlab.config import ConfigError, ExperimentConfig, config_hash
@@ -208,6 +208,14 @@ def with_invalid_value(path, value) -> dict:
     return raw
 
 
+def table_examples(test):
+    """`test` with every value of INVALID_VALUES as an explicit example."""
+    for path, values in INVALID_VALUES.items():
+        for value in values:
+            test = example(raw=with_invalid_value(path, value))(test)
+    return test
+
+
 @st.composite
 def invalid_configs(draw) -> dict:
     """SMALL_RAW with one field set to an invalid value, or one unknown key added."""
@@ -241,6 +249,7 @@ class TestInvalidConfigProperty:
 
     @settings(max_examples=60, deadline=None)
     @given(raw=invalid_configs())
+    @table_examples
     def test_train_exits_1_before_compute(self, raw):
         import mjlab.train as train
 
@@ -256,6 +265,7 @@ class TestInvalidConfigProperty:
             assert main(["train", "--config", str(path), "--out", str(out), "--quiet"]) == 1
             assert not out.exists()
         assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1 and len(err.getvalue().encode()) <= 200, err.getvalue()
 
 
 class TestDumpConfig:
@@ -343,6 +353,27 @@ class TestEndToEnd:
         table = json.loads((out / "shared_vs_specific.json").read_text())
         assert table["parity"] is True
         assert set(table["median_shared"]) == {"0", "1"}
+
+    def test_failed_compare_write_keeps_the_previous_table(self, tmp_path, fast_config_path, monkeypatch):
+        """A write failing mid-file leaves the earlier table byte-identical
+        and no hidden sibling behind."""
+        import mjlab.cli as cli
+
+        out = tmp_path / "compare"
+        out.mkdir()
+        (out / "shared_vs_specific.json").write_text("{}")
+        monkeypatch.setattr(cli, "shared_vs_specific", lambda cfg, worlds: {"rows": []})
+        write_text = Path.write_text
+
+        def fail_midway(self, text, *args, **kwargs):
+            write_text(self, text[:5], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", fail_midway)
+        assert main(["compare", "--config", str(fast_config_path), "--out", str(out), "--quiet"]) == 2
+        monkeypatch.undo()
+        assert (out / "shared_vs_specific.json").read_text() == "{}"
+        assert [p.name for p in out.iterdir()] == ["shared_vs_specific.json"]
 
     def test_probe_csv(self, tmp_path, fast_config_path, capsys):
         out = tmp_path / "probe"

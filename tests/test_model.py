@@ -265,8 +265,7 @@ class TestBackwardMemory:
         bank, hooks = build_method(cfg, 0, states)
         head = ClassifierHead(cfg.model.d_model, 3)
         tokens = rng.integers(0, cfg.model.vocab_size, size=(4, 10))
-        bank.begin_step(1)
-        hooks.set_batch()
+        hooks.set_batch(None, np.random.default_rng(1))
         with tz.Tape() as tape:
             final = backbone.final_states(tokens, hooks)
             loss = tz.cross_entropy(head.logits(final), rng.integers(0, 3, size=4))

@@ -23,16 +23,16 @@ def moe_forward(bank: MoEAdapterBank, layer: int, proj: ProjectionId, h: Tensor)
     return moe_mix(bank, layer, proj, h, moe_gates(bank, layer, h))
 
 
-def unfused_moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor) -> Tensor:
+def unfused_moe_mix(bank: MoEAdapterBank, layer: int, proj: ProjectionId, x: Tensor, gates: Tensor,
+                    drop_rng: np.random.Generator | None = None) -> Tensor:
     """The chain `moe_mix` fuses: one `Adapter.apply` per expert, joined by
     `add`; the bitwise reference. Each `Adapter.apply` is a one-adapter
     `tz.LoRA` node, which runs the same stacked code as `moe_mix`; the
     one-adapter node is tied to the chain of single ops by
     `test_tensor.py`'s `TestLoraDelta.test_bitwise_equal_to_unfused_chain`."""
-    drop_rng = bank.drop_rng
     out = None
     for n, expert in enumerate(bank.experts[(layer, proj)]):
-        term = expert.apply(x, gates, drop_rng=drop_rng, column=n)
+        term = expert.apply(x, gates, rng=drop_rng, column=n)
         out = term if out is None else tz.add(out, term)
     return out
 
@@ -244,14 +244,11 @@ class TestGroupedNode:
         experts = bank.experts[(0, ProjectionId.up)]
         leaves = {"x": x, "gates": gates, **{f"e{n}.{k}": t for n, e in enumerate(experts)
                                              for k, t in e.named_tensors().items()}}
-        if not dropout:
-            bank.eval()
         out = []
         for step in range(rounds):
-            if dropout:
-                bank.begin_step(40 + step)
+            drop_rng = np.random.default_rng(40 + step) if dropout else None
             with tz.Tape() as tape:
-                y = mix(bank, 0, ProjectionId.up, x, gates)
+                y = mix(bank, 0, ProjectionId.up, x, gates, drop_rng)
                 n_nodes = len(tape.nodes)
                 loss = tz.tsum(tz.mul(y, w))
                 if loss.requires_grad:
@@ -329,8 +326,8 @@ class TestGroupedNode:
         w = rng.normal(size=(2, 3, 5))
 
         def build():
-            bank.begin_step(7)  # identical masks on every eval
-            return tz.tsum(tz.mul(moe_mix(bank, 0, ProjectionId.up, x, gates), w))
+            drop_rng = np.random.default_rng(7)  # identical masks on every eval
+            return tz.tsum(tz.mul(moe_mix(bank, 0, ProjectionId.up, x, gates, drop_rng), w))
 
         experts = bank.experts[(0, ProjectionId.up)]
         finite_difference_check(build, [x, gates] + [t for e in experts for t in (e.a, e.b)])
@@ -366,8 +363,7 @@ class TestTapeFootprint:
         rng = np.random.default_rng(38)
         tokens = rng.integers(0, cfg.model.vocab_size, size=(16, 24))
         labels = rng.integers(0, 3, size=16)
-        bank.begin_step(1)
-        hooks.set_batch()
+        hooks.set_batch(None, np.random.default_rng(1))
         tracemalloc.start()
         try:
             with tz.Tape() as tape:

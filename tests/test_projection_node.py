@@ -66,13 +66,9 @@ def rounds(model, make_hooks, final_states, dropout, n_rounds=2):
     rng = np.random.default_rng(72)
     tokens = rng.integers(0, model.cfg.vocab_size, size=(3, 6))
     w = rng.normal(size=(3, 6, model.cfg.d_model))
-    if not dropout:
-        bank.eval()
     out = []
     for r in range(n_rounds):
-        if dropout:
-            bank.begin_step(50 + r)
-        hooks.set_batch(np.array([0, 1, 0]))
+        hooks.set_batch(np.array([0, 1, 0]), np.random.default_rng(50 + r) if dropout else None)
         with tz.Tape() as tape:
             y = final_states(model, tokens, hooks)
             n_nodes = len(tape.nodes)
@@ -258,8 +254,7 @@ class TestTapeGuard:
         head = ClassifierHead(cfg.model.d_model, 3)
         tokens = rng.integers(0, cfg.model.vocab_size, size=(16, 24))
         labels = rng.integers(0, 3, size=16)
-        bank.begin_step(1)
-        hooks.set_batch()
+        hooks.set_batch(None, np.random.default_rng(1))
         tracemalloc.start()
         try:
             with tz.Tape() as tape:

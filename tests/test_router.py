@@ -377,9 +377,9 @@ class TestShared:
         calls = []
         orig_term = bank.get(0, ProjectionId.o).term
 
-        def spy(m, drop_rng=None):
+        def spy(m, rng=None):
             calls.append(m)
-            return orig_term(m, drop_rng)
+            return orig_term(m, rng)
 
         bank.get(0, ProjectionId.o).term = spy
         hooks.set_batch(None)
@@ -549,6 +549,11 @@ class UnfusedHooks(MonkeyJumpHooks):
         self.coefficients = {}
         self.uniform = DeltaHooks(MonkeyJumpHooks(bank, {}))
 
+    def set_batch(self, task_experts=None, drop_rng=None):
+        """Both hooks draw from the one stream, as the fused hooks' terms do."""
+        super().set_batch(task_experts, drop_rng)
+        self.uniform.hooks.set_batch(None, drop_rng)
+
     def begin_block(self, layer, h):
         self.uniform.begin_block(layer, h)
         state = self.states.get(layer)
@@ -563,7 +568,7 @@ class UnfusedHooks(MonkeyJumpHooks):
         state = self.states.get(layer)
         if adapter is None or state is None or proj not in state.routed:
             return self.uniform.contribution(layer, proj, x, base)
-        delta = adapter.apply(x, 1.0, base=base, drop_rng=self.bank.drop_rng)
+        delta = adapter.apply(x, 1.0, base=base, rng=self._drop_rng)
         return tz.mul(delta, tz.select_index(self.coefficients[layer], 2, state.routed.index(proj)))
 
 
@@ -620,8 +625,7 @@ def assert_hooks_match_unfused(cfg, frozen, similarity, granularity, variant, ro
             for name, t in bank.named_tensors().items():
                 t.data = weights[name].copy()
         hooks = hooks_cls(bank, states)
-        hooks.set_batch(np.array([0, len(routed) - 1, 0]))
-        bank.begin_step(7)
+        hooks.set_batch(np.array([0, len(routed) - 1, 0]), np.random.default_rng(7))
         with tz.Tape() as tape:
             out = final_states(frozen, toks, hooks)
             n_nodes = len(tape.nodes)

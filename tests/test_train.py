@@ -29,6 +29,7 @@ from mjlab.train import (
     prepare_world,
     run_pipeline,
     shared_vs_specific,
+    write_ablation_csv,
 )
 
 from conftest import small_config
@@ -41,7 +42,6 @@ def adapted_init_usage(seed: int):
 
     def adapted(cfg, model, states, dataset, usage):
         bank, hooks = build_method(cfg, seed, states)
-        bank.eval()
         return evaluate(cfg, model, hooks, ClassifierHead(cfg.model.d_model, dataset.n_global_classes),
                         dataset, usage=usage)
 
@@ -171,10 +171,9 @@ class TestPipeline:
         opt = AdamW(params, lr=1e-2, weight_decay=cfg.train.weight_decay)
         batches = length_buckets(sub, 8)
         order = np.random.default_rng(_derive(3, 6)).permutation(len(batches))
-        bank.train()
         for micro, bi in enumerate(order):
             tokens, labels, _tasks = batch_arrays(sub, batches[bi])
-            bank.begin_step(_derive(3, 7, 0 * 10000 + micro))
+            hooks.set_batch(None, np.random.default_rng(_derive(3, 7, 0 * 10000 + micro)))
             with tz.Tape():
                 final = backbone.final_states(tokens, hooks)
                 loss = tz.mul(tz.cross_entropy(head.logits(final), labels), 0.5)
@@ -378,6 +377,20 @@ class TestRunOutput:
         assert not (out / "stale.txt").exists()
         assert (out / "report.json").exists()
         assert [p.name for p in tmp_path.iterdir()] == ["run-x-s0"]
+
+    def test_failed_csv_write_keeps_the_previous_file(self, tmp_path):
+        """A writer failing mid-file leaves the earlier file byte-identical
+        and no hidden sibling behind."""
+        row = {"axis": "beta", "value": 0.5, "seed": 0, "per_task_accuracy": {"0": 0.5, "1": 0.25},
+               "usage_rho_mean": 1.0}
+        path = tmp_path / "ablation_beta.csv"
+        write_ablation_csv([row], path)
+        before = path.read_bytes()
+        broken = {k: v for k, v in row.items() if k != "usage_rho_mean"}
+        with pytest.raises(KeyError, match="usage_rho_mean"):
+            write_ablation_csv([dict(row, seed=1), broken], path)  # fails after the seed-1 rows
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ablation_beta.csv"]
 
     def test_ema_gets_one_row_per_token(self, small_world, monkeypatch):
         import mjlab.train as train
