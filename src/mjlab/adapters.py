@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as tz
-from .tensor import Tensor
+from .tensor import Tensor, shown
 from .model import ModelConfig, ProjectionId
 
 VARIANTS = ("lora", "lorafa", "propulsion")
@@ -29,7 +29,7 @@ class AdapterConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown adapter variant {self.variant!r}")
+            raise ValueError(f"unknown adapter variant {shown(self.variant)}")
         if self.r < 1:
             raise ValueError("rank must be >= 1")
         if self.alpha <= 0:

@@ -24,6 +24,7 @@ from .adapters import AdapterConfig
 from .moe_baseline import MoEConfig
 from .data import TaskSpec, check_disjoint_markers, default_task_specs
 from .router import DEFAULT_ROUTED, DEFAULT_SHARED, RouterState, RoutingRules
+from .tensor import shown
 
 METHODS = ("mj", "peft", "moe", "frozen")
 
@@ -49,7 +50,7 @@ class RouterSection(RoutingRules):
         for group in (self.routed, self.shared):
             for p in group:
                 if p not in names:
-                    raise ConfigError(f"unknown projection {p!r}")
+                    raise ConfigError(f"unknown projection {shown(p)}")
         if not self.routed:
             raise ConfigError("router.routed must not be empty")
         if self.kmeans_samples < 1 or self.kmeans_iters < 1:
@@ -124,7 +125,7 @@ class DataSection:
         if self.tasks == []:
             raise ConfigError("data.tasks must not be empty")
         if self.seed < 0:
-            raise ConfigError(f"data.seed must be >= 0, not {_shown(self.seed)}")
+            raise ConfigError(f"data.seed must be >= 0, not {shown(self.seed)}")
 
     def task_specs(self) -> list[TaskSpec]:
         if self.tasks is None:
@@ -165,7 +166,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
         if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, not {_shown(self.seeds)}")
+            raise ConfigError(f"seeds must be >= 0, not {shown(self.seeds)}")
         specs = self.data.task_specs()  # validates task definitions
         task_ids = [spec.task_id for spec in specs]
         top_symbol = max(max(spec.markers + (spec.filler_hi,)) for spec in specs)
@@ -232,15 +233,9 @@ def _check_fields(cls, raw: dict, path: str) -> None:
         hint = hints[key]
         if not _fits(value, hint):
             raise ConfigError(f"{path}.{key} must be {hint.__name__ if isinstance(hint, type) else hint}, "
-                              f"not {_shown(value)}")
+                              f"not {shown(value)}")
         if dataclasses.is_dataclass(hint):
             _check_fields(hint, value, f"{path}.{key}")
-
-
-def _shown(value) -> str:
-    """The repr of a rejected value, cut to its first 40 characters."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _fits(value, hint) -> bool:

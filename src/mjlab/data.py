@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import shown
+
 RULES = ("majority", "last_marker", "count_threshold")
 
 
@@ -31,7 +33,7 @@ class TaskSpec:
     def __post_init__(self):
         self.markers = tuple(int(m) for m in self.markers)
         if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
+            raise ValueError(f"unknown rule {shown(self.rule)}")
         if self.rule == "count_threshold":
             if self.n_classes != 2:
                 raise ValueError("count_threshold is a binary rule")

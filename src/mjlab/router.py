@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as tz
-from .tensor import NORM_FLOOR, Tensor
+from .tensor import NORM_FLOOR, Tensor, shown
 from .model import ProjectionId
 from .adapters import AdapterBank
 
@@ -85,9 +85,9 @@ class RouterState(RoutingRules):
         if self.stop_step < 0:
             raise ValueError("stop_step must be >= 0")
         if self.similarity not in SIMILARITIES:
-            raise ValueError(f"unknown similarity {self.similarity!r}")
+            raise ValueError(f"unknown similarity {shown(self.similarity)}")
         if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
+            raise ValueError(f"unknown granularity {shown(self.granularity)}")
         if sorted(self.permutation) != list(range(n)):
             raise ValueError("permutation must be a bijection over routed slots")
         if np.any(np.sqrt((self.centers * self.centers).sum(axis=1)) == 0.0):

@@ -20,7 +20,11 @@ it. `backward` pops the nodes in reverse order and takes each node's output
 gradient off its slot before using it, so an intermediate gradient and the
 node's closure are freed as soon as the node has run. Only leaves keep a
 `.grad`. Backward functions compute no gradient for an input with
-requires_grad=False; they return None in its place.
+requires_grad=False; they give None in its place. A backward function gives
+its gradients as an iterable in `inputs` order, and `backward` adds each to
+its input before it asks for the next: the projection node and the LoRA term
+are generators, so a node holds one input's gradient at a time and a
+stack of E adapters rebuilds one adapter at a time, from its own slices.
 
 Replay contract of the fused ops (`adapted_projections`, `causal_attention`,
 `swiglu`, `adapter_delta`, `route_coefficients`): each is one tape node that
@@ -32,11 +36,12 @@ What each keeps, and what its backward rebuilds with the forward's own
 expressions:
 - `adapted_projections`: W^T, and x only when a weight trains, plus what
   each adapter term keeps;
-- a `LoRA` term, always a stack of E >= 1 adapters: x, the boolean masks,
-  the stacked A^T and B^T and the gate; it rebuilds dropout(x), x_d A^T,
-  the gate columns and the ungated deltas;
-- a `Propulsion` term: its frozen product, the boolean mask and the gate
-  column; it rebuilds dropout(W x) and the ungated delta;
+- a `LoRA` term, always a stack of E >= 1 adapters: x, the masks packed to
+  bits, the stacked A^T and B^T and the gate; it rebuilds, per adapter,
+  the float mask, dropout(x), x_d A_e^T, the gate column and the ungated
+  delta;
+- a `Propulsion` term: its frozen product, the mask packed to bits and the
+  gate column; it rebuilds dropout(W x) and the ungated delta;
 - `swiglu`: the stacked up|gate; it rebuilds sigmoid(gate) and silu(gate);
 - `causal_attention`: the head-split q, k^T and v and the attention weights,
   which would cost a second softmax to rebuild;
@@ -52,6 +57,7 @@ and `swiglu` the stacked up, gate. With one weight and no term it is the
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -108,6 +114,13 @@ def _as_array(values) -> np.ndarray:
     # np.asarray with order="C" keeps 0-d scalars 0-d (ascontiguousarray would
     # promote them to shape (1,))
     return np.asarray(values, dtype=np.float64, order="C")
+
+
+def shown(value) -> str:
+    """The repr of a rejected value for an error message, cut to its first
+    40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -226,6 +239,8 @@ def backward(loss: Tensor) -> None:
     in reverse order, and each output's gradient is taken off its slot as its
     node runs, so intermediate gradients and node closures are freed on the
     way and the tape is empty afterwards; only leaves keep their `.grad`.
+    A node's gradients are an iterable in `inputs` order, and each is added
+    to its input before the next is computed.
     Gradients accumulate (+=) into existing leaf buffers so repeated calls
     realize gradient accumulation until zero_grad.
     """
@@ -245,14 +260,13 @@ def backward(loss: Tensor) -> None:
         g_out, out.grad = out.grad, None
         if g_out is None:
             continue
-        grads = node.backward_fn(g_out)
-        for inp, g in zip(node.inputs, grads):
-            if g is None or inp is None:
-                continue
-            if inp.grad is None:
-                inp.grad = np.ascontiguousarray(g, dtype=np.float64)
-            else:
-                inp.grad = inp.grad + g
+        grads = iter(node.backward_fn(g_out))
+        for inp in node.inputs:  # not zip: it would hold the last gradient while the next is computed
+            g = next(grads)
+            if g is not None and inp is not None:
+                inp.grad = np.ascontiguousarray(g, dtype=np.float64) if inp.grad is None else inp.grad + g
+            del g
+        del grads
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +465,17 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make("softmax", y, (a,), back)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1.0 / (1.0 + exp(-x)), computed in one buffer."""
+    sig = np.negative(x)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    return np.divide(1.0, sig, out=sig)
+
+
 def _sigmoid_silu(x: np.ndarray):
     """(sigmoid(x), silu(x)), by the expressions `silu` and `swiglu` share."""
-    sig = 1.0 / (1.0 + np.exp(-x))
+    sig = _sigmoid(x)
     return sig, _as_array(x * sig)
 
 
@@ -473,7 +495,10 @@ def swiglu(ug) -> Tensor:
 
     `ug` is (2, ..., d_ff): up and gate stacked, as the {up, gate} projection
     node outputs them. The gradient is stacked the same way. The node keeps
-    `ug` alone; its backward rebuilds sigmoid(gate) and silu(gate).
+    `ug` alone; its backward rebuilds sigmoid(gate) and silu(gate), and
+    computes g * silu(gate) and g * up * sigmoid(gate) * (1.0 + gate * (1.0 -
+    sigmoid(gate))) in the gradient's own halves and the sigmoid's buffer
+    (IEEE * and + commute, so the operand order within a product is free).
     """
     ug = _wrap(ug)
     stacked = ug.data
@@ -481,10 +506,17 @@ def swiglu(ug) -> Tensor:
 
     def back(g):
         up, gate = stacked
-        sig, act = _sigmoid_silu(gate)
+        sig = _sigmoid(gate)
         g_ug = np.empty_like(stacked)
-        np.multiply(g, act, out=g_ug[0])
-        np.multiply(g * up * sig, 1.0 + gate * (1.0 - sig), out=g_ug[1])
+        g_up, g_gate = g_ug
+        np.multiply(gate, sig, out=g_up)  # silu(gate), as `_sigmoid_silu` computes it
+        g_up *= g
+        np.multiply(g, up, out=g_gate)
+        g_gate *= sig
+        np.subtract(1.0, sig, out=sig)
+        sig *= gate
+        sig += 1.0
+        g_gate *= sig
         return (g_ug,)
 
     return _make("swiglu", act * stacked[0], (ug,), back)
@@ -520,9 +552,11 @@ def causal_attention(qkv, n_heads: int) -> Tensor:
         g_qkv = np.empty(shape)
         gq, gk, gv = (part.reshape(heads) for part in g_qkv)
         gv[...] = np.swapaxes(np.swapaxes(att, -1, -2) @ g_ctx, 1, 2)
-        g_att = g_ctx @ np.swapaxes(vh, -1, -2)
-        dot = (g_att * att).sum(axis=-1, keepdims=True)
-        g_scores = att * (g_att - dot) * s
+        g_scores = g_ctx @ np.swapaxes(vh, -1, -2)  # g_att, then att * (g_att - dot) * s in place
+        dot = (g_scores * att).sum(axis=-1, keepdims=True)
+        g_scores -= dot
+        np.multiply(att, g_scores, out=g_scores)
+        g_scores *= s
         gq[...] = np.swapaxes(g_scores @ np.swapaxes(kt, -1, -2), 1, 2)
         gk[...] = np.swapaxes(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2), 1, 2)
         return (g_qkv,)
@@ -624,18 +658,24 @@ def _mask(keep: np.ndarray, p: float) -> np.ndarray:
 def _drop(x: np.ndarray, p: float, rng: np.random.Generator | None, n: int | None = None):
     """(dropout(x), keep) as `dropout` draws it; no `keep` unless `rng` is
     given and p > 0. With `n`, n masks come from one (n,) + x.shape draw,
-    the stream of n draws of x.shape.
+    the stream of n draws of x.shape, and `keep[e]` holds draw e.
 
-    `keep` is the boolean mask; a backward rebuilds the float mask with
-    `_mask`, as the forward did, so a node holds one byte per element for it
-    instead of eight.
+    `keep` is the boolean mask packed to bits with `np.packbits`, so a node
+    holds one bit per element for it instead of eight bytes; a backward
+    unpacks it with `_unpack` and rebuilds the float mask with `_mask`, as
+    the forward did.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if rng is None or p == 0.0:
         return x, None
     keep = rng.random(x.shape if n is None else (n,) + x.shape) >= p
-    return _as_array(x * _mask(keep, p)), keep
+    return _as_array(x * _mask(keep, p)), np.packbits(keep.reshape(-1 if n is None else (n, -1)), axis=-1)
+
+
+def _unpack(keep: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The boolean mask of one draw, in `shape`, from its bits `keep`."""
+    return np.unpackbits(keep, count=math.prod(shape)).reshape(shape).view(np.bool_)
 
 
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
@@ -644,7 +684,8 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     out, keep = _drop(a.data, p, rng)
     if keep is None:
         return a
-    return _make("dropout", out, (a,), lambda g: (g * _mask(keep, p),))
+    shape = a.shape
+    return _make("dropout", out, (a,), lambda g: (g * _mask(_unpack(keep, shape), p),))
 
 
 class LoRA(NamedTuple):
@@ -691,9 +732,12 @@ def _lora(x: Tensor, term: LoRA):
     leading adapter axis, which numpy computes slice by slice as separate
     calls do. `inputs` are (x, a, b, gate) once per adapter, in reverse order,
     so `backward` accumulates the gradients of x and the gate in the chain's
-    order. Keeps x, the boolean masks, A^T, B^T and the gate; the backward
-    rebuilds dropout(x), x_d @ A^T, the gate columns and the ungated delta
-    from them with the forward's own expressions.
+    order. Keeps x, the masks packed to one bit per element, A^T, B^T and
+    the gate. `back(g)` is a generator: one adapter at a time, in `inputs`
+    order, it rebuilds that adapter's float mask, dropout(x), x_d @ A_e^T,
+    gate column and ungated delta from its own slices with the forward's
+    expressions, and yields its gradients before the next adapter's are
+    computed.
     """
     a, b, column, gate, p = term.a, term.b, term.column, term.gate, term.p
     n = len(a)
@@ -701,7 +745,7 @@ def _lora(x: Tensor, term: LoRA):
         raise ValueError(f"a LoRA term needs one b and, when gated, one column per a: "
                          f"got {n} a, {len(b)} b, {len(column)} column")
     s = _as_array(term.scale)
-    x_data, x_grad = x.data, x.requires_grad
+    x_data, x_shape, x_grad = x.data, x.shape, x.requires_grad
     a_grad, b_grad = [t.requires_grad for t in a], [t.requires_grad for t in b]
     gate_data = None if gate is None else gate.data
     gated = gate is not None and gate.requires_grad
@@ -710,16 +754,9 @@ def _lora(x: Tensor, term: LoRA):
     lead = (n,) + (1,) * (x.ndim - 2)  # one adapter slice per batch of x
     at_mm, bt_mm = at.reshape(lead + at.shape[1:]), bt.reshape(lead + bt.shape[1:])
 
-    def products(xd):  # (x_d @ A^T, the ungated delta)
-        xa = _as_array(xd @ at_mm)
-        return xa, _as_array(_as_array(xa @ bt_mm) * s)
-
-    def columns():  # the gate columns, stacked as the deltas are
-        return np.array([gate_data[..., c:c + 1] for c in column])
-
-    out = products(xd)[1]
+    out = _as_array(_as_array(_as_array(xd @ at_mm) @ bt_mm) * s)  # the ungated deltas
     if gate is not None:
-        out = out * columns()
+        out = out * np.array([gate_data[..., c:c + 1] for c in column])  # the gate columns, stacked as the deltas
     terms, out = out, out[0]
     for t in terms[1:]:
         out = out + t
@@ -728,36 +765,37 @@ def _lora(x: Tensor, term: LoRA):
         inputs += (x, a[e], b[e]) if gate is None else (x, a[e], b[e], gate)
 
     def back(g):
-        mask = None if keep is None else _mask(keep, p)
-        xd = x_data if mask is None else _as_array(x_data * mask)
-        xas, deltas = products(xd) if any(b_grad) or gated else (None, None)
-        xds = (x_data,) * n if mask is None else xd
-        gcols = None if gate_data is None else columns()
-        grads = []
         for e in reversed(range(n)):
-            gx = ga = gb = None
+            col = None if gate_data is None else gate_data[..., column[e]:column[e] + 1]
+            mask = None if keep is None else _mask(_unpack(keep[e], x_shape), p)
+            xd = x_data if mask is None else _as_array(x_data * mask)
+            xa = _as_array(xd @ at_mm[e]) if b_grad[e] or gated else None
+            g_xab = g_xa = gx = None
             if x_grad or a_grad[e] or b_grad[e]:
-                g_xab = (g if gcols is None else g * gcols[e]) * s
-                if b_grad[e]:
-                    g_bt = _unbroadcast(np.swapaxes(xas[e], -1, -2) @ g_xab, bt[e].shape)
-                    gb = np.ascontiguousarray(g_bt.T)
-                if x_grad or a_grad[e]:
-                    g_xa = g_xab @ np.swapaxes(bt[e], -1, -2)
-                    if x_grad:
-                        gx = g_xa @ np.swapaxes(at[e], -1, -2)
-                        if mask is not None:
-                            gx = gx * mask[e]
-                    if a_grad[e]:
-                        g_at = _unbroadcast(np.swapaxes(xds[e], -1, -2) @ g_xa, at[e].shape)
-                        ga = np.ascontiguousarray(g_at.T)
-            grads += (gx, ga, gb)
+                g_xab = (g if col is None else g * col) * s
+            if x_grad or a_grad[e]:
+                g_xa = g_xab @ np.swapaxes(bt[e], -1, -2)
+            if x_grad:
+                gx = g_xa @ np.swapaxes(at[e], -1, -2)
+                if mask is not None:
+                    gx *= mask
+            del mask
+            yield gx
+            del gx
+            yield np.ascontiguousarray(_unbroadcast(np.swapaxes(xd, -1, -2) @ g_xa, at[e].shape).T) \
+                if a_grad[e] else None
+            del xd, g_xa
+            yield np.ascontiguousarray(_unbroadcast(np.swapaxes(xa, -1, -2) @ g_xab, bt[e].shape).T) \
+                if b_grad[e] else None
+            del g_xab
             if gate_data is not None:
                 g_gate = None
                 if gated:
                     g_gate = np.zeros_like(gate_data)
-                    g_gate[..., column[e]:column[e] + 1] = _unbroadcast(g * deltas[e], gcols[e].shape)
-                grads.append(g_gate)
-        return grads
+                    delta = _as_array(_as_array(xa @ bt_mm[e]) * s)  # the ungated delta
+                    g_gate[..., column[e]:column[e] + 1] = _unbroadcast(g * delta, col.shape)
+                    del delta
+                yield g_gate
 
     return out, inputs, back
 
@@ -768,8 +806,8 @@ def _propulsion(base: np.ndarray, base_grad: bool, term: Propulsion):
     the gradient into `base` (None unless `base_grad`), then theirs.
 
     Replays the chain dropout, mul (and select_index, mul for the gate).
-    Keeps `base`, the boolean mask and the gate column; the backward rebuilds
-    dropout(base) and the ungated delta from them, as `_lora` does.
+    Keeps `base`, the mask packed to bits and the gate column; the backward
+    rebuilds dropout(base) and the ungated delta from them, as `_lora` does.
     """
     s, p, gate = term.s, term.p, term.gate
     sd, s_grad = s.data, s.requires_grad
@@ -783,7 +821,7 @@ def _propulsion(base: np.ndarray, base_grad: bool, term: Propulsion):
         out = _as_array(out) * col
 
     def dropped():
-        return base if keep is None else _as_array(base * _mask(keep, p))
+        return base if keep is None else _as_array(base * _mask(_unpack(keep, base.shape), p))
 
     def back(g):
         g_delta = g if gate_shape is None else g * col
@@ -791,7 +829,7 @@ def _propulsion(base: np.ndarray, base_grad: bool, term: Propulsion):
         if base_grad:
             g_base = _unbroadcast(g_delta * sd, base.shape)
             if keep is not None:
-                g_base = g_base * _mask(keep, p)
+                g_base = g_base * _mask(_unpack(keep, base.shape), p)
         if s_grad:
             gs = _unbroadcast(g_delta * dropped(), sd.shape)
         if gate_shape is None:
@@ -874,21 +912,20 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
     xd = x.data if any(w_grad) else None
     propulsion = [isinstance(term, Propulsion) for term in terms]
 
-    def back(g):
-        grads = ()
-        for i, term_back in enumerate(backs):
+    def back(g):  # in `inputs` order: projections reversed, each its term's gradients, then x's and w's
+        for i in reversed(range(n)):
             g_i = g[i] if n > 1 else g
-            t_grads = () if term_back is None else tuple(term_back(g_i))
-            if propulsion[i]:
-                g_base, *t_grads = t_grads
-                if g_base is not None:
-                    g_i = g_i + g_base
-            gx = _unbroadcast(g_i @ np.swapaxes(wt[i], -1, -2), x_shape) if x_grad else None
-            gw = None
-            if w_grad[i]:
-                gw = np.ascontiguousarray(_unbroadcast(np.swapaxes(xd, -1, -2) @ g_i, wt[i].shape).T)
-            grads = tuple(t_grads) + (gx, gw) + grads
-        return grads
+            if backs[i] is not None:
+                t_grads = iter(backs[i](g_i))
+                if propulsion[i]:
+                    g_base = next(t_grads)
+                    if g_base is not None:
+                        g_i = g_i + g_base
+                    del g_base
+                yield from t_grads
+            yield _unbroadcast(g_i @ np.swapaxes(wt[i], -1, -2), x_shape) if x_grad else None
+            yield np.ascontiguousarray(_unbroadcast(np.swapaxes(xd, -1, -2) @ g_i, wt[i].shape).T) \
+                if w_grad[i] else None
 
     return _make("adapted_projections", out if n > 1 else out[0], inputs, back, check=False)
 
@@ -957,7 +994,7 @@ def _similarity(rows: np.ndarray, c: np.ndarray, similarity: str):
         return _neg_l2(rows, c)
     if similarity == "l1":
         return _neg_l1(rows, c)
-    raise ValueError(f"unknown similarity {similarity!r}")
+    raise ValueError(f"unknown similarity {shown(similarity)}")
 
 
 def l2_normalize_rows(a, floor: float = NORM_FLOOR) -> Tensor:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tz
-from .tensor import Tensor
+from .tensor import Tensor, shown
 from .model import Backbone, diverged, pretrain_backbone
 from .adapters import AdapterBank, count_trainable
 from .moe_baseline import MoEAdapterBank, MoEHooks
@@ -430,7 +429,7 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     """New config with one ablation knob set to `value` as given, judged by
     the config's own checks."""
     if axis not in ABLATION_AXES:
-        raise ConfigError(f"unknown ablation axis {axis!r}; known: {ABLATION_AXES}")
+        raise ConfigError(f"unknown ablation axis {shown(axis)}; known: {ABLATION_AXES}")
     raw = cfg.to_dict()
     router = raw["router"]
     try:
@@ -484,6 +483,8 @@ def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | No
     runs = [(apply_axis(cfg, axis, value), value) for value in values]
     unique_seeds = list(dict.fromkeys(seeds))
     workers = min(worker_count(), len(runs) * len(seeds))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so only for a pool
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run_all = map if pool is None else pool.map
         worlds = dict(zip(unique_seeds, run_all(prepare_world, [cfg] * len(unique_seeds), unique_seeds)))

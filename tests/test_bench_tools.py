@@ -94,6 +94,13 @@ def test_ledger_summary_leaves_out_absolute_times(bench_pairs):
     assert "mj_speedup_over_moe" in bench_pairs.LEDGER_KEYS and "moe_nodes_per_backward" in bench_pairs.LEDGER_KEYS
 
 
+def test_ledger_summary_keeps_the_backward_peaks(bench_pairs):
+    """The memory a step's backward adds above its tape is in the ledger, for
+    every method and for pretraining."""
+    for name in ("mj", "peft", "moe", "pretrain"):
+        assert f"{name}_peak_backward_bytes" in bench_pairs.LEDGER_KEYS
+
+
 def test_src_lines_is_the_wc_total(bench_pairs):
     root = BENCH_PAIRS.parent.parent
     wc = subprocess.run(["wc", "-l", *sorted(str(p) for p in (root / "src" / "mjlab").glob("*.py"))],

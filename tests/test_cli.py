@@ -135,6 +135,7 @@ class TestRoutingConfigFailsFast:
 TASK_0, TASK_1 = SMALL_RAW["data"]["tasks"]
 NAN, INF = float("nan"), float("inf")  # JSON parses NaN and Infinity, and json.dumps writes them
 HUGE = 10**400  # a JSON integer no float can hold
+LONG = "x" * 5000  # a string a section's own check rejects: its error must not echo it whole
 # Per field of SMALL_RAW's config, values that make it invalid: out of range,
 # of the wrong kind, or inconsistent with another section.
 INVALID_VALUES = {
@@ -147,7 +148,7 @@ INVALID_VALUES = {
     ("model", "n_heads"): [0, 3],
     ("model", "vocab_size"): [0, 16],  # the tasks' markers go up to 22
     ("model", "max_seq_len"): [0, 8],  # the tasks' sequences go up to 16
-    ("adapter", "variant"): ["dora", None],
+    ("adapter", "variant"): ["dora", None, LONG],
     ("adapter", "r"): [0, "2"],
     ("adapter", "alpha"): [0.0, -1.0, NAN, INF, HUGE],
     ("adapter", "dropout"): [1.0, -0.1],
@@ -161,9 +162,9 @@ INVALID_VALUES = {
     ("router", "beta"): [-0.1, 1.5],
     ("router", "update_every"): [0, True],
     ("router", "stop_frac"): [-0.1, 1.1],
-    ("router", "similarity"): ["manhattan"],
-    ("router", "granularity"): ["batch"],
-    ("router", "routed"): [[], ["qq"]],
+    ("router", "similarity"): ["manhattan", LONG],
+    ("router", "granularity"): ["batch", LONG],
+    ("router", "routed"): [[], ["qq"], [LONG]],
     ("router", "shared"): [["q"], ["zz"]],
     ("router", "permutation"): [[0, 0, 1], [0, 1], [0, 1, 3], [0, 1, 2.0]],
     ("router", "routed_layers"): [[2], [-1], [], [0.5]],
@@ -182,7 +183,7 @@ INVALID_VALUES = {
     ("data", "n_per_task"): [0],
     ("data", "n_val_per_task"): [0],
     ("data", "seed"): ["1", -1],
-    ("data", "tasks"): [[], {"task_id": 0}, [{"task_id": 0}], [dict(TASK_0, markers=[16.5, 17, 18])],
+    ("data", "tasks"): [[], {"task_id": 0}, [{"task_id": 0}], [dict(TASK_0, markers=[16.5, 17, 18])], [dict(TASK_0, rule=LONG)],
                         [TASK_0, dict(TASK_1, markers=[18, 21, 22])]],  # marker 18 in both tasks
     ("router",): ["x", None],
 }
@@ -400,9 +401,12 @@ class TestEndToEnd:
         assert lines[0] == "axis,value,seed,task,accuracy,usage_rho_mean"
         assert len(lines) == 1 + 2 * 2  # 2 values x 2 tasks (1 seed)
 
-    def test_ablate_unknown_axis_is_validation_error(self, fast_config_path):
-        assert main(["ablate", "momentum", "--values", "1", "--config", str(fast_config_path),
-                     "--quiet"]) == 1
+    def test_ablate_unknown_axis_is_validation_error(self, fast_config_path, capsys):
+        errors = []
+        for axis in ("momentum", LONG):
+            assert main(["ablate", axis, "--values", "1", "--config", str(fast_config_path), "--quiet"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[1].count("\n") == 1 and len(errors[1]) <= len(errors[0]) + 40, errors[1]
 
 
 def _no_pretraining(monkeypatch):

@@ -222,7 +222,7 @@ class TestBackwardMemory:
                 peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * at_entry, (peak, at_entry)
+        assert peak <= 1.12 * at_entry, (peak, at_entry)
 
     @staticmethod
     def residual_refs(monkeypatch) -> list:

@@ -1,5 +1,9 @@
+import concurrent.futures
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,13 +79,20 @@ class TestWorkers:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(train_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(train_module, "prepare_world", lambda cfg, seed: seed)
         monkeypatch.setattr(train_module, "_ablate_one", lambda payload: payload[2:])
         monkeypatch.setenv("MJLAB_THREADS", "1000")
         rows = ablate(small_config(), "beta", [0.2, 0.9], seeds=[1, 2])
         assert asked == [4]
         assert rows == [(0.2, 1, 1), (0.2, 2, 2), (0.9, 1, 1), (0.9, 2, 2)]
+
+    def test_importing_mjlab_loads_no_multiprocessing(self):
+        # the process pool is imported only by a sweep that asks for workers
+        code = "import sys, mjlab.cli, mjlab.train; print('multiprocessing' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.stdout.strip() == "False", done.stdout + done.stderr
 
 
 class TestOptim:

@@ -14,8 +14,8 @@ after another and nothing else alongside:
 - `--seconds 1 --trace 0` of every scheduled workload at seeds 1-10 in the
   change, whose digests must equal `perfbench/baseline.json`;
 - `tools/route_overhead.py` (mj, peft and moe `run_pipeline` on one world,
-  and the first and the largest step tape bytes of each method and of
-  pretraining) at seeds 1-3,
+  the first and the largest step tape bytes of each method and of
+  pretraining, and the backward peak of that largest step) at seeds 1-3,
   on the parent's sources and on the change's, in the same alternating
   order.
 
@@ -72,7 +72,8 @@ TRACE_KEYS = (
 LEDGER_KEYS = ("mj_speedup_over_moe", "mj_nodes_per_backward", "peft_nodes_per_backward", "moe_nodes_per_backward",
                "mj_step_tape_bytes", "peft_step_tape_bytes", "moe_step_tape_bytes", "pretrain_nodes_per_backward",
                "pretrain_step_tape_bytes", "mj_peak_step_tape_bytes", "peft_peak_step_tape_bytes",
-               "moe_peak_step_tape_bytes", "pretrain_peak_step_tape_bytes")
+               "moe_peak_step_tape_bytes", "pretrain_peak_step_tape_bytes", "mj_peak_backward_bytes",
+               "peft_peak_backward_bytes", "moe_peak_backward_bytes", "pretrain_peak_backward_bytes")
 OVERHEAD_SEEDS = (1, 2, 3)
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "val_accuracy")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")

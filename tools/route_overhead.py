@@ -12,13 +12,16 @@ first. `<method>_s` is the median of a method's rounds and
 to time, so one copy of this script measures a parent checkout and a change
 alike. After the timed runs, one more `run_pipeline` per method traces
 allocations with tracemalloc from each fine-tune step's tape entry to its
-`backward` entry, to read the bytes the step's tape holds there; one more
-`prepare_backbone` does the same for each pretraining step. Prints one JSON
-line: the world time, each method's fine-tune plus eval times, the mj - peft
-overhead, how many times faster mj is than moe, the tape nodes per backward,
-the step tape bytes (`*_step_tape_bytes`: the first step's;
-`*_peak_step_tape_bytes`: the largest step's, which is the one peak RSS
-follows) of each method and of pretraining, and the accuracies.
+`backward` entry, to read the bytes the step's tape holds there, and on
+through `backward`, to read its peak; one more `prepare_backbone` does the
+same for each pretraining step. Prints one JSON line: the world time, each
+method's fine-tune plus eval times, the mj - peft overhead, how many times
+faster mj is than moe, the tape nodes per backward, the step tape bytes
+(`*_step_tape_bytes`: the first step's; `*_peak_step_tape_bytes`: the largest
+step's, which is the one peak RSS follows), the tracemalloc peak during the
+largest step's `backward`, counted from that step's tape entry
+(`*_peak_backward_bytes`), of each method and of pretraining, and the
+accuracies.
 """
 
 import os
@@ -54,15 +57,21 @@ def main(argv=None) -> int:
 
     nodes: list[int] = []
     tape_bytes: list[int] = []  # traced at each `backward` entry of a measuring run
+    backward_bytes: list[int] = []  # the traced peak inside each such `backward`
     backward = tz.backward
     measuring = False
 
     def counting_backward(loss):
         nodes.append(len(tz._active_tape().nodes))
-        if measuring:
-            tape_bytes.append(tracemalloc.get_traced_memory()[0])
+        if not measuring:
+            return backward(loss)
+        tape_bytes.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        try:
+            return backward(loss)
+        finally:
+            backward_bytes.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        return backward(loss)
 
     class StepTape(tz.Tape):
         """Traces allocations from each tape's entry on, when measuring."""
@@ -74,14 +83,18 @@ def main(argv=None) -> int:
             return super().__enter__()
 
     def measure(name, build):
-        """`build()` with each step's tape traced: its first and largest step tape bytes."""
+        """`build()` with each step's tape traced: its first and largest step
+        tape bytes, and the backward peak of that largest step."""
         tape_bytes.clear()
+        backward_bytes.clear()
         try:
             build()
         finally:
             tracemalloc.stop()
+        largest = max(range(len(tape_bytes)), key=tape_bytes.__getitem__)
         out[f"{name}_step_tape_bytes"] = tape_bytes[0]
-        out[f"{name}_peak_step_tape_bytes"] = max(tape_bytes)
+        out[f"{name}_peak_step_tape_bytes"] = tape_bytes[largest]
+        out[f"{name}_peak_backward_bytes"] = backward_bytes[largest]
 
     tz.backward = counting_backward
     tz.Tape = StepTape
