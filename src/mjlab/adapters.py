@@ -82,7 +82,7 @@ class Adapter:
         tape entirely."""
         term = self.term(m, rng, column)
         if term is None:
-            return tz.zeros(h.shape[:-1] + (self.d_out,))
+            return Tensor(np.zeros(h.shape[:-1] + (self.d_out,)))
         if isinstance(term, tz.Propulsion) and base is None:
             raise ValueError("propulsion needs the frozen projection output")
         return tz.adapter_delta(h if isinstance(term, tz.LoRA) else base, term)
@@ -99,7 +99,6 @@ class BankCore:
     manifest_key = ""
 
     def __init__(self, model_cfg: ModelConfig, cfg, projections: tuple[ProjectionId, ...]):
-        self.model_cfg = model_cfg
         self.cfg = cfg
         self.projections = tuple(projections)
         self.layers = list(range(model_cfg.n_layers))
@@ -149,9 +148,6 @@ class AdapterBank(BankCore):
             for proj in self.projections:
                 d_out, d_in = model_cfg.proj_dims(proj)
                 self.adapters[(layer, proj)] = Adapter(adapter_cfg, d_out, d_in, rng)
-
-    def get(self, layer: int, proj: ProjectionId) -> Adapter | None:
-        return self.adapters.get((layer, proj))
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {}

@@ -77,7 +77,8 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg)
     seed = cfg.seeds[0]
     model = prepare_world(cfg, seed)[0]
-    model.save(out / "backbone")
+    with _staged(out / "backbone") as staged:
+        model.save(staged)
     _emit(args, {"backbone": str(out / "backbone"), "frozen": model.frozen, "seed": seed})
     return 0
 
@@ -93,9 +94,11 @@ def cmd_init_centers(cfg: ExperimentConfig, args) -> int:
         train_ds, _ = make_datasets(cfg)
     else:
         model, train_ds, _ = prepare_world(cfg, seed)
-        model.save(backbone_dir)
+        with _staged(backbone_dir) as staged:
+            model.save(staged)
     states = init_router_states(cfg, model, train_ds, seed, optimizer_steps(cfg, train_ds))
-    save_router(out / "router", states)
+    with _staged(out / "router") as staged:
+        save_router(staged, states)
     _emit(args, {"router": str(out / "router"), "layers": sorted(states)})
     return 0
 
@@ -143,7 +146,7 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> int:
     values = _parse_values(args.values)
     if not values:
         raise ConfigError("ablate requires --values")
-    rows = ablate(cfg, args.axis, values, cfg.seeds)
+    rows = ablate(cfg, args.axis, values)
     path = _out_dir(cfg) / f"ablation_{args.axis}.csv"
     write_ablation_csv(rows, path)
     _emit(args, {"axis": args.axis, "values": values, "rows": len(rows), "csv": str(path)})
@@ -180,10 +183,8 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
         print(f"rank_mj={ex['rank_mj']} rank_peft={ex['rank_peft']} dim_c_all={ex['dim_c_all']}")
     elif args.check == "soft":
         report = oracle.soft_report(seed=cfg.seeds[0])
-    elif args.check == "params":
+    else:  # "params", the parser's one other choice
         report = oracle.params_report()
-    else:
-        raise ConfigError(f"unknown oracle check {args.check!r}")
     if args.out is not None:
         (_out_dir(cfg) / f"oracle_{args.check}.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     _emit(args, report)

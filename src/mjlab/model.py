@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as tz
 from .data import bucket_by_length
+from .optim import AdamW
 from .tensor import Tensor
 
 
@@ -146,10 +147,6 @@ class Backbone:
             t.grad = None
         self.frozen = True
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Bitwise copies of every parameter, for freeze-contract checks."""
-        return {k: v.data.copy() for k, v in self.named_parameters().items()}
-
     # -- forward ----------------------------------------------------------------
 
     def _project(self, layer: int, projs: tuple[ProjectionId, ...], x: Tensor, terms) -> Tensor:
@@ -266,15 +263,13 @@ def pretrain_backbone(
     The corpus is split into train/holdout; returns the holdout cross entropy
     before and after training. Aborts with a diagnostic on a non-finite loss.
     """
-    from .optim import AdamW
-
     if not corpus:
         raise ValueError("pretraining corpus is empty")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))
     n_hold = max(1, int(round(len(corpus) * holdout_fraction))) if len(corpus) > 1 else 0
     hold_idx = order[:n_hold]
-    train_idx = order[n_hold:] if n_hold else order
+    train_idx = order[n_hold:]
 
     lengths = [len(seq) for seq in corpus]
 

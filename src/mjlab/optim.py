@@ -6,6 +6,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 class AdamW:
     """AdamW with bias correction; weight decay is decoupled from the moments."""
@@ -14,16 +17,12 @@ class AdamW:
         self,
         params: list[Tensor],
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         if lr < 0:
             raise ValueError("lr must be non-negative")
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -31,7 +30,7 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
@@ -42,14 +41,14 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.grad = None
+            p.zero_grad()
 
 
 def lr_at_step(step: int, total_steps: int, base_lr: float, warmup_ratio: float) -> float:

@@ -18,6 +18,9 @@ from .model import ModelConfig, PROJECTIONS
 from .adapters import AdapterBank, AdapterConfig, count_trainable
 from .moe_baseline import MoEAdapterBank, MoEConfig
 
+# random instances: 2 to MAX_EXPERTS adapters, each D x D of rank 1 to MAX_RANK
+MAX_EXPERTS, MAX_RANK, D = 4, 2, 8
+
 
 @dataclass
 class RankInstance:
@@ -110,7 +113,7 @@ def cancellation_example() -> RankInstance:
     return RankInstance(deltas=[d1, d2], H=h, assign=np.array([0, 1]))
 
 
-def random_instance(seed: int, max_experts: int = 4, max_rank: int = 2, d: int = 8) -> RankInstance:
+def random_instance(seed: int) -> RankInstance:
     """Random full-activation instance with the diverse-input hypothesis verified.
 
     Adapters are explicit low-rank products B @ A; each expert receives
@@ -119,15 +122,15 @@ def random_instance(seed: int, max_experts: int = 4, max_rank: int = 2, d: int =
     """
     rng = np.random.default_rng(seed)
     for _ in range(50):
-        n_exp = int(rng.integers(2, max_experts + 1))
+        n_exp = int(rng.integers(2, MAX_EXPERTS + 1))
         deltas, h_cols, assign = [], [], []
         for e in range(n_exp):
-            r = int(rng.integers(1, max_rank + 1))
-            b = rng.normal(size=(d, r))
-            a = rng.normal(size=(r, d))
+            r = int(rng.integers(1, MAX_RANK + 1))
+            b = rng.normal(size=(D, r))
+            a = rng.normal(size=(r, D))
             deltas.append(b @ a)
             n_tok = r + 2
-            h_cols.append(rng.normal(size=(d, n_tok)))
+            h_cols.append(rng.normal(size=(D, n_tok)))
             assign.extend([e] * n_tok)
         inst = RankInstance(deltas=deltas, H=np.hstack(h_cols), assign=np.array(assign))
         if rank_compare(inst)["hypothesis_holds"]:
@@ -135,16 +138,16 @@ def random_instance(seed: int, max_experts: int = 4, max_rank: int = 2, d: int =
     raise RuntimeError("failed to draw a hypothesis-satisfying instance")
 
 
-def random_soft_instance(seed: int, max_experts: int = 4, max_rank: int = 2, d: int = 8) -> RankInstance:
+def random_soft_instance(seed: int) -> RankInstance:
     """Random instance with routing-style soft top-k coefficients."""
     rng = np.random.default_rng(seed)
-    n_exp = int(rng.integers(2, max_experts + 1))
+    n_exp = int(rng.integers(2, MAX_EXPERTS + 1))
     deltas = []
     for _ in range(n_exp):
-        r = int(rng.integers(1, max_rank + 1))
-        deltas.append(rng.normal(size=(d, r)) @ rng.normal(size=(r, d)))
+        r = int(rng.integers(1, MAX_RANK + 1))
+        deltas.append(rng.normal(size=(D, r)) @ rng.normal(size=(r, D)))
     t = int(rng.integers(n_exp, 3 * n_exp + 1))
-    h = rng.normal(size=(d, t))
+    h = rng.normal(size=(D, t))
     k = int(rng.integers(1, n_exp + 1))
     p = softmax(rng.normal(size=(t, n_exp))).data
     mask, _ = topk_mask(p, k)
@@ -164,6 +167,7 @@ COMPLEXITY_VARIANTS = (
     "mj-propulsion",
     "moe-lora",
 )
+REPORT_EXPERTS = 4  # N, the MoE variant's experts per projection, in params_report
 
 
 def complexity_table(variant: str, E: int, N: int, d: int, r: int) -> dict:
@@ -233,19 +237,19 @@ def soft_report(n_instances: int = 100, seed: int = 0) -> dict:
     return {"instances": n_instances, "violations": violations, "ok": violations == 0}
 
 
-def params_report(E_values=(3, 5), d_values=(8, 32), r_values=(1, 2, 4), N: int = 4) -> dict:
+def params_report(E_values=(3, 5), d_values=(8, 32), r_values=(1, 2, 4)) -> dict:
     rows = []
     ok = True
     for variant in COMPLEXITY_VARIANTS:
         for E in E_values:
             for d in d_values:
                 for r in r_values:
-                    formula = complexity_table(variant, E, N, d, r)
-                    counted = enumerate_block_params(variant, E, N, d, r)
+                    formula = complexity_table(variant, E, REPORT_EXPERTS, d, r)
+                    counted = enumerate_block_params(variant, E, REPORT_EXPERTS, d, r)
                     match = formula == counted
                     ok = ok and match
                     rows.append(
-                        {"variant": variant, "E": E, "N": N, "d": d, "r": r,
+                        {"variant": variant, "E": E, "N": REPORT_EXPERTS, "d": d, "r": r,
                          "formula": formula, "enumerated": counted, "match": match}
                     )
     return {"rows": rows, "ok": ok}

@@ -16,6 +16,7 @@ from .data import Dataset, length_buckets, batch_arrays
 from .model import Backbone
 
 SELECTOR_MODES = ("index", "offset", "mean", "max", "last")
+PROBE_LR = 0.5  # gradient-descent step size of every probe
 
 
 @dataclass
@@ -77,7 +78,6 @@ def train_linear_probe(
     y: np.ndarray,
     n_classes: int,
     epochs: int = 100,
-    lr: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch GD on softmax cross entropy; zero init keeps it deterministic."""
     n, d = x.shape
@@ -91,8 +91,8 @@ def train_linear_probe(
         e = np.exp(logits)
         p = e / e.sum(axis=1, keepdims=True)
         g = (p - onehot) / n
-        w -= lr * (g.T @ x)
-        b -= lr * g.sum(axis=0)
+        w -= PROBE_LR * (g.T @ x)
+        b -= PROBE_LR * g.sum(axis=0)
     return w, b
 
 
@@ -106,7 +106,6 @@ def run_probe(
     spec: ProbeSpec,
     dataset: Dataset,
     epochs: int = 100,
-    lr: float = 0.5,
     seed: int = 0,
     val_fraction: float = 0.3,
     cache: tuple[list[np.ndarray], np.ndarray] | None = None,
@@ -126,7 +125,7 @@ def run_probe(
     order = np.random.default_rng(seed).permutation(n)
     val_idx, train_idx = order[:n_val], order[n_val:]
     n_classes = int(labels.max()) + 1
-    w, b = train_linear_probe(x[train_idx], y[train_idx], n_classes, epochs=epochs, lr=lr)
+    w, b = train_linear_probe(x[train_idx], y[train_idx], n_classes, epochs=epochs)
     return {
         "train_acc": _accuracy(x[train_idx], y[train_idx], w, b),
         "val_acc": _accuracy(x[val_idx], y[val_idx], w, b),
@@ -140,13 +139,12 @@ def position_sweep(
     specs: list[ProbeSpec],
     seeds: list[int],
     epochs: int = 100,
-    lr: float = 0.5,
 ) -> list[dict]:
     cache = collect_states(model, dataset, layer)
     rows = []
     for spec in specs:
         for seed in seeds:
-            res = run_probe(model, spec, dataset, epochs=epochs, lr=lr, seed=seed, cache=cache)
+            res = run_probe(model, spec, dataset, epochs=epochs, seed=seed, cache=cache)
             rows.append(
                 {"layer": layer, "selector": spec.describe(), "seed": seed,
                  "train_acc": res["train_acc"], "val_acc": res["val_acc"]}

@@ -33,6 +33,7 @@ GRANULARITIES = ("token", "sequence", "task")
 
 DEFAULT_ROUTED = (ProjectionId.q, ProjectionId.k, ProjectionId.v)
 DEFAULT_SHARED = (ProjectionId.o, ProjectionId.gate)
+EMBEDDING_ROWS = 2000  # rows per layer that export_embeddings writes
 
 
 @dataclass(kw_only=True)
@@ -326,14 +327,14 @@ def write_usage_csv(stats: UsageStats, path) -> None:
                     writer.writerow([layer, e, phase, repr(float(fracs[li, e])), repr(float(stats.rho[e]))])
 
 
-def export_embeddings(path, per_layer: dict[int, tuple[np.ndarray, RoutingDecision]], limit: int = 2000) -> None:
+def export_embeddings(path, per_layer: dict[int, tuple[np.ndarray, RoutingDecision]]) -> None:
     """Token embeddings with their top-1 expert, for external visualization."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for layer in sorted(per_layer):
             H, decision = per_layer[layer]
             top1 = decision.selected[:, 0]
-            for t in range(min(H.shape[0], limit)):
+            for t in range(min(H.shape[0], EMBEDDING_ROWS)):
                 writer.writerow([layer, t, int(top1[t])] + [repr(float(v)) for v in H[t]])
 
 

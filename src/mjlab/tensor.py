@@ -67,7 +67,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "zeros",
     "backward",
     "add",
     "sub",
@@ -108,6 +107,7 @@ __all__ = [
 ]
 
 NORM_FLOOR = 1e-12
+LN_EPS = 1e-5
 
 
 def _as_array(values) -> np.ndarray:
@@ -155,10 +155,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
 # ---------------------------------------------------------------------------
 # tape
 # ---------------------------------------------------------------------------
@@ -202,9 +198,6 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPE_STACK.pop()
-
-    def clear(self) -> None:
-        self.nodes.clear()
 
 
 _TAPE_STACK: list[Tape] = []
@@ -564,14 +557,14 @@ def causal_attention(qkv, n_heads: int) -> Tensor:
     return _make("causal_attention", out, (qkv,), back)
 
 
-def layer_norm(a, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     a = _wrap(a)
     d = a.data.shape[-1]
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
     gd, lead = gamma.data, tuple(range(a.ndim - 1))
@@ -950,14 +943,14 @@ def _name_non_finite(base, deltas, out, terms, labels) -> None:
 # ops and the fused `route_coefficients` node both run it.
 
 
-def _normalize_rows(x: np.ndarray, floor: float = NORM_FLOOR):
+def _normalize_rows(x: np.ndarray):
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    safe = np.maximum(norms, floor)
+    safe = np.maximum(norms, NORM_FLOOR)
     y = _as_array(x / safe)
 
     def back(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        return np.where(norms <= floor, g / floor, (g - y * dot) / safe)
+        return np.where(norms <= NORM_FLOOR, g / NORM_FLOOR, (g - y * dot) / safe)
 
     return y, back
 
@@ -997,8 +990,8 @@ def _similarity(rows: np.ndarray, c: np.ndarray, similarity: str):
     raise ValueError(f"unknown similarity {shown(similarity)}")
 
 
-def l2_normalize_rows(a, floor: float = NORM_FLOOR) -> Tensor:
-    """Scale each row to unit L2 norm; rows below `floor` divide by `floor`.
+def l2_normalize_rows(a) -> Tensor:
+    """Scale each row to unit L2 norm; rows below `NORM_FLOOR` divide by it.
 
     A zero row therefore maps to the zero row (similarity 0 to everything)
     instead of raising.
@@ -1006,7 +999,7 @@ def l2_normalize_rows(a, floor: float = NORM_FLOOR) -> Tensor:
     a = _wrap(a)
     if a.ndim != 2:
         raise ValueError("l2_normalize_rows expects a 2-D tensor")
-    y, back = _normalize_rows(a.data, floor)
+    y, back = _normalize_rows(a.data)
     return _make("l2_normalize_rows", y, (a,), lambda g: (back(g),))
 
 

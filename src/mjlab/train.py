@@ -353,14 +353,11 @@ def _step_usage(decisions) -> dict:
 
 
 def _apply_ema(states: dict[int, RouterState], decisions, step: int) -> bool:
-    """One EMA update per routed layer from all of the step's decisions,
-    stacked to one row per token."""
+    """One EMA update per routed layer from all of the step's decisions
+    (every pass routes every layer with a state), stacked to one row per token."""
     fired = False
     for layer, state in states.items():
-        rows = [(decision.selected, flat) for seen, decision, flat in decisions if seen == layer]
-        if not rows:
-            continue
-        selected, flats = zip(*rows)
+        selected, flats = zip(*[(decision.selected, flat) for seen, decision, flat in decisions if seen == layer])
         fired = ema_update(state, np.vstack(selected), np.vstack(flats), step) or fired
     return fired
 
@@ -471,15 +468,15 @@ def _ablate_one(payload: tuple) -> dict:
     }
 
 
-def ablate(cfg: ExperimentConfig, axis: str, values: list, seeds: list[int] | None = None) -> list[dict]:
-    """Sweep one knob over `values` x `seeds`; MJLAB_THREADS>1 parallelizes
+def ablate(cfg: ExperimentConfig, axis: str, values: list) -> list[dict]:
+    """Sweep one knob over `values` x `cfg.seeds`; MJLAB_THREADS>1 parallelizes
     over at most one worker process per run.
 
     No axis touches the model, pretrain or data sections, so every run of a
     seed shares that seed's world: one pretrained backbone and one pair of
     datasets, built once per seed, not once per value.
     """
-    seeds = seeds if seeds is not None else cfg.seeds
+    seeds = cfg.seeds
     runs = [(apply_axis(cfg, axis, value), value) for value in values]
     unique_seeds = list(dict.fromkeys(seeds))
     workers = min(worker_count(), len(runs) * len(seeds))
@@ -498,8 +495,5 @@ def write_ablation_csv(rows: list[dict], path) -> None:
         writer.writerow(["axis", "value", "seed", "task", "accuracy", "usage_rho_mean"])
         for row in rows:
             for task in tasks:
-                acc = row["per_task_accuracy"].get(task)
-                if acc is None:
-                    continue
-                writer.writerow([row["axis"], row["value"], row["seed"], task, repr(acc),
+                writer.writerow([row["axis"], row["value"], row["seed"], task, repr(row["per_task_accuracy"][task]),
                                  repr(row["usage_rho_mean"])])

@@ -37,6 +37,11 @@ def finite_difference_check(build, params, rel_tol=1e-6, eps=1e-5):
         assert err < rel_tol, f"finite-difference mismatch: rel err {err:.3e}"
 
 
+def snapshot(model: Backbone) -> dict[str, np.ndarray]:
+    """Bitwise copies of every parameter, for freeze-contract checks."""
+    return {k: v.data.copy() for k, v in model.named_parameters().items()}
+
+
 @pytest.fixture(scope="session")
 def tiny_cfg():
     return ModelConfig(d_model=8, d_ff=16, n_layers=2, n_heads=2, vocab_size=16, max_seq_len=12)

@@ -8,7 +8,7 @@ from mjlab.model import Backbone, ModelConfig, ProjectionId
 from mjlab.moe_baseline import MoEAdapterBank, MoEConfig, MoEHooks
 from mjlab.router import MonkeyJumpHooks, RouterState
 
-from conftest import finite_difference_check
+from .conftest import finite_difference_check
 
 QKVOG = (ProjectionId.q, ProjectionId.k, ProjectionId.v, ProjectionId.o, ProjectionId.gate)
 

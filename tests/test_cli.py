@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from mjlab.cli import _parse_values, main
 from mjlab.config import ConfigError, ExperimentConfig, config_hash
 
-from conftest import SMALL_RAW, small_config
+from .conftest import SMALL_RAW, small_config
 
 
 def small_raw(**overrides):
@@ -308,6 +308,10 @@ class TestEndToEnd:
         eval_out = json.loads(capsys.readouterr().out)
         assert eval_out["per_task_accuracy"] == raw_report["per_task_accuracy"]
 
+        summaries = tmp_path / "summaries"
+        assert main(["report", "--run-dir", run_dir, "--out", str(summaries)]) == 0
+        assert json.loads((summaries / "summary.json").read_text()) == json.loads(capsys.readouterr().out)
+
     @pytest.mark.parametrize("method", ["moe", "peft", "frozen"])
     def test_eval_round_trip_of_baseline_runs(self, tmp_path, fast_config_path, capsys, method):
         raw = json.loads(fast_config_path.read_text())
@@ -338,6 +342,15 @@ class TestEndToEnd:
         assert main(["eval", "--run-dir", str(run_dir), "--quiet"]) == 2
         assert "centers_layer1.bin" in capsys.readouterr().err
         assert forwards == []
+
+    @pytest.mark.parametrize("check", ["rank", "soft", "params"])
+    def test_oracle_out_writes_the_printed_report(self, tmp_path, capsys, check):
+        out = tmp_path / "oracle"
+        assert main(["oracle", check, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        if check == "rank":  # the example's ranks come first, on a line of their own
+            printed = printed.split("\n", 1)[1]
+        assert json.loads((out / f"oracle_{check}.json").read_text()) == json.loads(printed)
 
     def test_pretrain_then_init_centers_reuses_backbone(self, tmp_path, fast_config_path, capsys):
         out = tmp_path / "stages"
@@ -471,6 +484,32 @@ class TestRunDirectories:
         assert err.startswith("error:") and str(out / "backbone") in err
         assert "d_model=16" in err and "d_model=24" in err
         assert not (out / "router").exists()
+
+    @pytest.mark.parametrize("command, directory", [("pretrain", "backbone"), ("init-centers", "router")])
+    def test_failed_checkpoint_save_keeps_the_previous_directory(self, tmp_path, monkeypatch, command, directory):
+        """A save failing midway leaves the earlier checkpoint byte-identical
+        and no hidden sibling behind."""
+        import mjlab.tensor as tz
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_raw(pretrain={"steps": 2}, router={"kmeans_samples": 200})))
+        out = tmp_path / "stages"
+        assert main([command, "--config", str(path), "--seed", "1", "--out", str(out), "--quiet"]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        before = {p.name: p.read_bytes() for p in (out / directory).iterdir()}
+        save_tensor, saved = tz.save_tensor, []
+
+        def fail_midway(file, arr):
+            if saved:  # the second file of the directory
+                raise OSError("disk full")
+            saved.append(file)
+            save_tensor(file, arr)
+
+        monkeypatch.setattr(tz, "save_tensor", fail_midway)  # seed 2 writes other values
+        assert main([command, "--config", str(path), "--seed", "2", "--out", str(out), "--quiet"]) == 2
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in (out / directory).iterdir()} == before
+        assert sorted(p.name for p in out.iterdir()) == names
 
 
 class TestAblateValues:

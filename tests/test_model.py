@@ -16,8 +16,8 @@ from mjlab.model import (
 
 from mjlab.train import ClassifierHead, build_method
 
-from conftest import finite_difference_check, small_config
-from unfused_model import DeltaHooks, unfused_final_states
+from .conftest import finite_difference_check, small_config, snapshot
+from .unfused_model import DeltaHooks, unfused_final_states
 
 
 class TestProjectionId:
@@ -144,7 +144,7 @@ class TestForward:
         with tz.Tape() as tape:
             logits = model.forward(toks)
             forward_nodes = len(tape.nodes)
-            tape.clear()
+            tape.nodes.clear()
             final = model.final_states(toks)
             assert len(tape.nodes) == forward_nodes - 1  # no lm_head logits
         assert np.array_equal(lm_head_logits(model, final).data, logits.data)
@@ -182,7 +182,7 @@ def retained_backward(loss, tape):
             if g is None or inp is None:
                 continue
             inp.grad = np.ascontiguousarray(g, dtype=np.float64) if inp.grad is None else inp.grad + g
-    tape.clear()
+    tape.nodes.clear()
 
 
 class TestBackwardMemory:
@@ -291,10 +291,10 @@ class TestBackwardMemory:
 class TestFreezeAndPretrain:
     def test_zero_steps_keeps_random_init(self, tiny_cfg):
         model = Backbone(tiny_cfg, seed=11)
-        before = model.snapshot()
+        before = snapshot(model)
         corpus = [np.array([1, 2, 3, 4, 5]), np.array([2, 3, 4, 5, 6])]
         pretrain_backbone(model, corpus, steps=0, lr=1e-2, seed=0)
-        after = model.snapshot()
+        after = snapshot(model)
         assert all(np.array_equal(before[k], after[k]) for k in before)
         assert model.frozen
 
@@ -347,7 +347,7 @@ class TestCheckpoint:
         model.save(tmp_path / "ckpt")
         loaded = Backbone.load(tmp_path / "ckpt")
         assert loaded.frozen
-        orig, back = model.snapshot(), loaded.snapshot()
+        orig, back = snapshot(model), snapshot(loaded)
         assert set(orig) == set(back)
         assert all(np.array_equal(orig[k], back[k]) for k in orig)
         toks = np.array([[3, 1, 4]])

@@ -13,7 +13,7 @@ from mjlab.moe_baseline import MoEAdapterBank, MoEConfig, MoEHooks, moe_gates, m
 
 from mjlab.train import ClassifierHead, build_method
 
-from conftest import finite_difference_check
+from .conftest import finite_difference_check
 
 QV = (ProjectionId.q, ProjectionId.v)
 

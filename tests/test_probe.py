@@ -12,6 +12,8 @@ from mjlab.probe import (
     write_probe_csv,
 )
 
+from .conftest import snapshot
+
 
 @pytest.fixture(scope="module")
 def probe_dataset():
@@ -46,7 +48,7 @@ class TestLinearProbe:
         rng = np.random.default_rng(0)
         x = np.vstack([rng.normal(size=(40, 4)) + 6 * np.eye(4)[c % 4] for c in range(3)])
         y = np.repeat([0, 1, 2], 40)
-        w, b = train_linear_probe(x, y, 3, epochs=200, lr=0.5)
+        w, b = train_linear_probe(x, y, 3, epochs=200)
         pred = np.argmax(x @ w.T + b, axis=1)
         assert (pred == y).mean() == 1.0
 
@@ -58,7 +60,7 @@ class TestLinearProbe:
         n = len(shuffled)
         order = rng.permutation(n)
         train_idx, val_idx = order[36:], order[:36]
-        w, b = train_linear_probe(x[train_idx], shuffled[train_idx], 3, epochs=100, lr=0.5)
+        w, b = train_linear_probe(x[train_idx], shuffled[train_idx], 3, epochs=100)
         val_acc = (np.argmax(x[val_idx] @ w.T + b, axis=1) == shuffled[val_idx]).mean()
         assert abs(val_acc - 1.0 / 3.0) <= 0.10
 
@@ -71,9 +73,9 @@ class TestLinearProbe:
         assert a != c  # different split
 
     def test_backbone_bitwise_unchanged(self, tiny_frozen, probe_dataset):
-        before = tiny_frozen.snapshot()
+        before = snapshot(tiny_frozen)
         run_probe(tiny_frozen, ProbeSpec(layer=2, mode="mean"), probe_dataset, epochs=20, seed=0)
-        after = tiny_frozen.snapshot()
+        after = snapshot(tiny_frozen)
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_empty_split_rejected(self, tiny_frozen, probe_dataset):

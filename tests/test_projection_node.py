@@ -16,8 +16,8 @@ from mjlab.router import MonkeyJumpHooks, RouterState
 from mjlab.tensor import Tensor
 from mjlab.train import ClassifierHead, build_method
 
-from conftest import finite_difference_check
-from unfused_model import DeltaHooks, unfused_final_states, unfused_next_token_loss
+from .conftest import finite_difference_check
+from .unfused_model import DeltaHooks, unfused_final_states, unfused_next_token_loss
 
 Q, K, V, O, UP, GATE, DOWN = tuple(ProjectionId)
 

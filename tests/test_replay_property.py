@@ -17,9 +17,9 @@ import mjlab.tensor as tz
 from mjlab.router import GRANULARITIES, SIMILARITIES
 from mjlab.tensor import Tensor
 
-from test_router import assert_route_matches_unfused, make_state, same_bytes
-from test_tensor import (stacked, unfused_causal_attention, unfused_gate, unfused_linear, unfused_lora_delta,
-                         unfused_propulsion_delta, unfused_swiglu)
+from .test_router import assert_route_matches_unfused, make_state, same_bytes
+from .test_tensor import (stacked, unfused_causal_attention, unfused_gate, unfused_linear, unfused_lora_delta,
+                          unfused_propulsion_delta, unfused_swiglu)
 
 GUARD = settings(max_examples=100, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)

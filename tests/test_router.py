@@ -25,8 +25,8 @@ from mjlab.router import (
 )
 from mjlab.tensor import topk_mask
 
-from conftest import finite_difference_check
-from unfused_model import DeltaHooks, unfused_final_states
+from .conftest import finite_difference_check
+from .unfused_model import DeltaHooks, unfused_final_states
 
 R5 = tuple(ProjectionId)[:5]  # q k v o up as routed slots
 
@@ -375,13 +375,13 @@ class TestShared:
         hooks = MonkeyJumpHooks(bank, states)
 
         calls = []
-        orig_term = bank.get(0, ProjectionId.o).term
+        orig_term = bank.adapters[(0, ProjectionId.o)].term
 
         def spy(m, rng=None):
             calls.append(m)
             return orig_term(m, rng)
 
-        bank.get(0, ProjectionId.o).term = spy
+        bank.adapters[(0, ProjectionId.o)].term = spy
         hooks.set_batch(None)
         tiny_frozen.final_states(np.array([[1, 2, 3]]), hooks)
         assert calls and all(m == 1.0 for m in calls)
@@ -564,7 +564,7 @@ class UnfusedHooks(MonkeyJumpHooks):
         self.collected.append((layer, decision, h.data.reshape(-1, h.shape[-1]).copy()))
 
     def contribution(self, layer, proj, x, base):
-        adapter = self.bank.get(layer, proj)
+        adapter = self.bank.adapters.get((layer, proj))
         state = self.states.get(layer)
         if adapter is None or state is None or proj not in state.routed:
             return self.uniform.contribution(layer, proj, x, base)
@@ -739,6 +739,6 @@ class TestFusedRoute:
         with tz.Tape() as tape:
             route(state, h)
             assert len(tape.nodes) == 1
-            tape.clear()
+            tape.nodes.clear()
             unfused_route(state, h)
             assert len(tape.nodes) == 7  # reshape, normalize, x W^T, mul, softmax, mask mul, reshape

@@ -7,7 +7,7 @@ import pytest
 import mjlab.tensor as tz
 from mjlab.tensor import Tensor
 
-from conftest import finite_difference_check
+from .conftest import finite_difference_check
 
 
 class TestMatmul:

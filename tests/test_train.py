@@ -36,7 +36,7 @@ from mjlab.train import (
     write_ablation_csv,
 )
 
-from conftest import small_config
+from .conftest import small_config, snapshot
 
 
 def adapted_init_usage(seed: int):
@@ -83,7 +83,7 @@ class TestWorkers:
         monkeypatch.setattr(train_module, "prepare_world", lambda cfg, seed: seed)
         monkeypatch.setattr(train_module, "_ablate_one", lambda payload: payload[2:])
         monkeypatch.setenv("MJLAB_THREADS", "1000")
-        rows = ablate(small_config(), "beta", [0.2, 0.9], seeds=[1, 2])
+        rows = ablate(small_config(seeds=[1, 2]), "beta", [0.2, 0.9])
         assert asked == [4]
         assert rows == [(0.2, 1, 1), (0.2, 2, 2), (0.9, 1, 1), (0.9, 2, 2)]
 
@@ -102,7 +102,7 @@ class TestOptim:
         start = p.data.copy()
         g = rng.normal(size=(3, 2))
         p.grad = g.copy()
-        opt = AdamW([p], lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
+        opt = AdamW([p], lr=0.1, weight_decay=0.01)
         opt.step()
         m = 0.1 * g
         v = 0.001 * g * g
@@ -207,10 +207,10 @@ class TestPipeline:
 
     def test_optimizer_never_touches_backbone_or_centers(self, small_world):
         backbone, train_ds, val_ds = small_world
-        before = backbone.snapshot()
+        before = snapshot(backbone)
         cfg = small_config(router={"kmeans_samples": 400, "beta": 1.0})  # EMA no-op isolates optimizer
         run = run_pipeline(cfg, 1, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
-        after = backbone.snapshot()
+        after = snapshot(backbone)
         assert all(np.array_equal(before[k], after[k]) for k in before)
         cfg2 = small_config(router={"kmeans_samples": 400, "beta": 1.0})
         from mjlab.train import init_router_states
@@ -227,6 +227,35 @@ class TestPipeline:
         for row in run["metrics"]:
             expected = row["step"] % 2 == 0 and row["step"] < stop
             assert row["ema_fired"] == expected
+
+    def test_task_experts_table_pins_each_sequence_to_its_expert(self, small_world, monkeypatch):
+        import mjlab.router as router
+
+        table = [2, 0]  # the default, tasks % n_slots, would pin tasks 0 and 1 to [0, 1]
+        cfg = small_config(router={"granularity": "task", "task_experts": table})
+        batch_tasks, checked = [], []
+        real_batch, real_route = train_module.batch_arrays, router.route
+
+        def recording_batch(dataset, idx):
+            tokens, labels, tasks = real_batch(dataset, idx)
+            batch_tasks.append(tasks)
+            return tokens, labels, tasks
+
+        def checking_route(state, h, task_expert=None):
+            decision = real_route(state, h, task_expert)
+            tasks = batch_tasks[-1]  # every routed pass runs on the batch read last
+            expected = np.repeat(np.asarray(table)[tasks], h.shape[1])  # one row per token, sequence-major
+            assert (decision.selected == expected[:, None]).all()
+            checked.append(len(tasks))
+            return decision
+
+        monkeypatch.setattr(train_module, "batch_arrays", recording_batch)
+        monkeypatch.setattr(train_module, "route", checking_route)  # the initial usage pass
+        monkeypatch.setattr(router, "route", checking_route)  # the hooks' training and evaluation passes
+        backbone, train_ds, val_ds = small_world
+        run = run_pipeline(cfg, 5, backbone=backbone, train_ds=train_ds, val_ds=val_ds)
+        n_routed = len(run["router_states"])
+        assert sum(checked) == n_routed * (2 * len(val_ds) + cfg.train.epochs * len(train_ds))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_step_diagnostic(self, small_world):
@@ -506,15 +535,15 @@ class TestAblate:
 
     def test_beta_sweep_produces_all_rows(self, monkeypatch):
         cfg = small_config(data={"n_per_task": 24, "n_val_per_task": 12},
-                           pretrain={"steps": 10}, router={"kmeans_samples": 200})
-        rows = ablate(cfg, "beta", [0.2, 0.5, 0.7, 0.9, 0.99], seeds=[0, 1])
+                           pretrain={"steps": 10}, router={"kmeans_samples": 200}, seeds=[0, 1])
+        rows = ablate(cfg, "beta", [0.2, 0.5, 0.7, 0.9, 0.99])
         assert len(rows) == 10
         assert {row["value"] for row in rows} == {0.2, 0.5, 0.7, 0.9, 0.99}
 
     @staticmethod
     def _sweep_cfg():
         return small_config(data={"n_per_task": 24, "n_val_per_task": 12},
-                            pretrain={"steps": 10}, router={"kmeans_samples": 200})
+                            pretrain={"steps": 10}, router={"kmeans_samples": 200}, seeds=[0, 1])
 
     def test_one_backbone_per_seed_and_rows_match_separate_runs(self, monkeypatch):
         import mjlab.train as train
@@ -529,7 +558,7 @@ class TestAblate:
         monkeypatch.setattr(train, "prepare_backbone", counting)
         monkeypatch.delenv("MJLAB_THREADS", raising=False)
         cfg = self._sweep_cfg()
-        rows = ablate(cfg, "beta", [0.2, 0.9], seeds=[0, 1])
+        rows = ablate(cfg, "beta", [0.2, 0.9])
         assert sorted(calls) == [0, 1]
         monkeypatch.setattr(train, "prepare_backbone", real)
         for row in rows:
@@ -543,9 +572,9 @@ class TestAblate:
     def test_workers_give_sequential_rows(self, monkeypatch):
         cfg = self._sweep_cfg()
         monkeypatch.delenv("MJLAB_THREADS", raising=False)
-        sequential = ablate(cfg, "beta", [0.2, 0.9], seeds=[0, 1])
+        sequential = ablate(cfg, "beta", [0.2, 0.9])
         monkeypatch.setenv("MJLAB_THREADS", "2")
-        parallel = ablate(cfg, "beta", [0.2, 0.9], seeds=[0, 1])
+        parallel = ablate(cfg, "beta", [0.2, 0.9])
         assert json.dumps(parallel) == json.dumps(sequential)
 
     def test_no_axis_touches_what_a_world_is_built_from(self, small_cfg):
