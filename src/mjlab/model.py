@@ -149,13 +149,15 @@ class Backbone:
 
     # -- forward ----------------------------------------------------------------
 
-    def _project(self, layer: int, projs: tuple[ProjectionId, ...], x: Tensor, terms) -> Tensor:
+    def _project(self, layer: int, projs: tuple[ProjectionId, ...], x: Tensor, terms,
+                 norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
         """The projections `projs` of block `layer` on their shared input
         `x`, each with its term in `terms`, as one node: stacked on a leading
-        axis, or the one output of a single projection."""
+        axis, or the one output of a single projection. With `norm` = (gamma,
+        beta), `x` is the input of the pre-LayerNorm the node folds in."""
         w = self.blocks[layer].w
         return tz.adapted_projections(x, [w[proj] for proj in projs], [terms.get(proj) for proj in projs],
-                                      [f"layer {layer}, projection {proj.name}" for proj in projs])
+                                      [f"layer {layer}, projection {proj.name}" for proj in projs], norm)
 
     def _run_blocks(self, tokens: np.ndarray, hooks: ForwardHooks | None,
                     n_blocks: int | None = None) -> list[Tensor]:
@@ -175,19 +177,19 @@ class Backbone:
         for layer in range(self.cfg.n_layers if n_blocks is None else n_blocks):
             blk = self.blocks[layer]
             terms = {} if hooks is None else hooks.begin_block(layer, x)
-            qkv = self._project(layer, QKV, tz.layer_norm(x, blk.ln1_g, blk.ln1_b), terms)
+            qkv = self._project(layer, QKV, x, terms, (blk.ln1_g, blk.ln1_b))
             attn = tz.causal_attention(qkv, self.cfg.n_heads)
             x = tz.add(x, self._project(layer, (ProjectionId.o,), attn, terms))
-            up_gate = self._project(layer, UP_GATE, tz.layer_norm(x, blk.ln2_g, blk.ln2_b), terms)
+            up_gate = self._project(layer, UP_GATE, x, terms, (blk.ln2_g, blk.ln2_b))
             x = tz.add(x, self._project(layer, (ProjectionId.down,), tz.swiglu(up_gate), terms))
             hidden.append(x)
         return hidden
 
     def forward(self, tokens: np.ndarray) -> Tensor:
         """Next-token logits (B, T, vocab) of a causal pass without hooks,
-        the pretraining objective's input."""
-        final = tz.layer_norm(self._run_blocks(tokens, None)[-1], self.ln_f_g, self.ln_f_b)
-        return tz.adapted_projections(final, [self.lm_head], [None], ["lm_head"])
+        the pretraining objective's input. `ln_f` runs inside `lm_head`'s node."""
+        return tz.adapted_projections(self._run_blocks(tokens, None)[-1], [self.lm_head], [None], ["lm_head"],
+                                      (self.ln_f_g, self.ln_f_b))
 
     def final_states(self, tokens: np.ndarray, hooks: ForwardHooks | None = None) -> Tensor:
         """LayerNormed last-block output (B, T, d), the classifier-head input,

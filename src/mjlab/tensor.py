@@ -34,12 +34,15 @@ layout a later matmul reads, and so its result). Values and gradients are
 bitwise equal to the chain's; only the op named by a finite check differs.
 What each keeps, and what its backward rebuilds with the forward's own
 expressions:
-- `adapted_projections`: W^T, and x only when a weight trains, plus what
-  each adapter term keeps;
-- a `LoRA` term, always a stack of E >= 1 adapters: x, the masks packed to
-  bits, the stacked A^T and B^T and the gate; it rebuilds, per adapter,
-  the float mask, dropout(x), x_d A_e^T, the gate column and the ungated
-  delta;
+- `adapted_projections`: W^T, and x once when a weight trains or a LoRA
+  term reads it, plus what each adapter term keeps. With a folded
+  pre-LayerNorm it keeps that LayerNorm's `xhat` and `inv`, not x, and
+  rebuilds x = `xhat * gamma + beta` when a weight trains or a LoRA term
+  reads it;
+- a `LoRA` term, always a stack of E >= 1 adapters: the masks packed to
+  bits, the stacked A^T and B^T and the gate, but not x, which its backward
+  takes from its node; it rebuilds, per adapter, the float mask,
+  dropout(x), x_d A_e^T, the gate column and the ungated delta;
 - a `Propulsion` term: its frozen product, the mask packed to bits and the
   gate column; it rebuilds dropout(W x) and the ungated delta;
 - `swiglu`: the stacked up|gate; it rebuilds sigmoid(gate) and silu(gate);
@@ -50,7 +53,9 @@ expressions:
 `adapted_projections` is every x W^T of the model. A block's projections on
 one shared input, each with its adapter term (`LoRA` or `Propulsion`), come
 out stacked on a leading axis: `causal_attention` takes the stacked q, k, v
-and `swiglu` the stacked up, gate. With one weight and no term it is the
+and `swiglu` the stacked up, gate. Each pre-LayerNorm runs inside the node
+that reads it (LN1 in q, k, v's, LN2 in up, gate's, `ln_f` in `lm_head`'s),
+replaying `layer_norm` first. With one weight and no term it is the
 `lm_head` logits, the classifier head and the MoE router.
 """
 
@@ -557,35 +562,37 @@ def causal_attention(qkv, n_heads: int) -> Tensor:
     return _make("causal_attention", out, (qkv,), back)
 
 
-def layer_norm(a, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    a = _wrap(a)
-    d = a.data.shape[-1]
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
+def _normalize(a: np.ndarray, gd: np.ndarray, bd: np.ndarray):
+    """(xhat * gamma + beta, xhat, inv) of `a` normalized over its last axis:
+    the numpy calls of `layer_norm` and of a folded projection node."""
+    mu = a.mean(axis=-1, keepdims=True)
+    xc = a - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    out = xhat * gamma.data + beta.data
-    gd, lead = gamma.data, tuple(range(a.ndim - 1))
-    a_grad, gamma_grad, beta_grad = a.requires_grad, gamma.requires_grad, beta.requires_grad
+    return xhat * gd + bd, xhat, inv
 
-    def back(g):
-        dx = dgamma = dbeta = None
-        if a_grad:
-            dxhat = g * gd
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-        if gamma_grad:
-            dgamma = (g * xhat).sum(axis=lead)
-        if beta_grad:
-            dbeta = g.sum(axis=lead)
-        return dx, dgamma, dbeta
 
-    return _make("layer_norm", out, (a, gamma, beta), back)
+def _normalize_back(g, xhat: np.ndarray, inv: np.ndarray, gd: np.ndarray, grads: tuple[bool, bool, bool]):
+    """The gradients of a LayerNorm's input, gamma and beta from its output
+    gradient `g`, one at a time; `grads` says which of them to compute."""
+    a_grad, gamma_grad, beta_grad = grads
+    lead = tuple(range(xhat.ndim - 1))
+    dxhat = g * gd if a_grad else None
+    yield None if dxhat is None else inv * (
+        dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    del dxhat
+    yield (g * xhat).sum(axis=lead) if gamma_grad else None
+    yield g.sum(axis=lead) if beta_grad else None
+
+
+def layer_norm(a, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    a = _wrap(a)
+    gd = gamma.data
+    out, xhat, inv = _normalize(a.data, gd, beta.data)
+    grads = (a.requires_grad, gamma.requires_grad, beta.requires_grad)
+    return _make("layer_norm", out, (a, gamma, beta), lambda g: _normalize_back(g, xhat, inv, gd, grads))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -714,9 +721,10 @@ class Propulsion(NamedTuple):
     column: int = 0
 
 
-def _lora(x: Tensor, term: LoRA):
-    """`term` on `x` as the body of a tape node: (delta, inputs, back), where
-    `back(g)` gives the gradients of `inputs`.
+def _lora(x_data: np.ndarray, x_grad: bool, term: LoRA, x: Tensor | None):
+    """`term` on the input array `x_data` as the body of a tape node: (delta,
+    inputs, back), where `back(g, x_data, x_out)` gives the gradients of
+    `inputs` and takes x's array from its node.
 
     Replays the numpy calls of the chain dropout, transpose, matmul,
     transpose, matmul, mul (and select_index, mul for the gate) of each
@@ -725,12 +733,14 @@ def _lora(x: Tensor, term: LoRA):
     leading adapter axis, which numpy computes slice by slice as separate
     calls do. `inputs` are (x, a, b, gate) once per adapter, in reverse order,
     so `backward` accumulates the gradients of x and the gate in the chain's
-    order. Keeps x, the masks packed to one bit per element, A^T, B^T and
-    the gate. `back(g)` is a generator: one adapter at a time, in `inputs`
-    order, it rebuilds that adapter's float mask, dropout(x), x_d @ A_e^T,
-    gate column and ungated delta from its own slices with the forward's
-    expressions, and yields its gradients before the next adapter's are
-    computed.
+    order; with `x` None they leave x out, and the node sums x's gradients
+    itself. Each x gradient goes through `x_out`, which gives what to yield
+    for it. Keeps the masks packed to one bit per element, A^T, B^T and the
+    gate, not x (`x_grad` says whether x needs a gradient). `back(g, ...)` is
+    a generator: one adapter at a time, in `inputs` order, it rebuilds that
+    adapter's float mask, dropout(x), x_d @ A_e^T, gate column and ungated
+    delta from its own slices with the forward's expressions, and yields its
+    gradients before the next adapter's are computed.
     """
     a, b, column, gate, p = term.a, term.b, term.column, term.gate, term.p
     n = len(a)
@@ -738,13 +748,13 @@ def _lora(x: Tensor, term: LoRA):
         raise ValueError(f"a LoRA term needs one b and, when gated, one column per a: "
                          f"got {n} a, {len(b)} b, {len(column)} column")
     s = _as_array(term.scale)
-    x_data, x_shape, x_grad = x.data, x.shape, x.requires_grad
+    x_shape = x_data.shape
     a_grad, b_grad = [t.requires_grad for t in a], [t.requires_grad for t in b]
     gate_data = None if gate is None else gate.data
     gated = gate is not None and gate.requires_grad
     xd, keep = _drop(x_data, p, term.rng, n)
     at, bt = np.array([t.data.T for t in a]), np.array([t.data.T for t in b])  # C-contiguous, as `transpose` copies
-    lead = (n,) + (1,) * (x.ndim - 2)  # one adapter slice per batch of x
+    lead = (n,) + (1,) * (x_data.ndim - 2)  # one adapter slice per batch of x
     at_mm, bt_mm = at.reshape(lead + at.shape[1:]), bt.reshape(lead + bt.shape[1:])
 
     out = _as_array(_as_array(_as_array(xd @ at_mm) @ bt_mm) * s)  # the ungated deltas
@@ -755,9 +765,9 @@ def _lora(x: Tensor, term: LoRA):
         out = out + t
     inputs = ()
     for e in reversed(range(n)):
-        inputs += (x, a[e], b[e]) if gate is None else (x, a[e], b[e], gate)
+        inputs += (() if x is None else (x,)) + (a[e], b[e]) + (() if gate is None else (gate,))
 
-    def back(g):
+    def back(g, x_data, x_out):
         for e in reversed(range(n)):
             col = None if gate_data is None else gate_data[..., column[e]:column[e] + 1]
             mask = None if keep is None else _mask(_unpack(keep[e], x_shape), p)
@@ -773,7 +783,7 @@ def _lora(x: Tensor, term: LoRA):
                 if mask is not None:
                     gx *= mask
             del mask
-            yield gx
+            yield from x_out(gx)
             del gx
             yield np.ascontiguousarray(_unbroadcast(np.swapaxes(xd, -1, -2) @ g_xa, at[e].shape).T) \
                 if a_grad[e] else None
@@ -836,6 +846,11 @@ def _propulsion(base: np.ndarray, base_grad: bool, term: Propulsion):
     return out, (s,) if gate is None else (s, gate), back
 
 
+def _own(gx):
+    """An x gradient yielded as the gradient of the input x itself."""
+    return (gx,)
+
+
 def adapter_delta(x, term: LoRA | Propulsion) -> Tensor:
     """The delta of an adapter term on its own, as one tape node named
     'lora_delta' or 'propulsion_delta': a `LoRA` on the projection input `x`,
@@ -848,12 +863,13 @@ def adapter_delta(x, term: LoRA | Propulsion) -> Tensor:
     if isinstance(term, Propulsion):
         out, inputs, back = _propulsion(x.data, x.requires_grad, term)
         return _make("propulsion_delta", out, (x, *inputs), back)
-    out, inputs, back = _lora(x, term)
-    return _make("lora_delta", out, inputs, back)
+    x_data = x.data
+    out, inputs, back = _lora(x_data, x.requires_grad, term, x)
+    return _make("lora_delta", out, inputs, lambda g: back(g, x_data, _own))
 
 
 def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Propulsion | None],
-                        labels: Sequence[str]) -> Tensor:
+                        labels: Sequence[str], norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """The P projections that read one input `x` (..., d_in), each its frozen
     product x W^T plus its adapter term, stacked on a new leading axis
     (P, ..., d_out), as one tape node; for P = 1 the one sum (..., d_out).
@@ -872,21 +888,42 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
     is an input once per node of the chain, so `backward` adds its terms in
     the chain's order.
 
-    The node keeps the W^T, x only when a weight trains, what each term
-    keeps (a Propulsion term also keeps its projection's frozen product) and
-    nothing else: not the frozen products, not the deltas. It checks its
-    output once; only when that fails does it find the first non-finite
-    array in the chain's order, and raises naming the chain's op ('linear',
-    the term's op or 'add') and the projection's label.
+    With `norm` = (gamma, beta) the node folds in the pre-LayerNorm that
+    feeds the projections: `x` is the LayerNorm's input h, and the node
+    replays `layer_norm(h, gamma, beta)` first, by the numpy calls that op
+    runs, and checks its output (named 'layer_norm' at the first label).
+    It keeps that LayerNorm's `xhat` and `inv`, not its output; the backward
+    rebuilds the output as `xhat * gamma + beta` when a trained weight or a
+    LoRA term reads it. It sums the output's gradients in the order
+    `backward` would add them, runs `layer_norm`'s backward on the sum, and
+    gives the gradients of h, gamma and beta last.
+
+    The node keeps the W^T, x (or `xhat`) once when a weight trains or a
+    LoRA term reads it, what each term keeps (a Propulsion term also keeps
+    its projection's frozen product) and nothing else: not the frozen
+    products, not the deltas. It checks its output once; only when that
+    fails does it find the first non-finite array in the chain's order, and
+    raises naming the chain's op ('linear', the term's op or 'add') and the
+    projection's label.
     """
     x = _wrap(x)
     n = len(weights)
     wt = np.array([w.data.T for w in weights])  # each W^T C-contiguous, as `transpose` copies it
     if wt.ndim != 3 or x.ndim < 2 or x.data.shape[-1] != wt.shape[1]:
         raise ValueError(f"projection shape mismatch: {x.data.shape} @ {[w.data.shape for w in weights]}^T")
+    if norm is None:
+        x_data, x_grad, x_in = x.data, x.requires_grad, x
+    else:
+        gamma, beta = norm
+        gd, bd = gamma.data, beta.data
+        x_data, xhat, inv = _normalize(x.data, gd, bd)
+        if not np.isfinite(x_data).all():
+            raise FloatingPointError(f"non-finite values produced by 'layer_norm' at {labels[0]}")
+        norm_grads = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
+        x_grad, x_in = any(norm_grads), None  # the LayerNorm output is no input of the node
 
     def products():
-        return x.data @ wt.reshape((n,) + (1,) * (x.ndim - 2) + wt.shape[1:])  # one W^T per batch of x
+        return x_data @ wt.reshape((n,) + (1,) * (x.ndim - 2) + wt.shape[1:])  # one W^T per batch of x
 
     out = products()
     deltas, backs, inputs = [None] * n, [None] * n, ()
@@ -894,31 +931,49 @@ def adapted_projections(x, weights: Sequence[Tensor], terms: Sequence[LoRA | Pro
         term_inputs = ()
         if term is not None:
             if isinstance(term, Propulsion):
-                deltas[i], term_inputs, backs[i] = _propulsion(out[i].copy(), x.requires_grad or w.requires_grad, term)
+                deltas[i], term_inputs, backs[i] = _propulsion(out[i].copy(), x_grad or w.requires_grad, term)
             else:
-                deltas[i], term_inputs, backs[i] = _lora(x, term)
+                deltas[i], term_inputs, backs[i] = _lora(x_data, x_grad, term, x_in)
             out[i] += deltas[i]
-        inputs = term_inputs + (x, w) + inputs
+        inputs = term_inputs + (() if x_in is None else (x_in,)) + (w,) + inputs
+    if norm is not None:
+        inputs += (x, gamma, beta)
     if not np.isfinite(out).all():
         _name_non_finite(products(), deltas, out, terms, labels)
-    x_shape, x_grad, w_grad = x.shape, x.requires_grad, [w.requires_grad for w in weights]
-    xd = x.data if any(w_grad) else None
+    x_shape, w_grad = x.shape, [w.requires_grad for w in weights]
     propulsion = [isinstance(term, Propulsion) for term in terms]
+    reads_x = any(w_grad) or any(t is not None and not p for t, p in zip(terms, propulsion))
+    kept = x_data if reads_x and norm is None else None
 
     def back(g):  # in `inputs` order: projections reversed, each its term's gradients, then x's and w's
+        acc = None
+
+        def summed(gx):  # the folded LayerNorm output's gradient, added up as `backward` adds an input's
+            nonlocal acc
+            if gx is not None:
+                acc = np.ascontiguousarray(gx, dtype=np.float64) if acc is None else acc + gx
+            return ()
+
+        x_out = _own if norm is None else summed
+        xd = kept if norm is None or not reads_x else xhat * gd + bd  # the forward's expression
         for i in reversed(range(n)):
             g_i = g[i] if n > 1 else g
             if backs[i] is not None:
-                t_grads = iter(backs[i](g_i))
                 if propulsion[i]:
+                    t_grads = iter(backs[i](g_i))
                     g_base = next(t_grads)
                     if g_base is not None:
                         g_i = g_i + g_base
                     del g_base
+                else:
+                    t_grads = backs[i](g_i, xd, x_out)
                 yield from t_grads
-            yield _unbroadcast(g_i @ np.swapaxes(wt[i], -1, -2), x_shape) if x_grad else None
+            yield from x_out(_unbroadcast(g_i @ np.swapaxes(wt[i], -1, -2), x_shape) if x_grad else None)
             yield np.ascontiguousarray(_unbroadcast(np.swapaxes(xd, -1, -2) @ g_i, wt[i].shape).T) \
                 if w_grad[i] else None
+        if norm is not None:
+            del xd, g_i
+            yield from _normalize_back(acc, xhat, inv, gd, norm_grads)
 
     return _make("adapted_projections", out if n > 1 else out[0], inputs, back, check=False)
 

@@ -323,7 +323,11 @@ def run_pipeline(cfg: ExperimentConfig, seed: int, out_dir=None, *,
 def _staged(target: Path):
     """A hidden sibling path of `target` to write a file or a directory to,
     moved onto `target` (replacing it) on success and removed on failure; its
-    leading '.' keeps `run-*` globs and the target's own name from matching it."""
+    leading '.' keeps `run-*` globs and the target's own name from matching it.
+
+    A directory already at `target` is moved aside to another hidden sibling
+    first and removed only once the staged one has replaced it; if that
+    replace fails, it is moved back, so `target` is never left missing."""
     target.parent.mkdir(parents=True, exist_ok=True)
     staged = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     _remove(staged)
@@ -332,9 +336,20 @@ def _staged(target: Path):
     except BaseException:
         _remove(staged)
         raise
-    if staged.is_dir():
-        shutil.rmtree(target, ignore_errors=True)
-    os.replace(staged, target)
+    aside = None
+    if staged.is_dir() and target.exists():
+        aside = target.with_name(f".{target.name}.{os.getpid()}.old")
+        _remove(aside)
+        os.replace(target, aside)
+    try:
+        os.replace(staged, target)
+    except BaseException:
+        if aside is not None:
+            os.replace(aside, target)
+        _remove(staged)
+        raise
+    if aside is not None:
+        _remove(aside)
 
 
 def _remove(path: Path) -> None:

@@ -126,3 +126,24 @@ def test_suite_pairs_summary():
     assert got[third]["change_median_s"] == 6.0 and got[third]["change_wins"] == 1
     assert got["total"]["parent_median_s"] == 20.0 and got["total"]["change_median_s"] == 20.0
     assert got["total"]["change_wins"] == 1 and got["total"]["relative_change"] == 0.0
+
+
+def test_tape_margins_summary():
+    """One row per tape bound of the tests, each measured value against its
+    bound; a value above its bound does not hold."""
+    tape_margins = load_tool(BENCH_PAIRS.parent / "tape_margins.py")
+    stream = 16 * 24 * 32 * 8
+    measured = {"moe_nodes": 58, "moe_tape": 1150, "moe_peak": 1300, "peft_tape": 1000,
+                "mj_tape": 1000 + 3 * 4 * stream, "pretrain_entry": 1000, "pretrain_peak": 1100,
+                "mj_nodes": 41, "pretrain_nodes": 38, "routed_layers": 4, "stream_bytes": stream}
+    rows = {row["bound_of"]: row for row in tape_margins.summary(measured)}
+    assert len(rows) == 7
+    assert rows["moe tape / peft tape"]["value"] == 1.15 and rows["moe tape / peft tape"]["holds"]
+    moe_peak = rows["moe backward peak / moe tape"]
+    assert moe_peak["value"] == 1300 / 1150 and moe_peak["bound"] == 1.20 and moe_peak["holds"]
+    assert rows["pretraining backward peak / tape at entry"]["margin"] == pytest.approx(0.02)
+    mj = rows["(mj tape - peft tape) / routed layers x B*T*d*8"]
+    assert mj["value"] == 3.0 and mj["bound"] == 2.5 and not mj["holds"]
+    assert [rows[name]["bound"] for name in ("moe step nodes", "mj step nodes", "pretraining step nodes")] \
+        == [120, 60, 40]
+    assert rows["pretraining step nodes"]["margin"] == 2

@@ -146,7 +146,7 @@ class TestForward:
             forward_nodes = len(tape.nodes)
             tape.nodes.clear()
             final = model.final_states(toks)
-            assert len(tape.nodes) == forward_nodes - 1  # no lm_head logits
+            assert len(tape.nodes) == forward_nodes  # ln_f's node in place of lm_head's, which folds ln_f in
         assert np.array_equal(lm_head_logits(model, final).data, logits.data)
 
 
@@ -208,7 +208,10 @@ class TestBackwardMemory:
         for name in ref:
             assert np.array_equal(grads[name], ref[name]), name
 
-    def test_backward_peak_is_bounded_by_the_tape(self):
+    @staticmethod
+    def pretraining_peak() -> tuple[int, int]:
+        """(traced bytes at backward entry, traced peak during backward) of a
+        pretraining step at the default config, B = 16, T = 24."""
         cfg = ModelConfig()
         model = Backbone(cfg, seed=0)
         toks = np.random.default_rng(4).integers(0, cfg.vocab_size, size=(16, 24))
@@ -222,6 +225,10 @@ class TestBackwardMemory:
                 peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return at_entry, peak
+
+    def test_backward_peak_is_bounded_by_the_tape(self):
+        at_entry, peak = self.pretraining_peak()
         assert peak <= 1.12 * at_entry, (peak, at_entry)
 
     @staticmethod
@@ -337,6 +344,18 @@ class TestFreezeAndPretrain:
         corpus = [np.array([1, 2, 3, 4, 5])] * 8
         with pytest.raises(RuntimeError, match=r"diverged at holdout evaluation: "
                                                r"non-finite values produced by 'linear' at lm_head$"):
+            pretrain_backbone(model, corpus, steps=3, lr=1e-3, seed=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("gamma,where", [("block1.ln2_g", "layer 1, projection up"), ("ln_f_g", "lm_head")])
+    def test_divergence_names_the_folded_layer_norm(self, tiny_cfg, gamma, where):
+        """A pre-LayerNorm runs inside the projection node that reads it, so
+        its non-finite output is named by that node's first label."""
+        model = Backbone(tiny_cfg, seed=2)
+        model.named_parameters()[gamma].data[:] = 1e308  # xhat * gamma overflows where |xhat| > 1.8
+        corpus = [np.array([1, 2, 3, 4, 5])] * 8
+        with pytest.raises(RuntimeError, match=rf"diverged at holdout evaluation: "
+                                               rf"non-finite values produced by 'layer_norm' at {where}$"):
             pretrain_backbone(model, corpus, steps=3, lr=1e-3, seed=0)
 
 

@@ -14,6 +14,7 @@ from mjlab.moe_baseline import MoEAdapterBank, MoEConfig, MoEHooks, moe_gates, m
 from mjlab.train import ClassifierHead, build_method
 
 from .conftest import finite_difference_check
+from .test_projection_node import router_states
 
 QV = (ProjectionId.q, ProjectionId.v)
 
@@ -350,17 +351,21 @@ class TestGroupedNode:
 class TestTapeFootprint:
     """A MoE fine-tune step keeps about a peft step's tape: each projection's
     experts are one node, and its dropout masks are bits. Its backward
-    rebuilds one expert at a time, so it peaks little above that tape."""
+    rebuilds one expert at a time, so it peaks little above that tape. mj's
+    routing keeps a few copies of the residual stream above that tape."""
 
     @staticmethod
-    def step(method: str) -> tuple[int, int, int]:
+    def step(method: str, routed: bool = False) -> tuple[int, int, int]:
         """(tape nodes, tape bytes at backward entry, peak bytes during
         backward) of one step at the default config, B = 16, T = 24; the same
-        batch for every method. Bytes count from the tape's entry."""
+        batch for every method. Bytes count from the tape's entry. With
+        `routed`, mj routes on router states in every layer, built as
+        `TestTapeGuard.mj_step` builds them; without, mj runs peft's pass."""
         cfg = ExperimentConfig(method=method)
         backbone = Backbone(cfg.model, seed=0)
         backbone.freeze()
-        bank, hooks = build_method(cfg, 0)
+        states = router_states(cfg, np.random.default_rng(79)) if routed else None
+        bank, hooks = build_method(cfg, 0, states)
         head = ClassifierHead(cfg.model.d_model, 3)
         rng = np.random.default_rng(38)
         tokens = rng.integers(0, cfg.model.vocab_size, size=(16, 24))
@@ -389,3 +394,11 @@ class TestTapeFootprint:
     def test_moe_backward_peaks_little_above_its_tape(self):
         _, moe_bytes, moe_peak = self.step("moe")
         assert moe_peak <= 1.20 * moe_bytes, (moe_peak, moe_bytes)
+
+    def test_mj_routing_keeps_little_above_a_peft_tape(self):
+        """At most 2.5 residual-stream copies (B T d floats) per routed layer."""
+        model = ExperimentConfig().model
+        _, mj_bytes, _ = self.step("mj", routed=True)
+        _, peft_bytes, _ = self.step("peft")
+        stream = 16 * 24 * model.d_model * 8
+        assert mj_bytes - peft_bytes <= 2.5 * model.n_layers * stream, (mj_bytes, peft_bytes)

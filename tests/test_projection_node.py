@@ -17,7 +17,7 @@ from mjlab.tensor import Tensor
 from mjlab.train import ClassifierHead, build_method
 
 from .conftest import finite_difference_check
-from .unfused_model import DeltaHooks, unfused_final_states, unfused_next_token_loss
+from .unfused_model import DeltaHooks, unfolded_layer_norms, unfused_final_states, unfused_next_token_loss
 
 Q, K, V, O, UP, GATE, DOWN = tuple(ProjectionId)
 
@@ -238,6 +238,12 @@ class TestNode:
             tz.adapted_projections(x, ws, terms, ["p0", "p1", "p2"])
 
 
+def router_states(cfg: ExperimentConfig, rng: np.random.Generator) -> dict:
+    """Router states on random centers for every layer of `cfg`'s model."""
+    return {layer: cfg.router.router_state(rng.normal(size=(len(cfg.router.routed), cfg.model.d_model)), 10)
+            for layer in range(cfg.model.n_layers)}
+
+
 class TestTapeGuard:
     """One step at the default config, B = 16, T = 24."""
 
@@ -248,9 +254,7 @@ class TestTapeGuard:
         backbone = Backbone(cfg.model, seed=0)
         backbone.freeze()
         rng = np.random.default_rng(79)
-        states = {layer: cfg.router.router_state(rng.normal(size=(len(cfg.router.routed), cfg.model.d_model)), 10)
-                  for layer in range(cfg.model.n_layers)}
-        bank, hooks = build_method(cfg, 0, states)
+        bank, hooks = build_method(cfg, 0, router_states(cfg, rng))
         head = ClassifierHead(cfg.model.d_model, 3)
         tokens = rng.integers(0, cfg.model.vocab_size, size=(16, 24))
         labels = rng.integers(0, 3, size=16)
@@ -273,10 +277,34 @@ class TestTapeGuard:
         assert nodes <= 60, nodes
         assert tape_bytes <= 0.8 * chain_bytes, (tape_bytes, chain_bytes, chain_nodes)
 
-    def test_pretraining_step_holds_at_most_50_nodes(self):
+    @staticmethod
+    def pretraining_step(loss_fn) -> tuple[int, int]:
+        """(tape nodes, tape bytes) at backward entry of a pretraining step."""
         cfg = ExperimentConfig()
         model = Backbone(cfg.model, seed=0)
         tokens = np.random.default_rng(80).integers(0, cfg.model.vocab_size, size=(16, 24))
-        with tz.Tape() as tape:
-            next_token_loss(model, tokens)
-            assert len(tape.nodes) <= 50, len(tape.nodes)
+        tracemalloc.start()
+        try:
+            with tz.Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                loss_fn(model, tokens)
+                at_entry = tracemalloc.get_traced_memory()[0] - before
+                n_nodes = len(tape.nodes)
+        finally:
+            tracemalloc.stop()
+        return n_nodes, at_entry
+
+    def test_pretraining_step_holds_at_most_40_nodes(self):
+        nodes, _ = self.pretraining_step(next_token_loss)
+        assert nodes <= 40, nodes
+
+    def test_pretraining_step_keeps_no_layer_norm_output(self, monkeypatch):
+        """Each pre-LayerNorm folds into the projection node that reads it,
+        which keeps the LayerNorm's `xhat` but not its output: the tape is
+        smaller than that of the same pass with each LayerNorm its own node
+        by at least the 2 L in-block outputs of B T d floats each."""
+        _, tape_bytes = self.pretraining_step(next_token_loss)
+        monkeypatch.setattr(tz, "adapted_projections", unfolded_layer_norms(tz.adapted_projections))
+        _, chain_bytes = self.pretraining_step(next_token_loss)
+        cfg = ExperimentConfig().model
+        assert chain_bytes - tape_bytes >= 2 * cfg.n_layers * 16 * 24 * cfg.d_model * 8, (tape_bytes, chain_bytes)

@@ -69,6 +69,68 @@ def projection_cases(draw) -> dict:
             "trainable": draw(st.sets(st.sampled_from(ROLES))), "seed": draw(SEEDS)}
 
 
+def assert_projection_node_replays(case: dict, norm_trainable=None) -> None:
+    """The node of `case` against its chain. With `norm_trainable` (the
+    trainable subset of {"gamma", "beta"}) the node folds in a LayerNorm of
+    x, and the chain is `tz.layer_norm` followed by the unfolded node. The
+    bank's adapters share one dropout stream, so the terms of a node draw
+    from one generator."""
+    kinds, columns, n_proj = case["kinds"], case["columns"], len(case["kinds"])
+    d_in, d_out, lead = case["d_in"], case["d_out"], case["lead"]
+    rng = np.random.default_rng(case["seed"])
+    values = {"x": rng.normal(size=lead + (d_in,)), "gate": rng.random(size=lead + (3,))}
+    for i, kind in enumerate(kinds):
+        values[f"w{i}"] = rng.normal(size=(d_out, d_in))
+        if kind == "lora":
+            for e in range(len(columns[i])):
+                values[f"a{i}_{e}"] = rng.normal(size=(case["r"], d_in))
+                values[f"b{i}_{e}"] = rng.normal(size=(d_out, case["r"]))
+        elif kind == "propulsion":
+            values[f"s{i}"] = rng.normal(size=d_out)
+    trainable = {k for k in values if k.rstrip("0123456789_") in case["trainable"]}
+    if norm_trainable is not None:
+        values.update(gamma=rng.normal(size=d_in), beta=rng.normal(size=d_in))
+        trainable |= set(norm_trainable)
+
+    def terms(ts):
+        drop = np.random.default_rng(case["seed"] + 1)
+        gate = ts["gate"] if case["gated"] else None
+        out = []
+        for i, kind in enumerate(kinds):
+            if kind == "lora":
+                n = len(columns[i])
+                out.append(tz.LoRA([ts[f"a{i}_{e}"] for e in range(n)], [ts[f"b{i}_{e}"] for e in range(n)],
+                                   2.5, case["p"], drop, gate, columns[i]))
+            elif kind == "propulsion":
+                out.append(tz.Propulsion(ts[f"s{i}"], case["p"], drop, gate, columns[i][0]))
+            else:
+                out.append(None)
+        return out
+
+    def node(x, ts, **norm):
+        weights = [ts[f"w{i}"] for i in range(n_proj)]
+        return tz.adapted_projections(x, weights, terms(ts), [f"p{i}" for i in range(n_proj)], **norm)
+
+    if norm_trainable is None:
+        def fused(**ts):
+            return node(ts["x"], ts)
+
+        def chain(**ts):
+            outs = []
+            for i, term in enumerate(terms(ts)):
+                base = unfused_linear(ts["x"], ts[f"w{i}"])
+                outs.append(base if term is None else tz.add(base, chain_delta(ts["x"], base, term)))
+            return outs[0] if n_proj == 1 else stacked(*outs)
+    else:
+        def fused(**ts):
+            return node(ts["x"], ts, norm=(ts["gamma"], ts["beta"]))
+
+        def chain(**ts):
+            return node(tz.layer_norm(ts["x"], ts["gamma"], ts["beta"]), ts)
+
+    assert_replays(fused, chain, values, trainable)
+
+
 class TestAdaptedProjections:
     @GUARD
     @given(case=projection_cases())
@@ -77,49 +139,21 @@ class TestAdaptedProjections:
     @example(case={"d_in": 16, "r": 2, "d_out": 7, "lead": (2, 4), "kinds": ["lora"], "columns": [[0]],
                    "gated": False, "p": 0.3, "trainable": {"x", "a", "b"}, "seed": 1})
     def test_replays_the_chain(self, case):
-        """The bank's adapters share one dropout stream, so the terms of a
-        node draw from one generator."""
-        kinds, columns, n_proj = case["kinds"], case["columns"], len(case["kinds"])
-        d_in, d_out, lead = case["d_in"], case["d_out"], case["lead"]
-        rng = np.random.default_rng(case["seed"])
-        values = {"x": rng.normal(size=lead + (d_in,)), "gate": rng.random(size=lead + (3,))}
-        for i, kind in enumerate(kinds):
-            values[f"w{i}"] = rng.normal(size=(d_out, d_in))
-            if kind == "lora":
-                for e in range(len(columns[i])):
-                    values[f"a{i}_{e}"] = rng.normal(size=(case["r"], d_in))
-                    values[f"b{i}_{e}"] = rng.normal(size=(d_out, case["r"]))
-            elif kind == "propulsion":
-                values[f"s{i}"] = rng.normal(size=d_out)
-        trainable = {k for k in values if k.rstrip("0123456789_") in case["trainable"]}
+        assert_projection_node_replays(case)
 
-        def terms(ts):
-            drop = np.random.default_rng(case["seed"] + 1)
-            gate = ts["gate"] if case["gated"] else None
-            out = []
-            for i, kind in enumerate(kinds):
-                if kind == "lora":
-                    n = len(columns[i])
-                    out.append(tz.LoRA([ts[f"a{i}_{e}"] for e in range(n)], [ts[f"b{i}_{e}"] for e in range(n)],
-                                       2.5, case["p"], drop, gate, columns[i]))
-                elif kind == "propulsion":
-                    out.append(tz.Propulsion(ts[f"s{i}"], case["p"], drop, gate, columns[i][0]))
-                else:
-                    out.append(None)
-            return out
-
-        def fused(**ts):
-            weights = [ts[f"w{i}"] for i in range(n_proj)]
-            return tz.adapted_projections(ts["x"], weights, terms(ts), [f"p{i}" for i in range(n_proj)])
-
-        def chain(**ts):
-            outs = []
-            for i, term in enumerate(terms(ts)):
-                base = unfused_linear(ts["x"], ts[f"w{i}"])
-                outs.append(base if term is None else tz.add(base, chain_delta(ts["x"], base, term)))
-            return outs[0] if n_proj == 1 else stacked(*outs)
-
-        assert_replays(fused, chain, values, trainable)
+    @GUARD
+    @given(case=projection_cases(), norm_trainable=st.sets(st.sampled_from(("gamma", "beta"))))
+    @example(case={"d_in": 16, "r": 2, "d_out": 4, "lead": (2, 3), "kinds": ["lora", "lora", "propulsion"],
+                   "columns": [[0], [1, 2], [2]], "gated": True, "p": 0.3, "trainable": set(ROLES), "seed": 0},
+             norm_trainable={"gamma", "beta"})
+    @example(case={"d_in": 16, "r": 2, "d_out": 7, "lead": (2, 4), "kinds": ["lora", None], "columns": [[0], [1]],
+                   "gated": True, "p": 0.3, "trainable": {"x", "a", "b", "gate"}, "seed": 1}, norm_trainable=set())
+    def test_folded_layer_norm_replays_layer_norm_then_the_node(self, case, norm_trainable):
+        """`norm=(gamma, beta)` against `tz.layer_norm` followed by the
+        node: the values and the gradients of x (the LayerNorm's input),
+        gamma, beta, the weights, the LoRA factors, the Propulsion scales
+        and the gate."""
+        assert_projection_node_replays(case, norm_trainable)
 
 
 def chain_delta(x, base, term):

@@ -418,6 +418,29 @@ class TestRunOutput:
         assert (out / "report.json").exists()
         assert [p.name for p in tmp_path.iterdir()] == ["run-x-s0"]
 
+    def test_failed_final_rename_keeps_the_previous_run_dir(self, tmp_path, small_world, monkeypatch):
+        """The old directory is moved aside, not removed, until the staged
+        one has replaced it; a failing replace puts it back byte-identical."""
+        backbone, train_ds, val_ds = small_world
+        out = tmp_path / "run-x-s0"
+        (out / "backbone").mkdir(parents=True)
+        (out / "report.json").write_text("from an earlier run")
+        (out / "backbone" / "manifest.json").write_text("{}")
+        before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real = os.replace
+
+        def replace(src, dst):
+            if str(src).endswith(".tmp") and os.fspath(dst) == os.fspath(out):
+                raise OSError("rename failed")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename failed"):
+            run_pipeline(small_config(method="peft"), 0, out_dir=out, backbone=backbone, train_ds=train_ds,
+                         val_ds=val_ds)
+        assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run-x-s0"]
+
     def test_failed_csv_write_keeps_the_previous_file(self, tmp_path):
         """A writer failing mid-file leaves the earlier file byte-identical
         and no hidden sibling behind."""

@@ -139,3 +139,14 @@ def unfused_next_token_loss(model, tokens):
     weights[:, -1] = 0.0
     return tz.cross_entropy(tz.reshape(logits, (b * t, model.cfg.vocab_size)), targets.reshape(-1),
                             weights.reshape(-1))
+
+
+def unfolded_layer_norms(projections):
+    """`projections` (`tz.adapted_projections`) with a folded pre-LayerNorm
+    run first as its own `tz.layer_norm` node: the chain a node with `norm`
+    replaces."""
+
+    def unfolded(x, weights, terms, labels, norm=None):
+        return projections(x if norm is None else tz.layer_norm(x, *norm), weights, terms, labels)
+
+    return unfolded
